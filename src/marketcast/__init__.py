@@ -56,11 +56,11 @@ from .indicators import (
 from .lstm import (
     AdamState,
     LstmConfig,
+    LstmLayer,
     LstmNetwork,
     TrainingHistory,
     adam_step,
     backward,
-    cell_forward,
     forward,
     init_network,
     load_checkpoint,

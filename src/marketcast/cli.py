@@ -37,6 +37,7 @@ from .errors import DataError, ModelFitError
 from .frame import forward_fill, load_csv
 from .pipeline import (
     DUMPABLE_STAGES,
+    PREDICTION_CONTEXT_ROWS,
     PipelineConfig,
     atomic_write_text,
     atomic_write_via,
@@ -45,9 +46,6 @@ from .pipeline import (
 )
 
 OUT_DIR_ENV = "MARKETCAST_OUT"
-
-# history rows written before the forecast span in standalone predictions files
-CONTEXT_ROWS = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +241,7 @@ def _cmd_forecast(args) -> int:
     history = series[:-steps] if mode is arima_mod.ForecastMode.STATIC else series
     preds = arima_mod.forecast(model, history, steps, mode)
     start = len(series) - steps
-    context = min(CONTEXT_ROWS, start)
+    context = min(PREDICTION_CONTEXT_ROWS, start)
     out_dates = dates[start - context :]
     actual = series[start - context :]
     predicted = np.concatenate([np.full(context, np.nan), preds])

@@ -29,6 +29,7 @@ __all__ = [
     "write_csv",
     "forward_fill",
     "chrono_split",
+    "split_bounds",
     "fit_scaler",
     "apply_scaler",
     "invert_scaler",

@@ -7,12 +7,19 @@ window of W timesteps and predicts a single scalar from the final hidden
 state of the top layer through a dense head.
 
 Conventions:
-  - gates are ordered (input, forget, output, candidate) wherever they are
-    stacked into a fused matrix;
+  - each layer stores its parameters fused, as the recurrence uses them:
+    W (4H x D) maps the layer input, U (4H x H) the previous hidden state,
+    and b (4H,) is the bias; the four gates are stacked along the first axis
+    in the order (input, forget, output, candidate);
+  - the recurrence runs over time-major (W, batch, .) buffers, so every step
+    reads and writes contiguous (batch, .) slices;
   - dropout is applied to each LSTM layer's output sequence before it feeds
     the layer above (the dense head included); the recurrent path inside a
     layer always sees the undropped state;
   - masks are redrawn once per mini-batch and shared across timesteps.
+
+Checkpoints (version 2) store each layer under layer{L}_W, layer{L}_U and
+layer{L}_b.
 """
 
 from __future__ import annotations
@@ -29,12 +36,11 @@ from .frame import WindowedDataset
 
 __all__ = [
     "LstmConfig",
-    "LstmCellWeights",
+    "LstmLayer",
     "LstmNetwork",
     "AdamState",
     "TrainingHistory",
     "init_network",
-    "cell_forward",
     "forward",
     "mse_loss",
     "backward",
@@ -45,8 +51,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-GATES = ("i", "f", "o", "g")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# windows per eval-mode forward call; bounds the time-major buffers' memory
+EVAL_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,10 @@ class LstmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_size", "hidden_size", "num_layers", "batch_size", "max_epochs", "patience", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.input_size < 1:
             raise ValueError("input_size must be >= 1")
         if self.hidden_size < 1:
@@ -94,36 +105,17 @@ class LstmConfig:
 
 
 @dataclass
-class LstmCellWeights:
-    """Per-gate parameter arrays: W maps layer input, U maps previous hidden."""
+class LstmLayer:
+    """Fused parameters of one layer, gates stacked (i, f, o, g) along rows."""
 
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
-    w_g: np.ndarray
-    u_g: np.ndarray
-    b_g: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, f"{kind}_{gate}") for gate in GATES for kind in ("w", "u", "b")]
-
-    def fused(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W, U, b) with the four gates stacked along the first axis."""
-        w = np.concatenate([self.w_i, self.w_f, self.w_o, self.w_g], axis=0)
-        u = np.concatenate([self.u_i, self.u_f, self.u_o, self.u_g], axis=0)
-        b = np.concatenate([self.b_i, self.b_f, self.b_o, self.b_g])
-        return w, u, b
+    w: np.ndarray  # (4H, D)
+    u: np.ndarray  # (4H, H)
+    b: np.ndarray  # (4H,)
 
 
 @dataclass
 class LstmNetwork:
-    layers: list[LstmCellWeights]
+    layers: list[LstmLayer]
     dense_w: np.ndarray
     dense_b: np.ndarray  # shape (1,)
     config: LstmConfig
@@ -132,7 +124,7 @@ class LstmNetwork:
         """All trainable arrays in a fixed order (update in place to train)."""
         out: list[np.ndarray] = []
         for layer in self.layers:
-            out.extend(layer.arrays())
+            out.extend((layer.w, layer.u, layer.b))
         out.append(self.dense_w)
         out.append(self.dense_b)
         return out
@@ -170,39 +162,27 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def init_network(config: LstmConfig) -> LstmNetwork:
-    """Fresh network with fan-scaled uniform weights and forget biases at 1."""
+    """Fresh network with fan-scaled uniform weights and forget biases at 1.
+
+    Each gate's W and U blocks are drawn in turn, gate by gate, so the
+    weights match a per-gate initialisation with the same seed.
+    """
     rng, _ = _rng_streams(config.seed)
     h = config.hidden_size
     layers = []
     for layer_idx in range(config.num_layers):
         d = config.input_size if layer_idx == 0 else h
-        fields = {}
-        for gate in GATES:
-            fields[f"w_{gate}"] = _glorot(rng, h, d)
-            fields[f"u_{gate}"] = _glorot(rng, h, h)
-            fields[f"b_{gate}"] = np.ones(h) if gate == "f" else np.zeros(h)
-        layers.append(LstmCellWeights(**fields))
+        w = np.empty((4 * h, d))
+        u = np.empty((4 * h, h))
+        for gate in range(4):
+            w[gate * h : (gate + 1) * h] = _glorot(rng, h, d)
+            u[gate * h : (gate + 1) * h] = _glorot(rng, h, h)
+        b = np.zeros(4 * h)
+        b[h : 2 * h] = 1.0
+        layers.append(LstmLayer(w=w, u=u, b=b))
     dense_w = _glorot(rng, h, 1)[:, 0]
     dense_b = np.zeros(1)
     return LstmNetwork(layers=layers, dense_w=dense_w, dense_b=dense_b, config=config)
-
-
-def cell_forward(weights: LstmCellWeights, x_t, h_prev, c_prev):
-    """One LSTM step. Returns (h_t, c_t, cache) with cache kept for backprop."""
-    x_t = np.asarray(x_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    i = expit(weights.w_i @ x_t + weights.u_i @ h_prev + weights.b_i)
-    f = expit(weights.w_f @ x_t + weights.u_f @ h_prev + weights.b_f)
-    o = expit(weights.w_o @ x_t + weights.u_o @ h_prev + weights.b_o)
-    g = np.tanh(weights.w_g @ x_t + weights.u_g @ h_prev + weights.b_g)
-    c_t = f * c_prev + i * g
-    tc = np.tanh(c_t)
-    h_t = o * tc
-    if not (np.all(np.isfinite(h_t)) and np.all(np.isfinite(c_t))):
-        raise DivergenceError("non-finite LSTM activations")
-    cache = {"x": x_t, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f, "o": o, "g": g, "c": c_t, "tc": tc}
-    return h_t, c_t, cache
 
 
 def _draw_masks(config: LstmConfig, rng: np.random.Generator | None) -> list[np.ndarray | None]:
@@ -214,66 +194,56 @@ def _draw_masks(config: LstmConfig, rng: np.random.Generator | None) -> list[np.
     return [(rng.random(config.hidden_size) < keep) / keep for _ in range(config.num_layers)]
 
 
+def _layer_forward(layer: LstmLayer, x: np.ndarray, need_cache: bool):
+    """One layer over time-major input x (W, batch, D). Returns (h_seq, cache).
+
+    The input projection of all steps is one GEMM into a (W, batch, 4H)
+    buffer, and the recurrence overwrites each step's row with the gate
+    activations. With `need_cache` the cache keeps those activations, x and
+    the c and tanh(c) sequences for `backward`; without it only h_seq is
+    kept and the cache is None.
+    """
+    w_steps, b, d = x.shape
+    hs = layer.u.shape[1]
+    gates = (x.reshape(w_steps * b, d) @ layer.w.T).reshape(w_steps, b, 4 * hs)
+    gates += layer.b
+    h_seq = np.empty((w_steps, b, hs))
+    if need_cache:
+        c_seq = np.empty((w_steps, b, hs))
+        tc_seq = np.empty((w_steps, b, hs))
+    h = np.zeros((b, hs))
+    c = np.zeros((b, hs))
+    for t in range(w_steps):
+        a = gates[t]
+        a += h @ layer.u.T
+        expit(a[:, : 3 * hs], out=a[:, : 3 * hs])
+        np.tanh(a[:, 3 * hs :], out=a[:, 3 * hs :])
+        c = a[:, hs : 2 * hs] * c + a[:, :hs] * a[:, 3 * hs :]
+        tc = np.tanh(c)
+        h = np.multiply(a[:, 2 * hs : 3 * hs], tc, out=h_seq[t])
+        if need_cache:
+            c_seq[t] = c
+            tc_seq[t] = tc
+    cache = {"x": x, "gates": gates, "c": c_seq, "tc": tc_seq, "h": h_seq} if need_cache else None
+    return h_seq, cache
+
+
 def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray | None], need_cache: bool):
     """Batched forward over windows x of shape (batch, W, features).
 
-    Returns (predictions (batch,), caches). The per-layer python loop only
-    covers the recurrent part; input-side projections are one matmul.
+    Returns (predictions (batch,), caches); caches is None unless
+    `need_cache`.
     """
-    b, w_steps, _ = x.shape
-    h_size = network.config.hidden_size
     caches = []
-    layer_input = x
-    for layer_idx, layer in enumerate(network.layers):
-        w_fused, u_fused, b_fused = layer.fused()
-        d = layer_input.shape[2]
-        zx = layer_input.reshape(b * w_steps, d) @ w_fused.T + b_fused
-        zx = zx.reshape(b, w_steps, 4 * h_size)
-        h = np.zeros((b, h_size))
-        c = np.zeros((b, h_size))
-        gates_i = np.empty((b, w_steps, h_size))
-        gates_f = np.empty((b, w_steps, h_size))
-        gates_o = np.empty((b, w_steps, h_size))
-        gates_g = np.empty((b, w_steps, h_size))
-        c_seq = np.empty((b, w_steps, h_size))
-        tc_seq = np.empty((b, w_steps, h_size))
-        h_seq = np.empty((b, w_steps, h_size))
-        for t in range(w_steps):
-            a = zx[:, t, :] + h @ u_fused.T
-            i = expit(a[:, :h_size])
-            f = expit(a[:, h_size : 2 * h_size])
-            o = expit(a[:, 2 * h_size : 3 * h_size])
-            g = np.tanh(a[:, 3 * h_size :])
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            gates_i[:, t] = i
-            gates_f[:, t] = f
-            gates_o[:, t] = o
-            gates_g[:, t] = g
-            c_seq[:, t] = c
-            tc_seq[:, t] = tc
-            h_seq[:, t] = h
-        mask = masks[layer_idx]
-        dropped = h_seq if mask is None else h_seq * mask
+    layer_input = np.ascontiguousarray(x.transpose(1, 0, 2))
+    for layer, mask in zip(network.layers, masks):
+        h_seq, cache = _layer_forward(layer, layer_input, need_cache)
         if need_cache:
-            caches.append(
-                {
-                    "x": layer_input,
-                    "i": gates_i,
-                    "f": gates_f,
-                    "o": gates_o,
-                    "g": gates_g,
-                    "c": c_seq,
-                    "tc": tc_seq,
-                    "h": h_seq,
-                    "mask": mask,
-                }
-            )
-        layer_input = dropped
-    preds = layer_input[:, -1, :] @ network.dense_w + network.dense_b[0]
+            caches.append({**cache, "mask": mask})
+        layer_input = h_seq if mask is None else h_seq * mask
+    preds = layer_input[-1] @ network.dense_w + network.dense_b[0]
     if need_cache:
-        return preds, {"layers": caches, "dense_in": layer_input[:, -1, :], "batch": b}
+        return preds, {"layers": caches, "dense_in": layer_input[-1]}
     return preds, None
 
 
@@ -319,61 +289,46 @@ def backward(network: LstmNetwork, caches: dict, dloss_dpred) -> list[np.ndarray
     layer_caches = caches["layers"]
     if len(layer_caches) != len(network.layers):
         raise DataError("cache does not match network depth")
-    b, w_steps, h_size = layer_caches[0]["h"].shape
+    w_steps, b, hs = layer_caches[0]["h"].shape
     if dpred.shape != (b,):
         raise DataError(f"loss gradient shape {dpred.shape} does not match batch {b}")
 
-    d_dense_w = caches["dense_in"].T @ dpred
-    d_dense_b = np.array([dpred.sum()])
+    grads = [caches["dense_in"].T @ dpred, np.array([dpred.sum()])]
     # gradient w.r.t. the top layer's (dropped) output: dense head reads the
     # last timestep only
-    d_out = np.zeros((b, w_steps, h_size))
-    d_out[:, -1, :] = dpred[:, None] * network.dense_w
-
-    grads_per_layer: list[list[np.ndarray]] = []
+    d_out = np.zeros((w_steps, b, hs))
+    d_out[-1] = dpred[:, None] * network.dense_w
     for layer, cache in zip(reversed(network.layers), reversed(layer_caches)):
         mask = cache["mask"]
         dh_seq = d_out if mask is None else d_out * mask
-        w_fused, u_fused, _ = layer.fused()
-        h_prev_seq = np.concatenate([np.zeros((b, 1, h_size)), cache["h"][:, :-1]], axis=1)
-        c_prev_seq = np.concatenate([np.zeros((b, 1, h_size)), cache["c"][:, :-1]], axis=1)
-        da_seq = np.empty((b, w_steps, 4 * h_size))
-        dh_rec = np.zeros((b, h_size))
-        dc_rec = np.zeros((b, h_size))
+        gates, c_seq, tc_seq = cache["gates"], cache["c"], cache["tc"]
+        da_seq = np.empty_like(gates)
+        dh_rec = np.zeros((b, hs))
+        dc_rec = np.zeros((b, hs))
         for t in range(w_steps - 1, -1, -1):
-            i = cache["i"][:, t]
-            f = cache["f"][:, t]
-            o = cache["o"][:, t]
-            g = cache["g"][:, t]
-            tc = cache["tc"][:, t]
-            dh = dh_seq[:, t] + dh_rec
+            a = gates[t]
+            i, f, o, g = a[:, :hs], a[:, hs : 2 * hs], a[:, 2 * hs : 3 * hs], a[:, 3 * hs :]
+            tc = tc_seq[t]
+            c_prev = c_seq[t - 1] if t else 0.0
+            dh = dh_seq[t] + dh_rec
             dc = dh * o * (1.0 - tc * tc) + dc_rec
-            da = np.empty((b, 4 * h_size))
-            da[:, :h_size] = dc * g * i * (1.0 - i)
-            da[:, h_size : 2 * h_size] = dc * c_prev_seq[:, t] * f * (1.0 - f)
-            da[:, 2 * h_size : 3 * h_size] = dh * tc * o * (1.0 - o)
-            da[:, 3 * h_size :] = dc * i * (1.0 - g * g)
-            da_seq[:, t] = da
-            dh_rec = da @ u_fused
+            da = da_seq[t]
+            da[:, :hs] = dc * g * i * (1.0 - i)
+            da[:, hs : 2 * hs] = dc * c_prev * f * (1.0 - f)
+            da[:, 2 * hs : 3 * hs] = dh * tc * o * (1.0 - o)
+            da[:, 3 * hs :] = dc * i * (1.0 - g * g)
+            dh_rec = da @ layer.u
             dc_rec = dc * f
-        x = cache["x"]
-        d = x.shape[2]
-        dw_fused = da_seq.reshape(b * w_steps, 4 * h_size).T @ x.reshape(b * w_steps, d)
-        du_fused = np.einsum("btk,bth->kh", da_seq, h_prev_seq)
-        db_fused = da_seq.sum(axis=(0, 1))
-        d_out = (da_seq.reshape(b * w_steps, 4 * h_size) @ w_fused).reshape(b, w_steps, d)
-        layer_grads = []
-        for gate_idx in range(4):
-            sl = slice(gate_idx * h_size, (gate_idx + 1) * h_size)
-            layer_grads.extend([dw_fused[sl], du_fused[sl], db_fused[sl]])
-        grads_per_layer.append(layer_grads)
-
-    out: list[np.ndarray] = []
-    for layer_grads in reversed(grads_per_layer):
-        out.extend(layer_grads)
-    out.append(d_dense_w)
-    out.append(d_dense_b)
-    return out
+        # weight gradients as GEMMs over all (step, window) rows; h_0 = 0
+        # contributes nothing to dU, so step 0 is left out of it
+        da_rows = da_seq.reshape(w_steps * b, 4 * hs)
+        x_rows = cache["x"].reshape(w_steps * b, -1)
+        dw = da_rows.T @ x_rows
+        du = da_seq[1:].reshape((w_steps - 1) * b, 4 * hs).T @ cache["h"][:-1].reshape((w_steps - 1) * b, hs)
+        db = da_rows.sum(axis=0)
+        grads[:0] = [dw, du, db]
+        d_out = (da_rows @ layer.w).reshape(w_steps, b, -1)
+    return grads
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:
@@ -394,15 +349,26 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     return state
 
 
-def _eval_mse(network: LstmNetwork, inputs: np.ndarray, targets: np.ndarray, chunk: int = 512) -> float:
+def _predict(network: LstmNetwork, inputs: np.ndarray, epoch: int | None = None) -> np.ndarray:
+    """Eval-mode predictions for windows (n, W, features), EVAL_CHUNK at a time.
+
+    Raises DivergenceError (tagged with `epoch`, when given) if any prediction
+    is not finite.
+    """
     none_masks = [None] * network.config.num_layers
-    total = 0.0
-    for start in range(0, len(inputs), chunk):
-        stop = min(start + chunk, len(inputs))
-        preds, _ = _forward_batch(network, inputs[start:stop], none_masks, need_cache=False)
-        diff = preds - targets[start:stop]
-        total += float(diff @ diff)
-    return total / len(inputs)
+    preds = np.empty(len(inputs))
+    for start in range(0, len(inputs), EVAL_CHUNK):
+        stop = start + EVAL_CHUNK
+        preds[start:stop], _ = _forward_batch(network, inputs[start:stop], none_masks, need_cache=False)
+    if not np.all(np.isfinite(preds)):
+        where = "" if epoch is None else f" in epoch {epoch}"
+        raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)
+    return preds
+
+
+def _eval_mse(network: LstmNetwork, inputs: np.ndarray, targets: np.ndarray, epoch: int | None = None) -> float:
+    diff = _predict(network, inputs, epoch) - targets
+    return float(diff @ diff) / len(inputs)
 
 
 def _clone_params(params: list[np.ndarray]) -> list[np.ndarray]:
@@ -462,7 +428,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         train_losses.append(sq_sum / n)
 
         if has_val:
-            val_mse = _eval_mse(network, x_val, y_val)
+            val_mse = _eval_mse(network, x_val, y_val, epoch)
             if not np.isfinite(val_mse):
                 raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
             val_losses.append(val_mse)
@@ -492,34 +458,32 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
 
 
 def predict_series(network: LstmNetwork, test_set: WindowedDataset) -> np.ndarray:
-    """Eval-mode one-step predictions for every window, aligned with targets."""
+    """Eval-mode one-step predictions for every window, aligned with targets.
+
+    Raises DivergenceError if any prediction is not finite.
+    """
     inputs = np.asarray(test_set.inputs, dtype=float)
     if inputs.shape[2] != network.config.input_size:
         raise DataError(
             f"windows have {inputs.shape[2]} features, network expects {network.config.input_size}"
         )
-    none_masks = [None] * network.config.num_layers
-    chunks = []
-    for start in range(0, len(inputs), 512):
-        preds, _ = _forward_batch(network, inputs[start : start + 512], none_masks, need_cache=False)
-        chunks.append(preds)
-    return np.concatenate(chunks)
+    return _predict(network, inputs)
 
 
 def save_checkpoint(network: LstmNetwork, path, state: AdamState | None = None) -> None:
     """Write a .npz checkpoint.
 
     Layout: `meta` holds a JSON string with {version, config, has_adam,
-    adam_t}; each weight is stored under layer{L}_{w|u|b}_{i|f|o|g}, the head
-    under dense_w / dense_b, and Adam moments (when present) under
-    adam_m{k} / adam_v{k} in parameter order. float64 throughout, so a
-    save/load round trip is bit-exact.
+    adam_t}; each layer's fused weights are stored under layer{L}_W,
+    layer{L}_U and layer{L}_b, the head under dense_w / dense_b, and Adam
+    moments (when present) under adam_m{k} / adam_v{k} in parameter order.
+    float64 throughout, so a save/load round trip is bit-exact.
     """
     arrays: dict[str, np.ndarray] = {}
     for layer_idx, layer in enumerate(network.layers):
-        for gate in GATES:
-            for kind in ("w", "u", "b"):
-                arrays[f"layer{layer_idx}_{kind}_{gate}"] = getattr(layer, f"{kind}_{gate}")
+        arrays[f"layer{layer_idx}_W"] = layer.w
+        arrays[f"layer{layer_idx}_U"] = layer.u
+        arrays[f"layer{layer_idx}_b"] = layer.b
     arrays["dense_w"] = network.dense_w
     arrays["dense_b"] = network.dense_b
     meta = {
@@ -548,13 +512,10 @@ def load_checkpoint(path):
         if meta["version"] != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {meta['version']}")
         config = LstmConfig(**meta["config"])
-        layers = []
-        for layer_idx in range(config.num_layers):
-            fields = {}
-            for gate in GATES:
-                for kind in ("w", "u", "b"):
-                    fields[f"{kind}_{gate}"] = data[f"layer{layer_idx}_{kind}_{gate}"]
-            layers.append(LstmCellWeights(**fields))
+        layers = [
+            LstmLayer(w=data[f"layer{k}_W"], u=data[f"layer{k}_U"], b=data[f"layer{k}_b"])
+            for k in range(config.num_layers)
+        ]
         network = LstmNetwork(
             layers=layers,
             dense_w=data["dense_w"],

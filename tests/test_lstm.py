@@ -8,11 +8,14 @@ import pytest
 from marketcast.errors import DataError, DivergenceError
 from marketcast.frame import WindowedDataset
 from marketcast.lstm import (
+    EVAL_CHUNK,
     AdamState,
     LstmConfig,
+    _eval_mse,
+    _glorot,
+    _rng_streams,
     adam_step,
     backward,
-    cell_forward,
     forward,
     init_network,
     load_checkpoint,
@@ -67,6 +70,15 @@ def test_config_validation():
     assert cfg.to_dict()["hidden_size"] == 3
 
 
+@pytest.mark.parametrize(
+    "field", ["input_size", "hidden_size", "num_layers", "batch_size", "max_epochs", "patience", "seed"]
+)
+@pytest.mark.parametrize("value", [True, 2.0, "2", np.int64(2)])
+def test_config_rejects_non_int_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: value})
+
+
 # ---------------------------------------------------------------- init
 
 
@@ -74,53 +86,70 @@ def test_init_shapes_and_forget_bias():
     cfg = tiny_config(input_size=4, hidden_size=5, num_layers=2)
     net = init_network(cfg)
     l0, l1 = net.layers
-    assert l0.w_i.shape == (5, 4) and l1.w_i.shape == (5, 5)
-    assert l0.u_f.shape == (5, 5) and l0.b_g.shape == (5,)
-    np.testing.assert_array_equal(l0.b_f, np.ones(5))
-    np.testing.assert_array_equal(l1.b_f, np.ones(5))
+    assert l0.w.shape == (20, 4) and l1.w.shape == (20, 5)
+    assert l0.u.shape == (20, 5) and l1.u.shape == (20, 5)
+    assert l0.b.shape == (20,) and l1.b.shape == (20,)
     assert net.dense_w.shape == (5,) and net.dense_b.shape == (1,)
-    # other gate biases start at zero
-    np.testing.assert_array_equal(l0.b_i, np.zeros(5))
+    # forget rows b[H:2H] start at one, the other gate biases at zero
+    for layer in net.layers:
+        np.testing.assert_array_equal(layer.b, np.r_[np.zeros(5), np.ones(5), np.zeros(10)])
 
 
 def test_init_deterministic_by_seed():
     a = init_network(tiny_config(seed=7))
     b = init_network(tiny_config(seed=7))
     c = init_network(tiny_config(seed=8))
-    np.testing.assert_array_equal(a.layers[0].w_i, b.layers[0].w_i)
-    assert not np.array_equal(a.layers[0].w_i, c.layers[0].w_i)
+    for pa, pb in zip(a.parameters(), b.parameters()):
+        np.testing.assert_array_equal(pa, pb)
+    assert not np.array_equal(a.layers[0].w, c.layers[0].w)
+    # the fused blocks hold the draws of a gate-by-gate initialisation:
+    # per layer, for each gate (i, f, o, g), W then U; the dense head last
+    rng, _ = _rng_streams(7)
+    for layer, d in zip(a.layers, (2, 3)):
+        for gate in range(4):
+            rows = slice(3 * gate, 3 * gate + 3)
+            np.testing.assert_array_equal(layer.w[rows], _glorot(rng, 3, d))
+            np.testing.assert_array_equal(layer.u[rows], _glorot(rng, 3, 3))
+    np.testing.assert_array_equal(a.dense_w, _glorot(rng, 3, 1)[:, 0])
 
 
-# ---------------------------------------------------------------- cell
+# ---------------------------------------------------------------- scalar oracle
 
 
 def sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def test_cell_forward_matches_scalar_oracle():
-    cfg = tiny_config(input_size=1, hidden_size=1, num_layers=1)
+def test_forward_matches_scalar_oracle():
+    # D = H = 1 over two steps, so the recurrent term U h_{t-1} is exercised
+    cfg = tiny_config(input_size=1, hidden_size=1, num_layers=1, seed=3)
     net = init_network(cfg)
-    w = net.layers[0]
-    x = np.array([0.3])
-    h0 = np.array([0.1])
-    c0 = np.array([-0.2])
-    h1, c1, _ = cell_forward(w, x, h0, c0)
-    i = sigmoid(w.w_i[0, 0] * 0.3 + w.u_i[0, 0] * 0.1 + w.b_i[0])
-    f = sigmoid(w.w_f[0, 0] * 0.3 + w.u_f[0, 0] * 0.1 + w.b_f[0])
-    o = sigmoid(w.w_o[0, 0] * 0.3 + w.u_o[0, 0] * 0.1 + w.b_o[0])
-    g = math.tanh(w.w_g[0, 0] * 0.3 + w.u_g[0, 0] * 0.1 + w.b_g[0])
-    c_want = f * (-0.2) + i * g
-    h_want = o * math.tanh(c_want)
-    assert c1[0] == pytest.approx(c_want, abs=1e-14)
-    assert h1[0] == pytest.approx(h_want, abs=1e-14)
+    layer = net.layers[0]
+    w, u, b = layer.w[:, 0], layer.u[:, 0], layer.b
+    h, c = 0.0, 0.0
+    for x in (0.3, -0.7):
+        z = [w[k] * x + u[k] * h + b[k] for k in range(4)]
+        i, f, o, g = sigmoid(z[0]), sigmoid(z[1]), sigmoid(z[2]), math.tanh(z[3])
+        c = f * c + i * g
+        h = o * math.tanh(c)
+    pred_want = net.dense_w[0] * h + net.dense_b[0]
+    pred, caches = forward(net, np.array([[0.3], [-0.7]]))
+    cache = caches["layers"][0]
+    assert cache["c"][-1, 0, 0] == pytest.approx(c, abs=1e-14)
+    assert cache["h"][-1, 0, 0] == pytest.approx(h, abs=1e-14)
+    assert pred == pytest.approx(pred_want, abs=1e-14)
 
 
-def test_cell_forward_divergence_guard():
+def test_predict_series_divergence_guard(rng):
     cfg = tiny_config(input_size=1, hidden_size=1, num_layers=1)
     net = init_network(cfg)
-    with pytest.raises(DivergenceError):
-        cell_forward(net.layers[0], np.array([1.0]), np.array([0.0]), np.array([math.inf]))
+    net.layers[0].u[0, 0] = math.inf  # 0 * inf at the first step: NaN state
+    ds = dataset_from_series(rng.normal(size=12), 4)
+    with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
+        predict_series(net, ds)
+    with pytest.raises(DivergenceError) as info, np.errstate(invalid="ignore"):
+        _eval_mse(net, ds.inputs, ds.targets, epoch=4)
+    assert info.value.epoch == 4
 
 
 # ---------------------------------------------------------------- forward
@@ -292,8 +321,6 @@ def test_early_stopping_restores_best_weights():
     assert len(hist.val_losses) <= 40
     best = min(hist.val_losses)
     assert hist.val_losses[hist.best_epoch] == best
-    from marketcast.lstm import _eval_mse
-
     assert _eval_mse(net, val_set.inputs, val_set.targets) == pytest.approx(best, rel=1e-9)
     if len(hist.val_losses) < 40:  # stopped early: patience exhausted after the best epoch
         assert len(hist.val_losses) >= hist.best_epoch + cfg.patience
@@ -319,7 +346,8 @@ def test_train_rejects_empty_training_set():
 def test_predict_series_matches_single_forward(rng):
     cfg = tiny_config(input_size=1, seed=5)
     net = init_network(cfg)
-    ds = dataset_from_series(rng.normal(size=30), 8)
+    ds = dataset_from_series(rng.normal(size=EVAL_CHUNK + 30), 8)
+    assert len(ds) > EVAL_CHUNK  # the eval chunk boundary is crossed
     batch = predict_series(net, ds)
     singles = np.array([forward(net, win, mode="eval")[0] for win in ds.inputs])
     np.testing.assert_allclose(batch, singles, atol=1e-12)
