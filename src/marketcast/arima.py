@@ -6,6 +6,13 @@ from Hannan-Rissanen regression estimates and refined with Nelder-Mead. Order
 selection is an exhaustive grid over (p, d, q) scored by AIC in Gaussian-CSS
 form; differencing needs no separate unit-root pretest because d competes in
 the same grid.
+
+Nelder-Mead evaluates the objective thousands of times per fit, so what
+depends only on the series and the order (the lag matrix, y[p:], the MA
+filter's denominator buffer) is built once per fit by `_innovations_for`; an
+evaluation is one subtraction, one matrix-vector product, one `lfilter` and
+one dot product. The objective, the final sum of squares and `forecast` share
+that one innovations routine.
 """
 
 from __future__ import annotations
@@ -138,16 +145,31 @@ def _lag_matrix(y: np.ndarray, p: int) -> np.ndarray:
     return np.column_stack([y[p - i : n - i] for i in range(1, p + 1)])
 
 
-def _innovations(y: np.ndarray, intercept: float, phi: np.ndarray, theta: np.ndarray):
-    """Conditional innovations for t = p..n-1 with zero pre-sample errors."""
-    p, q = len(phi), len(theta)
-    z = y[p:] - intercept
-    if p:
-        z = z - _lag_matrix(y, p) @ phi
-    if q:
-        # eps_t + theta_1 eps_{t-1} + ... = z_t, an IIR filter with zero state
-        return lfilter([1.0], np.concatenate(([1.0], theta)), z)
-    return z
+def _innovations_for(y: np.ndarray, p: int, q: int):
+    """Build the conditional innovations of an ARMA(p, q) on `y`, for
+    t = p..n-1 with zero pre-sample errors, as a function of
+    (intercept, phi, theta).
+
+    Everything that depends only on (y, p, q) is made here, once: the
+    observations y[p:], the lag matrix, and the [1, theta] filter denominator,
+    which each call overwrites in place.
+    """
+    observed = y[p:]
+    lags = _lag_matrix(y, p) if p else None
+    numerator = np.ones(1)
+    denominator = np.ones(q + 1)
+
+    def innovations(intercept: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        z = observed - intercept
+        if p:
+            z -= lags @ phi
+        if q:
+            # eps_t + theta_1 eps_{t-1} + ... = z_t, an IIR filter with zero state
+            denominator[1:] = theta
+            return lfilter(numerator, denominator, z)
+        return z
+
+    return innovations
 
 
 def _hannan_rissanen(y: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -236,27 +258,31 @@ def fit_arma(series, p: int, q: int) -> ArimaModel:
             aic=aic(sse, n_eff, k),
         )
 
+    innovations = _innovations_for(y, p, q)
+
     def objective(params: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps = _innovations(y, params[0], params[1 : 1 + p], params[1 + p :])
-            sse = float(eps @ eps)
+        eps = innovations(params[0], params[1 : 1 + p], params[1 + p :])
+        sse = float(eps @ eps)
         if not math.isfinite(sse) or sse <= 0:
             return 1e100
         return math.log(sse / n_eff)
 
     x0 = _hannan_rissanen(y, p, q)
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": 400 * (k + 1),
-            "maxiter": 400 * (k + 1),
-            "xatol": 1e-6,
-            "fatol": 1e-10,
-            "adaptive": True,
-        },
-    )
+    # trial points far outside the invertible region overflow the filter;
+    # the objective maps those to 1e100, so the warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "maxfev": 400 * (k + 1),
+                "maxiter": 400 * (k + 1),
+                "xatol": 1e-6,
+                "fatol": 1e-10,
+                "adaptive": True,
+            },
+        )
     params = result.x
     if not result.success:
         raise NonConvergenceError(
@@ -267,7 +293,7 @@ def fit_arma(series, p: int, q: int) -> ArimaModel:
     phi = params[1 : 1 + p]
     theta = params[1 + p :]
     _check_stationarity(phi)
-    eps = _innovations(y, params[0], phi, theta)
+    eps = innovations(params[0], phi, theta)
     sse = float(eps @ eps)
     return ArimaModel(
         order=ArimaOrder(p, 0, q),
@@ -363,7 +389,7 @@ def forecast(model: ArimaModel, history, steps: int, mode: ForecastMode = Foreca
             f"history of {len(x)} values is too short for order ({p},{d},{q})"
         )
     w = difference(x, d)
-    eps = _innovations(w, model.intercept, model.phi, model.theta)
+    eps = _innovations_for(w, p, q)(model.intercept, model.phi, model.theta)
 
     if mode is ForecastMode.STATIC:
         w_ext = list(w)

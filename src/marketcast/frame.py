@@ -182,7 +182,7 @@ def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
 
     Non-date columns are parsed as floats; unparseable or empty cells become
     missing (NaN). Raises DataError on a missing file, a missing date column,
-    duplicate dates, or zero data rows.
+    a row too short to hold its date, duplicate dates, or zero data rows.
     """
     path = Path(path)
     if not path.exists():
@@ -202,6 +202,11 @@ def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
         for row in reader:
             if not row or all(cell.strip() == "" for cell in row):
                 continue
+            if date_idx >= len(row):
+                raise DataError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"too few to reach the {date_column!r} column"
+                )
             when = _parse_date(row[date_idx].strip())
             values = []
             for i, name in enumerate(header):

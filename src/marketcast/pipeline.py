@@ -67,6 +67,30 @@ DUMPABLE_STAGES = ("filled", "enriched", "scaler", "features", "windows")
 # rows of history shown before the forecast in predictions files and charts
 PREDICTION_CONTEXT_ROWS = 60
 
+# config fields by the JSON type they must hold; a bool is neither an integer
+# nor a real here, although Python treats it as an int
+_INT_FIELDS = (
+    "window", "horizon", "lstm_hidden", "lstm_layers", "lstm_batch",
+    "lstm_epochs", "lstm_patience", "seed",
+)
+_REAL_FIELDS = ("corr_threshold", "lstm_dropout", "lstm_lr")
+# the *_mode fields are checked against their allowed values instead
+_STR_FIELDS = ("input_path", "out_dir", "target_column")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _triple(name: str, value, check, kind: str) -> tuple:
+    if not isinstance(value, (tuple, list)) or len(value) != 3 or not all(map(check, value)):
+        raise DataError(f"{name} must be three {kind}, got {value!r}")
+    return tuple(value)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -91,10 +115,20 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "splits", tuple(float(f) for f in self.splits))
-        object.__setattr__(self, "arima_bounds", tuple(int(b) for b in self.arima_bounds))
-        if len(self.splits) != 3:
-            raise DataError("splits must be (train, validation, test) fractions")
+        for names, check, kind in (
+            (_INT_FIELDS, _is_int, "an integer"),
+            (_REAL_FIELDS, _is_real, "a number"),
+            (_STR_FIELDS, lambda v: isinstance(v, str), "a string"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not check(value):
+                    raise DataError(f"{name} must be {kind}, got {value!r}")
+        splits = _triple("splits", self.splits, _is_real, "(train, validation, test) fractions")
+        object.__setattr__(self, "splits", tuple(float(f) for f in splits))
+        object.__setattr__(
+            self, "arima_bounds", _triple("arima_bounds", self.arima_bounds, _is_int, "integers")
+        )
         SplitSpec(self.splits)  # validates sign and sum
         if self.window < 1 or self.horizon < 1:
             raise DataError("window and horizon must be >= 1")
@@ -106,7 +140,7 @@ class PipelineConfig:
             raise DataError(f"model_mode must be one of {MODEL_MODES}")
         if self.forecast_mode not in FORECAST_MODES:
             raise DataError(f"forecast_mode must be one of {FORECAST_MODES}")
-        if len(self.arima_bounds) != 3 or min(self.arima_bounds) < 0:
+        if min(self.arima_bounds) < 0:
             raise DataError("arima_bounds must be three non-negative integers")
 
     def to_dict(self) -> dict:

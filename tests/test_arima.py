@@ -20,7 +20,7 @@ from marketcast.arima import (
     model_to_dict,
     undifference,
 )
-from marketcast.errors import DataError, ModelFitError, NonStationaryError
+from marketcast.errors import DataError, ModelFitError, NonConvergenceError, NonStationaryError
 
 
 def make_model(p, d, q, phi=(), theta=(), intercept=0.0):
@@ -161,6 +161,68 @@ def test_stationarity_guard():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _check_stationarity(np.array([0.5]))  # comfortably stationary
+
+
+def golden_arma11_series():
+    # ARMA(1,1) with intercept 0.4, phi 0.5, theta 0.3; fixed generator and loop
+    e = np.random.default_rng(2024).standard_normal(701)
+    y = np.empty(700)
+    prev = 0.0
+    for t in range(700):
+        prev = 0.4 + 0.5 * prev + e[t + 1] + 0.3 * e[t]
+        y[t] = prev
+    return y
+
+
+# float.hex of (intercept, phi, theta, sigma2, aic) per (p, q); any change in
+# the order of the objective's floating-point operations shows up here as a
+# different bit pattern
+GOLDEN_FITS = {
+    (1, 0): ("0x1.0dac2862393a5p-2", ["0x1.53d96812f5baap-1"], [],
+             "0x1.134c06df22fc7p+0", "0x1.b6632cad5ba77p+5"),
+    (3, 0): ("0x1.15bfa46b21260p-2",
+             ["0x1.a6d03671e4544p-1", "-0x1.412974a54598dp-2", "0x1.22308fb5dc657p-3"], [],
+             "0x1.0294c100d5916p+0", "0x1.dfbfe94602af4p+3"),
+    (0, 1): ("0x1.9590b7bcd1e41p-1", [], ["0x1.560c004e37864p-1"],
+             "0x1.1ff34a0f503c8p+0", "0x1.594f4b03355a7p+6"),
+    (0, 3): ("0x1.96f06d498b106p-1", [],
+             ["0x1.a9833a9eff088p-1", "0x1.5613fbd72a410p-2", "0x1.afae2f450d282p-4"],
+             "0x1.06709b5d8b8ffp+0", "0x1.96424932604ddp+4"),
+    (1, 1): ("0x1.b33b512ef7ae6p-2", ["0x1.d8be4415251e8p-2"], ["0x1.847f2646f43bfp-2"],
+             "0x1.0410a076ebbbfp+0", "0x1.103137cea53cep+4"),
+    (2, 3): ("0x1.6a6a60e91b79ap-2", ["0x1.aab677b255a49p-2", "0x1.0b06011ef5c28p-3"],
+             ["0x1.aa440d9617da2p-2", "-0x1.b47669bdad13ap-4", "-0x1.e6c65864e3f36p-5"],
+             "0x1.02746b0c71908p+0", "0x1.2a942346900dcp+4"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN_FITS))
+def test_fit_arma_golden_bits(order):
+    m = fit_arma(golden_arma11_series(), *order)
+    got = (
+        m.intercept.hex(),
+        [float(v).hex() for v in m.phi],
+        [float(v).hex() for v in m.theta],
+        m.sigma2.hex(),
+        m.aic.hex(),
+    )
+    assert got == GOLDEN_FITS[order]
+
+
+def test_fit_arma_exhausted_budget_raises_nonconvergence():
+    # over-parameterized ARMA(2,2) on white noise wanders along a ridge of
+    # near-canceling roots until Nelder-Mead runs out of evaluations
+    y = np.random.default_rng(0).standard_normal(300)
+    p, q = 2, 2
+    k = p + q + 1
+    with pytest.raises(NonConvergenceError) as info:
+        fit_arma(y, p, q)
+    best = info.value.best
+    assert best["nfev"] == 400 * (k + 1)
+    assert len(best["params"]) == k
+    assert all(math.isfinite(v) for v in best["params"])
+    assert best["objective"].hex() == "-0x1.1cf5b6077982fp-4"
+    assert best["params"][0].hex() == "-0x1.0d60b5bf2267ap-4"
 
 
 # ---------------------------------------------------------------- auto_arima

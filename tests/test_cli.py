@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marketcast import cli, pipeline
 from marketcast.chart import read_predictions
 
 TINY_RUN = [
@@ -207,6 +208,30 @@ def test_data_errors_exit_2(tmp_path):
     bad.write_text("not,a,predictions\nfile,at,all\n")
     proc = run_cli("evaluate", "--input", bad)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"arima_bounds": 5},
+        {"arima_bounds": [5.7, 1, 0]},
+        {"arima_bounds": [True, 1, 0]},
+        {"window": "30"},
+        {"lstm_epochs": 1.5},
+        {"seed": False},
+        {"splits": "0.6,0.2,0.2"},
+        {"lstm_dropout": None},
+        {"out_dir": 7},
+    ],
+)
+def test_config_value_types_exit_2(tmp_path, monkeypatch, bad):
+    def no_preprocessing(*args, **kwargs):
+        raise AssertionError("preprocessing started with a mistyped config")
+
+    monkeypatch.setattr(pipeline, "load_csv", no_preprocessing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_path": str(tmp_path / "x.csv"), "model_mode": "lstm", **bad}))
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
 
 def test_model_fit_errors_exit_3(tmp_path):

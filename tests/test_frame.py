@@ -60,6 +60,14 @@ def test_load_csv_errors(tmp_path):
         load_csv(p3)
 
 
+def test_load_csv_short_row_names_its_line(tmp_path):
+    # DATE is the third column; line 4 stops after one cell
+    p = tmp_path / "short.csv"
+    p.write_text("A,B,DATE\n1,2,2020-01-01\n\n3\n4,5,2020-01-03\n")
+    with pytest.raises(DataError, match="line 4 has 1 cells"):
+        load_csv(p)
+
+
 def test_write_csv_round_trip(tmp_path):
     f = frame_of(A=[1.25, math.nan, 3.0], B=[4.0, 5.0, 6.0])
     p = tmp_path / "rt.csv"
