@@ -37,11 +37,12 @@ from .errors import DataError, ModelFitError
 from .frame import forward_fill, load_csv
 from .pipeline import (
     DUMPABLE_STAGES,
-    PREDICTION_CONTEXT_ROWS,
     PipelineConfig,
     atomic_write_text,
     atomic_write_via,
     load_config,
+    prediction_rows,
+    prepare,
     run_pipeline,
 )
 
@@ -60,22 +61,12 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
 
 
-def _parse_floats(text: str, expect: int, label: str) -> tuple[float, ...]:
+def _parse_triple(text: str, cast, label: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != expect:
-        raise DataError(f"{label} expects {expect} comma-separated values, got {text!r}")
+    if len(parts) != 3:
+        raise DataError(f"{label} expects 3 comma-separated values, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise DataError(f"{label}: {exc}") from exc
-
-
-def _parse_ints(text: str, expect: int, label: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != expect:
-        raise DataError(f"{label} expects {expect} comma-separated values, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
+        return tuple(cast(p) for p in parts)
     except ValueError as exc:
         raise DataError(f"{label}: {exc}") from exc
 
@@ -85,15 +76,20 @@ def _load_column(path, column: str) -> tuple[list, np.ndarray]:
     return list(frame.dates), frame.column(column)
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser, include_arima: bool = True):
+def _add_scan_flags(p: argparse.ArgumentParser):
+    """Flags of the preprocessing that `features` reports on."""
     p.add_argument("--input", help="input CSV (required unless --config provides it)")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p.add_argument("--target", default=None, help="target column (default PX_LAST)")
     p.add_argument("--splits", default=None, help="train,val,test fractions, e.g. 0.6,0.2,0.2")
+    p.add_argument("--threshold", type=float, default=None, help="|correlation| cutoff for features")
+
+
+def _add_train_flags(p: argparse.ArgumentParser):
+    """Flags of a run that writes artifacts and trains the LSTM."""
+    p.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
     p.add_argument("--window", type=int, default=None, help="window length W")
     p.add_argument("--horizon", type=int, default=None, help="steps ahead to predict")
-    p.add_argument("--threshold", type=float, default=None, help="|correlation| cutoff for features")
     p.add_argument("--features", choices=("with", "without"), default=None,
                    help="include selected indicator/auxiliary features, or price only")
     p.add_argument("--seed", type=int, default=None)
@@ -103,53 +99,47 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, include_arima: bool = True):
     p.add_argument("--dropout", type=float, default=None, help="LSTM dropout rate")
     p.add_argument("--batch", type=int, default=None, help="LSTM batch size")
     p.add_argument("--lr", type=float, default=None, help="LSTM learning rate")
-    if include_arima:
-        p.add_argument("--mode", choices=("arima", "lstm", "both"), default=None, help="model legs to run")
-        p.add_argument("--forecast", choices=("static", "rolling"), default=None, help="ARIMA forecast mode")
-        p.add_argument("--bounds", default=None, help="ARIMA search bounds p,d,q (default 5,2,5)")
     p.add_argument("--dump-stage", action="append", default=[], metavar="STAGE",
                    help=f"dump an intermediate ({', '.join(DUMPABLE_STAGES)}, or all); repeatable")
 
 
-def _pipeline_config(args, forced_mode: str | None = None) -> PipelineConfig:
-    overrides = {}
-    if args.input is not None:
-        overrides["input_path"] = args.input
-    overrides["out_dir"] = args.out_dir if args.out_dir is not None else _default_out_dir()
-    if args.target is not None:
-        overrides["target_column"] = args.target
-    if args.splits is not None:
-        overrides["splits"] = _parse_floats(args.splits, 3, "--splits")
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.threshold is not None:
-        overrides["corr_threshold"] = args.threshold
-    if args.features is not None:
+def _add_arima_flags(p: argparse.ArgumentParser):
+    """Flags only `run` takes: the model legs, and the ARIMA search and forecast."""
+    p.add_argument("--mode", choices=("arima", "lstm", "both"), default=None, help="model legs to run")
+    p.add_argument("--forecast", choices=("static", "rolling"), default=None, help="ARIMA forecast mode")
+    p.add_argument("--bounds", default=None, help="ARIMA search bounds p,d,q (default 5,2,5)")
+
+
+# flag dest -> config field, for flags whose value passes through unchanged
+_FLAG_FIELDS = {
+    "input": "input_path",
+    "target": "target_column",
+    "window": "window",
+    "horizon": "horizon",
+    "threshold": "corr_threshold",
+    "seed": "seed",
+    "epochs": "lstm_epochs",
+    "patience": "lstm_patience",
+    "hidden": "lstm_hidden",
+    "dropout": "lstm_dropout",
+    "batch": "lstm_batch",
+    "lr": "lstm_lr",
+    "mode": "model_mode",
+    "forecast": "forecast_mode",
+}
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """The config file (if any) overridden by the flags the command has and was given."""
+    given = {dest: v for dest, v in vars(args).items() if v is not None}
+    overrides = {field: given[dest] for dest, field in _FLAG_FIELDS.items() if dest in given}
+    overrides["out_dir"] = given.get("out_dir", _default_out_dir())
+    if "splits" in given:
+        overrides["splits"] = _parse_triple(args.splits, float, "--splits")
+    if "features" in given:
         overrides["feature_mode"] = "with_features" if args.features == "with" else "price_only"
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["lstm_epochs"] = args.epochs
-    if args.patience is not None:
-        overrides["lstm_patience"] = args.patience
-    if args.hidden is not None:
-        overrides["lstm_hidden"] = args.hidden
-    if args.dropout is not None:
-        overrides["lstm_dropout"] = args.dropout
-    if args.batch is not None:
-        overrides["lstm_batch"] = args.batch
-    if args.lr is not None:
-        overrides["lstm_lr"] = args.lr
-    if getattr(args, "mode", None) is not None:
-        overrides["model_mode"] = args.mode
-    if getattr(args, "forecast", None) is not None:
-        overrides["forecast_mode"] = args.forecast
-    if getattr(args, "bounds", None) is not None:
-        overrides["arima_bounds"] = _parse_ints(args.bounds, 3, "--bounds")
-    if forced_mode is not None:
-        overrides["model_mode"] = forced_mode
+    if "bounds" in given:
+        overrides["arima_bounds"] = _parse_triple(args.bounds, int, "--bounds")
 
     if args.config is not None:
         return load_config(args.config, overrides)
@@ -159,14 +149,17 @@ def _pipeline_config(args, forced_mode: str | None = None) -> PipelineConfig:
 
 
 def _cmd_synth(args) -> int:
-    regimes = synth_mod.RegimeSpec(
-        break_fraction=args.break_frac,
-        drift_before=args.drift_before,
-        vol_before=args.vol_before,
-        drift_after=args.drift_after,
-        vol_after=args.vol_after,
-        start_price=args.start_price,
-    )
+    try:
+        regimes = synth_mod.RegimeSpec(
+            break_fraction=args.break_frac,
+            drift_before=args.drift_before,
+            vol_before=args.vol_before,
+            drift_after=args.drift_after,
+            vol_after=args.vol_after,
+            start_price=args.start_price,
+        )
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     min_days = 216 + 1 + 10
     if args.days < min_days:
         raise DataError(f"--days must be at least {min_days} to feed the default pipeline")
@@ -178,20 +171,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    cfg = _pipeline_config(args, forced_mode=None)
-    from .frame import SplitSpec, correlation_vector, select_features, split_bounds
-    from .indicators import DEFAULT_INDICATORS, derive_indicators
-
-    frame = forward_fill(load_csv(cfg.input_path))
-    enriched = forward_fill(derive_indicators(frame, DEFAULT_INDICATORS, price_column=cfg.target_column))
-    b1 = split_bounds(len(enriched), SplitSpec(cfg.splits))[1]
-    correlations = correlation_vector(enriched.rows(0, b1), cfg.target_column)
-    selected = select_features(correlations, cfg.corr_threshold)
+    cfg = _pipeline_config(args)
+    # the threshold selection is reported even when the config is price_only
+    prep = prepare(replace(cfg, feature_mode="with_features"))
     payload = {
-        "correlations": {k: (None if not np.isfinite(v) else v) for k, v in correlations.items()},
+        "correlations": prep.correlations_json(),
         "threshold": cfg.corr_threshold,
-        "selected": selected,
-        "training_rows": b1,
+        "selected": prep.selected,
+        "training_rows": prep.bounds[1],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -209,11 +196,11 @@ def _cmd_fit_arima(args) -> int:
         raise DataError("--train-frac leaves no observations to fit")
     series = series[:n_fit]
     if args.order is not None:
-        p, d, q = _parse_ints(args.order, 3, "--order")
+        p, d, q = _parse_triple(args.order, int, "--order")
         model = arima_mod.fit_arma(arima_mod.difference(series, d), p, q)
         model = replace(model, order=arima_mod.ArimaOrder(p, d, q))
     else:
-        bounds = _parse_ints(args.bounds, 3, "--bounds") if args.bounds else arima_mod.DEFAULT_BOUNDS
+        bounds = _parse_triple(args.bounds, int, "--bounds") if args.bounds else arima_mod.DEFAULT_BOUNDS
         model = arima_mod.auto_arima(series, bounds=bounds)
     out = Path(args.out if args.out else Path(_default_out_dir()) / "arima_model.json")
     atomic_write_text(out, json.dumps(arima_mod.model_to_dict(model), indent=2, sort_keys=True) + "\n")
@@ -240,13 +227,8 @@ def _cmd_forecast(args) -> int:
     mode = arima_mod.ForecastMode.STATIC if args.mode == "static" else arima_mod.ForecastMode.ROLLING
     history = series[:-steps] if mode is arima_mod.ForecastMode.STATIC else series
     preds = arima_mod.forecast(model, history, steps, mode)
-    start = len(series) - steps
-    context = min(PREDICTION_CONTEXT_ROWS, start)
-    out_dates = dates[start - context :]
-    actual = series[start - context :]
-    predicted = np.concatenate([np.full(context, np.nan), preds])
     out = Path(args.out if args.out else Path(_default_out_dir()) / "predictions_arima.csv")
-    atomic_write_text(out, format_predictions(out_dates, actual, predicted))
+    atomic_write_text(out, format_predictions(*prediction_rows(dates, series, preds)))
     print(f"wrote {out}")
     return 0
 
@@ -289,7 +271,8 @@ def _cmd_fit_garch(args) -> int:
     return 0
 
 
-def _print_artifacts(artifacts) -> None:
+def _cmd_run(args) -> int:
+    artifacts = run_pipeline(_pipeline_config(args), dump_stages=args.dump_stage)
     for leg in artifacts.predictions:
         print(f"wrote {artifacts.predictions[leg]}")
         print(f"wrote {artifacts.metrics[leg]}")
@@ -302,19 +285,6 @@ def _print_artifacts(artifacts) -> None:
     print(f"wrote {artifacts.resolved_config}")
     for name, path in artifacts.stages.items():
         print(f"dumped {name} -> {path}")
-
-
-def _cmd_run(args) -> int:
-    cfg = _pipeline_config(args)
-    artifacts = run_pipeline(cfg, dump_stages=args.dump_stage)
-    _print_artifacts(artifacts)
-    return 0
-
-
-def _cmd_train_lstm(args) -> int:
-    cfg = _pipeline_config(args, forced_mode="lstm")
-    artifacts = run_pipeline(cfg, dump_stages=args.dump_stage)
-    _print_artifacts(artifacts)
     return 0
 
 
@@ -359,7 +329,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("features", help="correlation scan and feature selection")
-    _add_pipeline_flags(p, include_arima=False)
+    _add_scan_flags(p)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_features)
 
@@ -391,11 +361,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit_garch)
 
     p = sub.add_parser("train-lstm", help="run only the LSTM leg of the experiment")
-    _add_pipeline_flags(p, include_arima=False)
-    p.set_defaults(func=_cmd_train_lstm)
+    _add_scan_flags(p)
+    _add_train_flags(p)
+    p.set_defaults(func=_cmd_run, mode="lstm")
 
     p = sub.add_parser("run", help="run the full experiment")
-    _add_pipeline_flags(p, include_arima=True)
+    _add_scan_flags(p)
+    _add_train_flags(p)
+    _add_arima_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("evaluate", help="metrics report for a predictions CSV")

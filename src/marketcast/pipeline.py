@@ -1,8 +1,9 @@
 """End-to-end experiment runs: ingest, features, models, reports, charts.
 
-A run executes ingest -> forward-fill -> indicator derivation -> chronological
-split -> train-only scaling -> correlation-based feature selection -> sliding
-windows, then the requested model legs:
+`prepare` runs ingest -> forward-fill -> indicator derivation -> chronological
+split -> train-only scaling -> correlation-based feature selection; it is the
+one preprocessing path, shared with `marketcast features`. A run then builds
+sliding windows and executes the requested model legs:
 
   arima: order search on the unscaled close over the train+validation span,
          then a STATIC (fixed-origin) or ROLLING (one-step) forecast of the
@@ -34,7 +35,9 @@ from . import metrics as metrics_mod
 from .chart import format_predictions, render_chart
 from .errors import DataError, MarketcastError
 from .frame import (
+    ScalerParams,
     SplitSpec,
+    TimeSeriesFrame,
     apply_scaler,
     correlation_vector,
     fit_scaler,
@@ -51,7 +54,10 @@ from .lstm import LstmConfig, init_network, predict_series, save_checkpoint, tra
 
 __all__ = [
     "PipelineConfig",
+    "Prepared",
     "RunArtifacts",
+    "prepare",
+    "prediction_rows",
     "run_pipeline",
     "load_config",
     "atomic_write_text",
@@ -235,38 +241,122 @@ def _stage_guard(name: str, exc: MarketcastError):
     exc.args = (f"stage {name}: {head}",) + tuple(exc.args[1:])
 
 
-def _jsonable(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _atomic_write(path, write_fn, suffix: str) -> None:
+    """write_fn(tmp) fills a temp file beside `path`, which then replaces it.
+
+    Any OS failure, such as a missing directory, is a DataError naming `path`.
+    """
+    path = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=suffix)
+        os.close(fd)
+        try:
+            write_fn(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def atomic_write_text(path, content: str) -> None:
     """Write text via a temp file in the same directory plus os.replace."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+
+    def _write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    _atomic_write(path, _write, ".tmp")
 
 
 def atomic_write_via(path, write_fn, suffix: str = ".tmp") -> None:
     """Atomic variant for writers that need a path (np.savez, write_csv)."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=suffix)
-    os.close(fd)
+    _atomic_write(path, write_fn, suffix)
+
+
+def prediction_rows(dates, actual: np.ndarray, preds: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Dates, actuals and predictions of a forecast of the last len(preds) rows.
+
+    Up to PREDICTION_CONTEXT_ROWS rows of history come first, predicted as NaN.
+    """
+    start = len(actual) - len(preds)
+    context = min(PREDICTION_CONTEXT_ROWS, start)
+    return (
+        list(dates[start - context :]),
+        actual[start - context :],
+        np.concatenate([np.full(context, np.nan), preds]),
+    )
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """The preprocessed experiment inputs, before windowing."""
+
+    filled: TimeSeriesFrame  # ingested and forward-filled
+    enriched: TimeSeriesFrame  # plus indicators, filled again
+    bounds: list[int]  # split row bounds [0, train end, validation end, n]
+    scaler: ScalerParams  # fitted on the training rows
+    scaled: TimeSeriesFrame
+    correlations: dict[str, float]  # of each column with the target, training rows
+    selected: list[str]  # features over the threshold; [] when price_only
+    window_columns: list[str]  # the target first, then the selected features
+
+    def correlations_json(self) -> dict:
+        """The correlations with NaN (a constant column) as None, for JSON."""
+        return {k: (v if math.isfinite(v) else None) for k, v in self.correlations.items()}
+
+
+def prepare(config: PipelineConfig) -> Prepared:
+    """Ingest, fill, derive indicators, split, scale and select features.
+
+    A failure is re-raised with the name of its stage as a prefix.
+    """
+    stage = "ingest"
     try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        frame = load_csv(config.input_path)
+
+        stage = "fill"
+        filled = forward_fill(frame)
+        if config.target_column not in filled.columns:
+            raise DataError(f"target column {config.target_column!r} not in input")
+
+        stage = "indicators"
+        enriched = derive_indicators(filled, DEFAULT_INDICATORS, price_column=config.target_column)
+        # indicator warmup rows carry leading NaN; a second fill drops them
+        enriched = forward_fill(enriched)
+
+        stage = "split"
+        n = len(enriched)
+        bounds = split_bounds(n, SplitSpec(config.splits))
+        b1, b2 = bounds[1], bounds[2]
+        if min(b1, b2 - b1, n - b2) < 0 or n - b2 < 2:
+            raise DataError(f"test split has {n - b2} rows; need at least 2")
+
+        stage = "scale"
+        scaler = fit_scaler(enriched.rows(0, b1))
+        scaled = apply_scaler(enriched, scaler)
+
+        stage = "features"
+        correlations = correlation_vector(enriched.rows(0, b1), config.target_column)
+        if config.feature_mode == "with_features":
+            selected = select_features(correlations, config.corr_threshold)
+        else:
+            selected = []
+    except MarketcastError as exc:
+        _stage_guard(stage, exc)
         raise
+    return Prepared(
+        filled=filled,
+        enriched=enriched,
+        bounds=bounds,
+        scaler=scaler,
+        scaled=scaled,
+        correlations=correlations,
+        selected=selected,
+        window_columns=[config.target_column] + [c for c in selected if c != config.target_column],
+    )
 
 
 def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
@@ -288,67 +378,44 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
     if dump:
         stage_dir.mkdir(exist_ok=True)
 
-    writer = _Writer()
-    stages_written: dict[str, str] = {}
-    stage = "ingest"
-    try:
-        frame = load_csv(config.input_path)
-
-        stage = "fill"
-        filled = forward_fill(frame)
-        if config.target_column not in filled.columns:
-            raise DataError(f"target column {config.target_column!r} not in input")
-        if dump and "filled" in dump:
-            path = stage_dir / "filled.csv"
-            writer.via(path, lambda tmp: write_csv(filled, tmp), suffix=".csv")
-            stages_written["filled"] = str(path)
-
-        stage = "indicators"
-        enriched = derive_indicators(filled, DEFAULT_INDICATORS, price_column=config.target_column)
-        # indicator warmup rows carry leading NaN; a second fill drops them
-        enriched = forward_fill(enriched)
-        if dump and "enriched" in dump:
-            path = stage_dir / "enriched.csv"
-            writer.via(path, lambda tmp: write_csv(enriched, tmp), suffix=".csv")
-            stages_written["enriched"] = str(path)
-
-        stage = "split"
-        n = len(enriched)
-        bounds = split_bounds(n, SplitSpec(config.splits))
-        b1, b2 = bounds[1], bounds[2]
-        if min(b1, b2 - b1, n - b2) < 0 or n - b2 < 2:
-            raise DataError(f"test split has {n - b2} rows; need at least 2")
-
-        stage = "scale"
-        scaler = fit_scaler(enriched.rows(0, b1))
-        scaled = apply_scaler(enriched, scaler)
-        if dump and "scaler" in dump:
-            path = stage_dir / "scaler.json"
-            writer.text(path, json.dumps(scaler.to_dict(), indent=2, sort_keys=True) + "\n")
-            stages_written["scaler"] = str(path)
-
-        stage = "features"
-        correlations = correlation_vector(enriched.rows(0, b1), config.target_column)
-        if config.feature_mode == "with_features":
-            selected = select_features(correlations, config.corr_threshold)
-        else:
-            selected = []
-        window_columns = [config.target_column] + [c for c in selected if c != config.target_column]
-        features_payload = {
-            "correlations": {k: _jsonable(v) for k, v in correlations.items()},
+    prep = prepare(config)
+    target = config.target_column
+    features_json = json.dumps(
+        {
+            "correlations": prep.correlations_json(),
             "threshold": config.corr_threshold,
             "feature_mode": config.feature_mode,
-            "selected": selected,
-            "window_columns": window_columns,
-        }
-        features_json = json.dumps(features_payload, indent=2, sort_keys=True) + "\n"
-        if dump and "features" in dump:
-            path = stage_dir / "features.json"
-            writer.text(path, features_json)
-            stages_written["features"] = str(path)
+            "selected": prep.selected,
+            "window_columns": prep.window_columns,
+        },
+        indent=2,
+        sort_keys=True,
+    ) + "\n"
+
+    writer = _Writer()
+    stages_written: dict[str, str] = {}
+
+    def _dump(name: str, filename: str, content):
+        """Write a requested stage file; `content` is text or a write_fn(tmp)."""
+        if name not in dump:
+            return
+        path = stage_dir / filename
+        if callable(content):
+            writer.via(path, content, suffix=path.suffix)
+        else:
+            writer.text(path, content)
+        stages_written[name] = str(path)
+
+    stage = "dump"
+    try:
+        _dump("filled", "filled.csv", lambda tmp: write_csv(prep.filled, tmp))
+        _dump("enriched", "enriched.csv", lambda tmp: write_csv(prep.enriched, tmp))
+        _dump("scaler", "scaler.json", json.dumps(prep.scaler.to_dict(), indent=2, sort_keys=True) + "\n")
+        _dump("features", "features.json", features_json)
 
         stage = "windows"
-        windows = make_windows(scaled, window_columns, config.target_column, config.window, config.horizon)
+        _, b1, b2, n = prep.bounds
+        windows = make_windows(prep.scaled, prep.window_columns, target, config.window, config.horizon)
         target_rows = np.arange(len(windows)) + config.window + config.horizon - 1
         train_ds = windows.subset(target_rows < b1)
         val_ds = windows.subset((target_rows >= b1) & (target_rows < b2))
@@ -360,29 +427,23 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
             )
         if len(test_ds) != n - b2:
             raise DataError("test windows do not cover the test split")
-        if dump and "windows" in dump:
-            path = stage_dir / "windows.npz"
+        _dump(
+            "windows",
+            "windows.npz",
+            lambda tmp: np.savez(
+                tmp,
+                train_inputs=train_ds.inputs,
+                train_targets=train_ds.targets,
+                val_inputs=val_ds.inputs,
+                val_targets=val_ds.targets,
+                test_inputs=test_ds.inputs,
+                test_targets=test_ds.targets,
+            ),
+        )
 
-            def _dump_windows(tmp):
-                np.savez(
-                    tmp,
-                    train_inputs=train_ds.inputs,
-                    train_targets=train_ds.targets,
-                    val_inputs=val_ds.inputs,
-                    val_targets=val_ds.targets,
-                    test_inputs=test_ds.inputs,
-                    test_targets=test_ds.targets,
-                )
-
-            writer.via(path, _dump_windows, suffix=".npz")
-            stages_written["windows"] = str(path)
-
-        prices = enriched.column(config.target_column)
-        test_dates = enriched.dates[b2:]
+        prices = prep.enriched.column(target)
+        test_dates = prep.enriched.dates[b2:]
         actual_test = prices[b2:]
-        context = min(PREDICTION_CONTEXT_ROWS, b2)
-        ctx_dates = enriched.dates[b2 - context : b2]
-        ctx_actual = prices[b2 - context : b2]
 
         predictions: dict[str, str] = {}
         metric_files: dict[str, str] = {}
@@ -391,9 +452,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         checkpoint_path: str | None = None
 
         def _emit_leg(leg: str, preds: np.ndarray):
-            all_dates = list(ctx_dates) + list(test_dates)
-            all_actual = np.concatenate([ctx_actual, actual_test])
-            all_preds = np.concatenate([np.full(context, np.nan), preds])
+            all_dates, all_actual, all_preds = prediction_rows(prep.enriched.dates, prices, preds)
             pred_path = out_dir / f"predictions_{leg}.csv"
             writer.text(pred_path, format_predictions(all_dates, all_actual, all_preds))
             predictions[leg] = str(pred_path)
@@ -428,11 +487,11 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
 
         if config.model_mode in ("lstm", "both"):
             stage = "lstm"
-            lcfg = config.lstm_config(input_size=len(window_columns))
+            lcfg = config.lstm_config(input_size=len(prep.window_columns))
             network = init_network(lcfg)
             network, history = train(network, train_ds, val_ds, lcfg)
             preds_scaled = predict_series(network, test_ds)
-            preds = invert_scaler(preds_scaled, config.target_column, scaler)
+            preds = invert_scaler(preds_scaled, target, prep.scaler)
             ckpt_path = out_dir / "lstm_checkpoint.npz"
             writer.via(ckpt_path, lambda tmp: save_checkpoint(network, tmp), suffix=".npz")
             checkpoint_path = str(ckpt_path)

@@ -10,6 +10,8 @@ import pytest
 from marketcast import cli, pipeline
 from marketcast.chart import read_predictions
 
+BUNDLED_CSV = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
+
 TINY_RUN = [
     "--window", "60",
     "--bounds", "1,1,1",
@@ -108,6 +110,61 @@ def test_features_prints_json(synth_csv):
     assert payload["threshold"] == 0.5
 
 
+def test_synth_defaults_reproduce_bundled_data(tmp_path):
+    out = tmp_path / "prices.csv"
+    assert cli.main(["synth", "--out", str(out)]) == 0
+    assert out.read_bytes() == BUNDLED_CSV.read_bytes()
+
+
+def test_features_agrees_with_run(synth_csv, run_dir, capsys):
+    out, _ = run_dir
+    assert cli.main(["features", "--input", str(synth_csv)]) == 0
+    scan = json.loads(capsys.readouterr().out)
+    chosen = json.loads((out / "selected_features.json").read_text())
+    assert scan["selected"], "the check needs at least one selected feature"
+    assert scan["correlations"] == chosen["correlations"]
+    assert scan["selected"] == chosen["selected"]
+
+
+def test_features_checks_splits_like_run(synth_csv, capsys):
+    # no training rows: run has always failed here, features now does too
+    assert cli.main(["features", "--input", str(synth_csv), "--splits", "0.0,0.5,0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: stage scale: ")
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ("--out-dir", "X"), ("--window", "30"), ("--horizon", "2"), ("--features", "without"),
+        ("--seed", "1"), ("--epochs", "3"), ("--patience", "2"), ("--hidden", "8"),
+        ("--dropout", "0.1"), ("--batch", "8"), ("--lr", "0.01"), ("--mode", "lstm"),
+        ("--forecast", "rolling"), ("--bounds", "1,1,1"), ("--dump-stage", "all"),
+    ],
+)
+def test_features_rejects_flags_that_do_not_change_its_report(synth_csv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["features", "--input", str(synth_csv), *flag])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "features", "fit-arima", "fit-garch", "forecast", "evaluate", "chart"])
+def test_out_in_missing_directory_exits_2(command, synth_csv, run_dir, tmp_path, capsys):
+    out, _ = run_dir
+    target = tmp_path / "missing" / "out.txt"
+    argv = {
+        "synth": ["--out", target],
+        "features": ["--input", synth_csv, "--out", target],
+        "fit-arima": ["--input", synth_csv, "--order", "1,1,0", "--out", target],
+        "fit-garch": ["--input", synth_csv, "--out-params", target],
+        "forecast": ["--model", out / "arima_model.json", "--input", synth_csv, "--steps", "20", "--out", target],
+        "evaluate": ["--input", out / "predictions_arima.csv", "--out", target],
+        "chart": ["--input", out / "predictions_arima.csv", "--out", target],
+    }[command]
+    assert cli.main([command, *map(str, argv)]) == 2
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_evaluate_stdout_and_file(run_dir, tmp_path):
     out, _ = run_dir
     proc = run_cli("evaluate", "--input", out / "predictions_arima.csv")
@@ -197,6 +254,14 @@ def test_out_dir_env_var(run_dir, tmp_path):
 def test_usage_errors_exit_1(args):
     proc = run_cli(*args)
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("flag", [("--break-frac", "0"), ("--vol-after", "-1"), ("--start-price", "0")])
+def test_synth_bad_regime_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    assert cli.main(["synth", "--out", str(out), *flag]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_2(tmp_path):
