@@ -13,8 +13,13 @@ Subcommands cover each pipeline stage plus an end-to-end run:
   chart       SVG rendering of a predictions file
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 model-fit error.
-The default output directory is $MARKETCAST_OUT when set, else the current
-directory.
+A `run`/`train-lstm`/`features` setting out of range or of the wrong type
+exits 2 before any input is read or any file is written.
+
+The output directory of `run`/`train-lstm` is --out-dir, else the --config
+file's out_dir, else $MARKETCAST_OUT, else the current directory; the other
+commands use $MARKETCAST_OUT or the current directory for outputs not given
+a path.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +42,10 @@ from .errors import DataError, ModelFitError
 from .frame import forward_fill, load_csv
 from .pipeline import (
     DUMPABLE_STAGES,
+    FORECAST_MODES,
+    MODEL_MODES,
     PipelineConfig,
+    Writer,
     atomic_write_text,
     atomic_write_via,
     load_config,
@@ -78,74 +86,57 @@ def _load_column(path, column: str) -> tuple[list, np.ndarray]:
 
 def _add_scan_flags(p: argparse.ArgumentParser):
     """Flags of the preprocessing that `features` reports on."""
-    p.add_argument("--input", help="input CSV (required unless --config provides it)")
+    p.add_argument("--input", dest="input_path", help="input CSV (required unless --config provides it)")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--target", default=None, help="target column (default PX_LAST)")
-    p.add_argument("--splits", default=None, help="train,val,test fractions, e.g. 0.6,0.2,0.2")
-    p.add_argument("--threshold", type=float, default=None, help="|correlation| cutoff for features")
+    p.add_argument("--target", dest="target_column", help="target column (default PX_LAST)")
+    p.add_argument("--splits", help="train,val,test fractions, e.g. 0.6,0.2,0.2")
+    p.add_argument("--threshold", dest="corr_threshold", type=float, help="|correlation| cutoff for features")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
     """Flags of a run that writes artifacts and trains the LSTM."""
-    p.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    p.add_argument("--window", type=int, default=None, help="window length W")
-    p.add_argument("--horizon", type=int, default=None, help="steps ahead to predict")
-    p.add_argument("--features", choices=("with", "without"), default=None,
+    p.add_argument("--out-dir", help=f"output directory (default: the config's out_dir, ${OUT_DIR_ENV} or .)")
+    p.add_argument("--window", type=int, help="window length W")
+    p.add_argument("--horizon", type=int, help="steps ahead to predict")
+    p.add_argument("--features", dest="feature_mode", choices=("with", "without"),
                    help="include selected indicator/auxiliary features, or price only")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None, help="LSTM max epochs")
-    p.add_argument("--patience", type=int, default=None, help="LSTM early-stopping patience")
-    p.add_argument("--hidden", type=int, default=None, help="LSTM hidden units per layer")
-    p.add_argument("--dropout", type=float, default=None, help="LSTM dropout rate")
-    p.add_argument("--batch", type=int, default=None, help="LSTM batch size")
-    p.add_argument("--lr", type=float, default=None, help="LSTM learning rate")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", dest="lstm_epochs", type=int, help="LSTM max epochs")
+    p.add_argument("--patience", dest="lstm_patience", type=int, help="LSTM early-stopping patience")
+    p.add_argument("--hidden", dest="lstm_hidden", type=int, help="LSTM hidden units per layer")
+    p.add_argument("--dropout", dest="lstm_dropout", type=float, help="LSTM dropout rate")
+    p.add_argument("--batch", dest="lstm_batch", type=int, help="LSTM batch size")
+    p.add_argument("--lr", dest="lstm_lr", type=float, help="LSTM learning rate")
     p.add_argument("--dump-stage", action="append", default=[], metavar="STAGE",
                    help=f"dump an intermediate ({', '.join(DUMPABLE_STAGES)}, or all); repeatable")
 
 
 def _add_arima_flags(p: argparse.ArgumentParser):
     """Flags only `run` takes: the model legs, and the ARIMA search and forecast."""
-    p.add_argument("--mode", choices=("arima", "lstm", "both"), default=None, help="model legs to run")
-    p.add_argument("--forecast", choices=("static", "rolling"), default=None, help="ARIMA forecast mode")
-    p.add_argument("--bounds", default=None, help="ARIMA search bounds p,d,q (default 5,2,5)")
+    p.add_argument("--mode", dest="model_mode", choices=MODEL_MODES, help="model legs to run")
+    p.add_argument("--forecast", dest="forecast_mode", choices=FORECAST_MODES, help="ARIMA forecast mode")
+    p.add_argument("--bounds", dest="arima_bounds", help="ARIMA search bounds p,d,q (default 5,2,5)")
 
 
-# flag dest -> config field, for flags whose value passes through unchanged
-_FLAG_FIELDS = {
-    "input": "input_path",
-    "target": "target_column",
-    "window": "window",
-    "horizon": "horizon",
-    "threshold": "corr_threshold",
-    "seed": "seed",
-    "epochs": "lstm_epochs",
-    "patience": "lstm_patience",
-    "hidden": "lstm_hidden",
-    "dropout": "lstm_dropout",
-    "batch": "lstm_batch",
-    "lr": "lstm_lr",
-    "mode": "model_mode",
-    "forecast": "forecast_mode",
-}
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    """The config file (if any) overridden by the flags the command has and was given."""
-    given = {dest: v for dest, v in vars(args).items() if v is not None}
-    overrides = {field: given[dest] for dest, field in _FLAG_FIELDS.items() if dest in given}
-    overrides["out_dir"] = given.get("out_dir", _default_out_dir())
-    if "splits" in given:
-        overrides["splits"] = _parse_triple(args.splits, float, "--splits")
-    if "features" in given:
-        overrides["feature_mode"] = "with_features" if args.features == "with" else "price_only"
-    if "bounds" in given:
-        overrides["arima_bounds"] = _parse_triple(args.bounds, int, "--bounds")
+    """The config file (if any) overridden by the flags given; a flag's dest is its field."""
+    flags = {name: v for name, v in vars(args).items() if name in _CONFIG_FIELDS and v is not None}
+    if "splits" in flags:
+        flags["splits"] = _parse_triple(flags["splits"], float, "--splits")
+    if "arima_bounds" in flags:
+        flags["arima_bounds"] = _parse_triple(flags["arima_bounds"], int, "--bounds")
+    if "feature_mode" in flags:
+        flags["feature_mode"] = "with_features" if flags["feature_mode"] == "with" else "price_only"
 
+    defaults = {"out_dir": _default_out_dir()}
     if args.config is not None:
-        return load_config(args.config, overrides)
-    if "input_path" not in overrides:
+        return load_config(args.config, flags, defaults)
+    if "input_path" not in flags:
         raise DataError("either --input or --config is required")
-    return PipelineConfig(**overrides)
+    return PipelineConfig(**{**defaults, **flags})
 
 
 def _cmd_synth(args) -> int:
@@ -224,7 +215,7 @@ def _cmd_forecast(args) -> int:
         raise DataError("--steps must be >= 1")
     if steps >= len(series):
         raise DataError(f"--steps {steps} must be below the series length {len(series)}")
-    mode = arima_mod.ForecastMode.STATIC if args.mode == "static" else arima_mod.ForecastMode.ROLLING
+    mode = arima_mod.ForecastMode(args.mode)
     history = series[:-steps] if mode is arima_mod.ForecastMode.STATIC else series
     preds = arima_mod.forecast(model, history, steps, mode)
     out = Path(args.out if args.out else Path(_default_out_dir()) / "predictions_arima.csv")
@@ -256,12 +247,17 @@ def _cmd_fit_garch(args) -> int:
         "log_likelihood": garch_mod.log_likelihood(residuals, params),
         "n_obs": len(residuals),
     }
-    atomic_write_text(params_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     csv_path = Path(args.out_csv if args.out_csv else out_dir / "garch_variance.csv")
     lines = ["date,residual,sigma2"]
     for d, e, s2 in zip(dates, state.residuals, state.sigma2):
         lines.append(f"{d.isoformat()},{e:.8f},{s2:.8f}")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    writer = Writer()  # both files or neither
+    try:
+        writer.text(params_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        writer.text(csv_path, "\n".join(lines) + "\n")
+    except BaseException:
+        writer.rollback()
+        raise
     print(
         f"alpha0 {params.alpha0:.6g}  alpha1 {params.alpha1:.4f}  beta1 {params.beta1:.4f}  "
         f"persistence {params.persistence:.4f}"
@@ -347,7 +343,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--column", default="PX_LAST")
     p.add_argument("--steps", type=int, required=True, help="evaluate the last N observations")
-    p.add_argument("--mode", choices=("static", "rolling"), default="static")
+    p.add_argument("--mode", choices=FORECAST_MODES, default="static")
     p.add_argument("--out", default=None, help="predictions CSV path")
     p.set_defaults(func=_cmd_forecast)
 
@@ -363,7 +359,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train-lstm", help="run only the LSTM leg of the experiment")
     _add_scan_flags(p)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_run, mode="lstm")
+    p.set_defaults(func=_cmd_run, model_mode="lstm")
 
     p = sub.add_parser("run", help="run the full experiment")
     _add_scan_flags(p)

@@ -166,7 +166,7 @@ class WindowedDataset:
         )
 
 
-def _parse_date(text: str) -> date:
+def _parse_date(text: str, where: str) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError:
@@ -174,15 +174,18 @@ def _parse_date(text: str) -> date:
     try:
         return datetime.fromisoformat(text).date()
     except ValueError as exc:
-        raise DataError(f"unparseable date {text!r}") from exc
+        raise DataError(f"{where}: unparseable date {text!r}") from exc
 
 
 def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
     """Load a header-ed CSV into a frame, sorting rows by date.
 
-    Non-date columns are parsed as floats; unparseable or empty cells become
-    missing (NaN). Raises DataError on a missing file, a missing date column,
-    a row too short to hold its date, duplicate dates, or zero data rows.
+    Non-date columns are parsed as floats; unparseable or empty cells (and a
+    literal "nan") become missing (NaN). Raises DataError on a missing file,
+    a missing date column, zero data rows, or a row that is too short to hold
+    its date, has more cells than the header, has an unparseable date or an
+    infinite value, or repeats an earlier row's date; the row errors name
+    the row's 1-based line.
     """
     path = Path(path)
     if not path.exists():
@@ -202,31 +205,36 @@ def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
         for row in reader:
             if not row or all(cell.strip() == "" for cell in row):
                 continue
+            line = reader.line_num
             if date_idx >= len(row):
                 raise DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"{path}: line {line} has {len(row)} cells, "
                     f"too few to reach the {date_column!r} column"
                 )
-            when = _parse_date(row[date_idx].strip())
+            if len(row) > len(header):
+                raise DataError(
+                    f"{path}: line {line} has {len(row)} cells, more than the {len(header)} in the header"
+                )
+            when = _parse_date(row[date_idx].strip(), f"{path}: line {line}")
             values = []
             for i, name in enumerate(header):
                 if i == date_idx:
                     continue
                 cell = row[i].strip() if i < len(row) else ""
-                if cell == "":
-                    values.append(math.nan)
-                else:
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        values.append(math.nan)
-            records.append((when, values))
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if math.isinf(value):
+                    raise DataError(f"{path}: line {line}, column {name!r}: infinite value {cell!r}")
+                values.append(value)
+            records.append((when, values, line))
     if not records:
         raise DataError(f"{path} has zero data rows")
     records.sort(key=lambda rec: rec[0])
-    for (d1, _), (d2, _) in zip(records, records[1:]):
+    for (d1, _, line1), (d2, _, line2) in zip(records, records[1:]):
         if d1 == d2:
-            raise DataError(f"duplicate date {d1}")
+            raise DataError(f"{path}: duplicate date {d1} on lines {line1} and {line2}")
     dates = tuple(rec[0] for rec in records)
     table = np.array([rec[1] for rec in records], dtype=float)
     columns = {name: table[:, j] for j, name in enumerate(value_names)}

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -89,19 +89,6 @@ class LstmConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.patience <= self.max_epochs:
             raise ValueError("patience must be in [0, max_epochs]")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-            "num_layers": self.num_layers,
-            "dropout_rate": self.dropout_rate,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -488,7 +475,7 @@ def save_checkpoint(network: LstmNetwork, path, state: AdamState | None = None) 
     arrays["dense_b"] = network.dense_b
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": network.config.to_dict(),
+        "config": asdict(network.config),
         "has_adam": state is not None,
         "adam_t": 0 if state is None else state.t,
     }

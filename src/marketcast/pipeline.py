@@ -25,8 +25,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -62,34 +63,36 @@ __all__ = [
     "load_config",
     "atomic_write_text",
     "atomic_write_via",
+    "Writer",
     "DUMPABLE_STAGES",
+    "FORECAST_MODES",
+    "MODEL_MODES",
 ]
 
 FEATURE_MODES = ("with_features", "price_only")
 MODEL_MODES = ("arima", "lstm", "both")
-FORECAST_MODES = ("static", "rolling")
+FORECAST_MODES = tuple(mode.value for mode in arima_mod.ForecastMode)
 DUMPABLE_STAGES = ("filled", "enriched", "scaler", "features", "windows")
 
 # rows of history shown before the forecast in predictions files and charts
 PREDICTION_CONTEXT_ROWS = 60
 
-# config fields by the JSON type they must hold; a bool is neither an integer
-# nor a real here, although Python treats it as an int
-_INT_FIELDS = (
-    "window", "horizon", "lstm_hidden", "lstm_layers", "lstm_batch",
-    "lstm_epochs", "lstm_patience", "seed",
-)
-_REAL_FIELDS = ("corr_threshold", "lstm_dropout", "lstm_lr")
-# the *_mode fields are checked against their allowed values instead
-_STR_FIELDS = ("input_path", "out_dir", "target_column")
-
 
 def _is_int(value) -> bool:
+    # a bool is not an integer here, although Python treats it as one
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a field's annotated type -> (check, noun for one value, noun for several)
+_TYPE_CHECKS = {
+    int: (_is_int, "an integer", "integers"),
+    float: (_is_real, "a number", "numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+}
 
 
 def _triple(name: str, value, check, kind: str) -> tuple:
@@ -121,40 +124,36 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for names, check, kind in (
-            (_INT_FIELDS, _is_int, "an integer"),
-            (_REAL_FIELDS, _is_real, "a number"),
-            (_STR_FIELDS, lambda v: isinstance(v, str), "a string"),
-        ):
-            for name in names:
-                value = getattr(self, name)
+        """Check every setting, so a bad one fails before any work starts."""
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            elements = get_args(kind)
+            if elements:  # the (a, b, c) triples: splits and arima_bounds
+                check, _, plural = _TYPE_CHECKS[elements[0]]
+                triple = _triple(name, value, check, plural)
+                object.__setattr__(self, name, tuple(map(elements[0], triple)))
+            else:
+                check, noun, _ = _TYPE_CHECKS[kind]
                 if not check(value):
-                    raise DataError(f"{name} must be {kind}, got {value!r}")
-        splits = _triple("splits", self.splits, _is_real, "(train, validation, test) fractions")
-        object.__setattr__(self, "splits", tuple(float(f) for f in splits))
-        object.__setattr__(
-            self, "arima_bounds", _triple("arima_bounds", self.arima_bounds, _is_int, "integers")
-        )
+                    raise DataError(f"{name} must be {noun}, got {value!r}")
+        for name, allowed in (
+            ("feature_mode", FEATURE_MODES),
+            ("model_mode", MODEL_MODES),
+            ("forecast_mode", FORECAST_MODES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise DataError(f"{name} must be one of {allowed}")
         SplitSpec(self.splits)  # validates sign and sum
         if self.window < 1 or self.horizon < 1:
             raise DataError("window and horizon must be >= 1")
         if not 0.0 <= self.corr_threshold <= 1.0:
             raise DataError("corr_threshold must be in [0, 1]")
-        if self.feature_mode not in FEATURE_MODES:
-            raise DataError(f"feature_mode must be one of {FEATURE_MODES}")
-        if self.model_mode not in MODEL_MODES:
-            raise DataError(f"model_mode must be one of {MODEL_MODES}")
-        if self.forecast_mode not in FORECAST_MODES:
-            raise DataError(f"forecast_mode must be one of {FORECAST_MODES}")
         if min(self.arima_bounds) < 0:
             raise DataError("arima_bounds must be three non-negative integers")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        try:
+            self.lstm_config(input_size=1)  # LstmConfig holds the LSTM range rules
+        except ValueError as exc:
+            raise DataError(f"LSTM setting out of range: {exc}") from exc
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
@@ -165,7 +164,7 @@ class PipelineConfig:
                 continue  # annotation keys in resolved configs
             if key not in known:
                 raise DataError(f"unknown config key {key!r}")
-            clean[key] = tuple(value) if isinstance(value, list) else value
+            clean[key] = value
         if "input_path" not in clean:
             raise DataError("config needs an input_path")
         return cls(**clean)
@@ -185,8 +184,17 @@ class PipelineConfig:
         )
 
 
-def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    """Read a JSON config file and apply flag overrides on top."""
+# each field's annotated type, resolved once; __post_init__ checks against it
+_FIELD_TYPES = get_type_hints(PipelineConfig)
+
+
+def load_config(path, overrides: dict | None = None, defaults: dict | None = None) -> PipelineConfig:
+    """Read a JSON config file and apply flag overrides on top.
+
+    `defaults` fill the keys the file leaves out. The file is validated
+    before the overrides apply, so a bad value in it fails even when a flag
+    replaces it.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -196,7 +204,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise DataError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
-    cfg = PipelineConfig.from_dict(payload)
+    cfg = PipelineConfig.from_dict({**(defaults or {}), **payload})
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -214,7 +222,7 @@ class RunArtifacts:
     stages: dict[str, str]
 
 
-class _Writer:
+class Writer:
     """Atomic file writes with rollback of everything written so far."""
 
     def __init__(self):
@@ -392,7 +400,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         sort_keys=True,
     ) + "\n"
 
-    writer = _Writer()
+    writer = Writer()
     stages_written: dict[str, str] = {}
 
     def _dump(name: str, filename: str, content):
@@ -470,11 +478,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         if config.model_mode in ("arima", "both"):
             stage = "arima"
             model = arima_mod.auto_arima(prices[:b2], bounds=config.arima_bounds)
-            mode = (
-                arima_mod.ForecastMode.STATIC
-                if config.forecast_mode == "static"
-                else arima_mod.ForecastMode.ROLLING
-            )
+            mode = arima_mod.ForecastMode(config.forecast_mode)
             history = prices[:b2] if mode is arima_mod.ForecastMode.STATIC else prices
             preds = arima_mod.forecast(model, history, n - b2, mode)
             model_path = out_dir / "arima_model.json"
@@ -500,16 +504,14 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         stage = "report"
         features_path = out_dir / "selected_features.json"
         writer.text(features_path, features_json)
-        resolved = dict(config.to_dict())
+        resolved = asdict(config)
         resolved["_window_includes_target"] = True
         resolved_path = out_dir / "resolved_config.json"
         writer.text(resolved_path, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-    except MarketcastError as exc:
+    except BaseException as exc:
         writer.rollback()
-        _stage_guard(stage, exc)
-        raise
-    except BaseException:
-        writer.rollback()
+        if isinstance(exc, MarketcastError):
+            _stage_guard(stage, exc)
         raise
 
     return RunArtifacts(

@@ -9,6 +9,7 @@ machine; every criterion checks its own runtime.
 import math
 import re
 import time
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -182,7 +183,7 @@ def test_3_lstm_sine_overfit():
     final_mse = hist.train_losses[-1]
 
     # the procedure is seed-deterministic: identical short reruns coincide
-    short = LstmConfig(**{**cfg.to_dict(), "max_epochs": 50, "patience": 0})
+    short = replace(cfg, max_epochs=50, patience=0)
     _, h1 = train(init_network(short), train_set, empty_val, short)
     _, h2 = train(init_network(short), train_set, empty_val, short)
     deterministic = h1.train_losses == h2.train_losses

@@ -9,6 +9,7 @@ import pytest
 
 from marketcast import cli, pipeline
 from marketcast.chart import read_predictions
+from marketcast.errors import DataError
 
 BUNDLED_CSV = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
 
@@ -155,7 +156,7 @@ def test_out_in_missing_directory_exits_2(command, synth_csv, run_dir, tmp_path,
         "synth": ["--out", target],
         "features": ["--input", synth_csv, "--out", target],
         "fit-arima": ["--input", synth_csv, "--order", "1,1,0", "--out", target],
-        "fit-garch": ["--input", synth_csv, "--out-params", target],
+        "fit-garch": ["--input", synth_csv, "--out-params", tmp_path / "g.json", "--out-csv", target],
         "forecast": ["--model", out / "arima_model.json", "--input", synth_csv, "--steps", "20", "--out", target],
         "evaluate": ["--input", out / "predictions_arima.csv", "--out", target],
         "chart": ["--input", out / "predictions_arima.csv", "--out", target],
@@ -163,6 +164,7 @@ def test_out_in_missing_directory_exits_2(command, synth_csv, run_dir, tmp_path,
     assert cli.main([command, *map(str, argv)]) == 2
     assert f"error: cannot write {target}: " in capsys.readouterr().err
     assert not target.parent.exists()
+    assert not (tmp_path / "g.json").exists()  # fit-garch writes both outputs or neither
 
 
 def test_evaluate_stdout_and_file(run_dir, tmp_path):
@@ -239,6 +241,27 @@ def test_out_dir_env_var(run_dir, tmp_path):
     assert (tmp_path / "chart.svg").is_file()
 
 
+def test_out_dir_precedence(tmp_path, monkeypatch):
+    # --out-dir, then the config file's out_dir, then $MARKETCAST_OUT, then .
+    seen = []
+
+    def capture(config, dump_stages=()):
+        seen.append(config.out_dir)
+        raise DataError("captured")
+
+    monkeypatch.setattr(cli, "run_pipeline", capture)
+    with_dir = tmp_path / "with_dir.json"
+    with_dir.write_text(json.dumps({"input_path": "x.csv", "out_dir": "from_file"}))
+    without = tmp_path / "without.json"
+    without.write_text(json.dumps({"input_path": "x.csv"}))
+    monkeypatch.setenv("MARKETCAST_OUT", "from_env")
+    for argv in (["--config", with_dir, "--out-dir", "from_flag"], ["--config", with_dir], ["--config", without]):
+        assert cli.main(["run", *map(str, argv)]) == 2
+    monkeypatch.delenv("MARKETCAST_OUT")
+    assert cli.main(["run", "--config", str(without)]) == 2
+    assert seen == ["from_flag", "from_file", "from_env", "."]
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -287,16 +310,47 @@ def test_data_errors_exit_2(tmp_path):
         {"splits": "0.6,0.2,0.2"},
         {"lstm_dropout": None},
         {"out_dir": 7},
+        {"lstm_hidden": 0},
+        {"lstm_layers": 0},
+        {"lstm_dropout": 1.0},
+        {"lstm_lr": 0},
+        {"lstm_batch": 0},
+        {"lstm_epochs": 0},
+        {"lstm_patience": -1},
     ],
 )
-def test_config_value_types_exit_2(tmp_path, monkeypatch, bad):
+def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, bad):
     def no_preprocessing(*args, **kwargs):
-        raise AssertionError("preprocessing started with a mistyped config")
+        raise AssertionError("preprocessing started with a bad config")
 
     monkeypatch.setattr(pipeline, "load_csv", no_preprocessing)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"input_path": str(tmp_path / "x.csv"), "model_mode": "lstm", **bad}))
-    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [("--hidden", "0"), ("--dropout", "1.0"), ("--lr", "0"), ("--batch", "0"), ("--epochs", "0"), ("--patience", "-1")],
+)
+def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, flag):
+    def no_preprocessing(*args, **kwargs):
+        raise AssertionError("preprocessing started with an out-of-range setting")
+
+    monkeypatch.setattr(pipeline, "load_csv", no_preprocessing)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--input", str(tmp_path / "x.csv"), "--out-dir", str(out), *flag]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_checked_before_flags_override_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "load_csv", lambda *a, **k: pytest.fail("preprocessing started"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_path": str(tmp_path / "x.csv"), "lstm_epochs": 1.5}))
+    assert cli.main(["run", "--config", str(cfg), "--epochs", "3", "--out-dir", str(tmp_path)]) == 2
 
 
 def test_model_fit_errors_exit_3(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -41,6 +42,8 @@ def test_load_csv_parses_and_sorts(tmp_path):
     assert f.dates == (date(2020, 1, 1), date(2020, 1, 2))
     assert f.column("A").tolist() == [1.0, 2.5]
     assert math.isnan(f.column("B")[1]) and f.column("B")[0] == 9.0
+    p.write_text("DATE,A\n2020-01-01,nan\n2020-01-02,\n2020-01-03,NaN\n")
+    assert np.isnan(load_csv(p).column("A")).all()  # empty and literal nan cells are missing
 
 
 def test_load_csv_errors(tmp_path):
@@ -58,6 +61,19 @@ def test_load_csv_errors(tmp_path):
     p3.write_text("DATE,A\n")
     with pytest.raises(DataError):
         load_csv(p3)
+    for name, body, message in [
+        ("baddate.csv", "DATE,A\n2020-01-01,1\n2020-13-40,2\n", "line 3: unparseable date '2020-13-40'"),
+        ("wide.csv", "DATE,A\n2020-01-01,1\n2020-01-02,2,7\n", "line 3 has 3 cells, more than the 2"),
+        ("inf.csv", "DATE,PX_LAST\n2020-01-01,1\n2020-01-02,inf\n2020-01-03,3\n",
+         "line 3, column 'PX_LAST': infinite value 'inf'"),
+        ("neginf.csv", "DATE,A,B\n2020-01-01,1,-Infinity\n", "line 2, column 'B': infinite value"),
+        ("dupline.csv", "DATE,A\n2020-01-02,1\n2020-01-01,2\n2020-01-02,3\n",
+         "duplicate date 2020-01-02 on lines 2 and 4"),
+    ]:
+        p = tmp_path / name
+        p.write_text(body)
+        with pytest.raises(DataError, match=re.escape(f"{p}: {message}")):
+            load_csv(p)
 
 
 def test_load_csv_short_row_names_its_line(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(patience=9, max_epochs=5)
     cfg = tiny_config(dropout_rate=0.0)
-    assert cfg.to_dict()["hidden_size"] == 3
+    assert asdict(cfg)["hidden_size"] == 3
 
 
 @pytest.mark.parametrize(

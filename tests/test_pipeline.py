@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,8 @@ def test_from_dict_ignores_annotation_keys():
 
 def test_config_dict_round_trip():
     cfg = PipelineConfig(input_path="a.csv", splits=(0.7, 0.1, 0.2), arima_bounds=(2, 1, 2))
-    assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    # through JSON, so the triples come back as lists
+    assert PipelineConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 @pytest.mark.parametrize(
@@ -73,6 +75,13 @@ def test_config_dict_round_trip():
         dict(model_mode="prophet"),
         dict(forecast_mode="sideways"),
         dict(arima_bounds=(1, -1, 1)),
+        dict(lstm_hidden=0),
+        dict(lstm_layers=0),
+        dict(lstm_dropout=1.0),
+        dict(lstm_lr=0),
+        dict(lstm_batch=0),
+        dict(lstm_epochs=0),
+        dict(lstm_patience=-1),
     ],
 )
 def test_config_validation(bad):
