@@ -380,13 +380,13 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
     if unknown:
         raise DataError(f"unknown dump stage {sorted(unknown)[0]!r}")
 
+    prep = prepare(config)
+    # only a run that got through preprocessing creates its directories
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_dir = out_dir / "stages"
     if dump:
         stage_dir.mkdir(exist_ok=True)
-
-    prep = prepare(config)
     target = config.target_column
     features_json = json.dumps(
         {

@@ -298,6 +298,14 @@ def test_data_errors_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_failed_ingest_leaves_no_directories(tmp_path, capsys):
+    out = tmp_path / "newdir"
+    args = ["run", "--input", str(tmp_path / "nothere.csv"), "--out-dir", str(out), "--dump-stage", "all"]
+    assert cli.main(args) == 2
+    assert "stage ingest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bad",
     [

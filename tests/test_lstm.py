@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from marketcast import lstm
 from marketcast.errors import DataError, DivergenceError
 from marketcast.frame import WindowedDataset
 from marketcast.lstm import (
@@ -242,6 +244,24 @@ def test_backward_matches_finite_differences(dropout):
     assert worst < 1e-4
 
 
+def test_reused_buffers_give_fresh_gradients(rng):
+    """Batches that share `buffers` (as in an epoch) get the gradients a
+    fresh forward gives, across a change of batch size too."""
+    cfg = tiny_config(input_size=2, hidden_size=5, dropout_rate=0.3)
+    net = init_network(cfg)
+    buffers: dict = {}
+    for size in (6, 6, 4, 6):
+        x = rng.normal(size=(size, 7, 2))
+        masks = lstm._draw_masks(cfg, rng)
+        dpred = rng.normal(size=size)
+        preds, caches = lstm._forward_batch(net, x, masks, need_cache=True, buffers=buffers)
+        grads = backward(net, caches, dpred)
+        fresh_preds, fresh_caches = lstm._forward_batch(net, x, masks, need_cache=True)
+        assert np.array_equal(preds, fresh_preds)
+        for g, fresh in zip(grads, backward(net, fresh_caches, dpred)):
+            assert np.array_equal(g, fresh)
+
+
 # ---------------------------------------------------------------- adam
 
 
@@ -354,6 +374,73 @@ def test_predict_series_matches_single_forward(rng):
     np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_predict_series_independent_of_eval_chunk(rng, monkeypatch, chunk):
+    """Chunking alone leaves every prediction bit-identical.
+
+    One hidden unit and one input feature make every product the forward
+    pass hands to BLAS a single term, so the batch-size-dependent kernel
+    choice (gemv for a batch of one, other kernels for a few) cannot reorder a
+    sum and what is compared is only how _predict splits and reassembles.
+    """
+    cfg = tiny_config(input_size=1, hidden_size=1, seed=3)
+    net = init_network(cfg)
+    ds = dataset_from_series(rng.normal(size=58), 8)
+    assert len(ds) == 50
+    monkeypatch.setattr(lstm, "EVAL_CHUNK", len(ds))
+    whole = predict_series(net, ds)
+    monkeypatch.setattr(lstm, "EVAL_CHUNK", chunk)
+    assert np.array_equal(predict_series(net, ds), whole)
+
+
+def test_predict_series_memory_bounded_by_eval_chunk(rng):
+    # a (W, 4H, 512) gate buffer alone is 226 MB here
+    cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, seed=0)
+    net = init_network(cfg)
+    ds = WindowedDataset(
+        inputs=rng.normal(size=(600, 216, 1)), targets=np.zeros(600), window_size=216, horizon=1
+    )
+    tracemalloc.start()
+    try:
+        preds = predict_series(net, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(preds))
+    assert peak < 64 * 2**20
+
+
+def test_saturated_gates_are_exact_and_silent(rng):
+    """Pre-activations of +-800 give sigmoid gates of exactly 1 and 0.
+
+    exp(800) overflows to inf inside the sigmoid; that must neither warn
+    nor leak a non-finite value into the state.
+    """
+    cfg = tiny_config(input_size=1, hidden_size=4, dropout_rate=0.2)
+    net = init_network(cfg)
+    hs = cfg.hidden_size
+    sign = np.where(np.arange(3 * hs) % 2 == 0, 1.0, -1.0)
+    for layer in net.layers:
+        layer.w[:] = 0.0
+        layer.u[:] = 0.0
+        layer.b[: 3 * hs] = 800.0 * sign
+        layer.b[3 * hs :] = 0.5
+    ds = dataset_from_series(rng.normal(size=30), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, caches = forward(net, ds.inputs[0], mode="eval")
+        preds = predict_series(net, ds)
+        batch, train_caches = lstm._forward_batch(
+            net, ds.inputs[:4], lstm._draw_masks(cfg, np.random.default_rng(0)), need_cache=True
+        )
+        grads = backward(net, train_caches, np.ones(4))
+    for cache in caches["layers"]:
+        assert np.array_equal(cache["gates"][:, : 3 * hs, 0], np.broadcast_to(sign > 0, (8, 3 * hs)))
+    assert np.all(np.isfinite(preds))
+    assert np.all(np.isfinite(batch))
+    assert all(np.all(np.isfinite(g)) for g in grads)
+
+
 def test_mse_loss_guards():
     assert mse_loss([1.0, 3.0], [0.0, 1.0]) == pytest.approx(2.5)
     with pytest.raises(DataError):
@@ -371,30 +458,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     net, _ = train(init_network(cfg), train_set, val_set, cfg)
     path = tmp_path / "ck.npz"
     save_checkpoint(net, path)
-    loaded, state = load_checkpoint(path)
-    assert state is None
+    loaded = load_checkpoint(path)
     assert loaded.config == net.config
     for pa, pb in zip(net.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(pa, pb)
     ds = dataset_from_series(np.sin(np.arange(20) / 3.0), 8)
     np.testing.assert_array_equal(predict_series(net, ds), predict_series(loaded, ds))
-
-
-def test_checkpoint_preserves_adam_state(tmp_path):
-    cfg = tiny_config(input_size=1, seed=1)
-    net = init_network(cfg)
-    params = net.parameters()
-    state = AdamState.for_params(params)
-    grads = [np.full_like(p, 0.01) for p in params]
-    state = adam_step(params, grads, state, lr=0.001)
-    path = tmp_path / "ck_adam.npz"
-    save_checkpoint(net, path, state)
-    _, loaded_state = load_checkpoint(path)
-    assert loaded_state.t == 1
-    for ma, mb in zip(state.m, loaded_state.m):
-        np.testing.assert_array_equal(ma, mb)
-    for va, vb in zip(state.v, loaded_state.v):
-        np.testing.assert_array_equal(va, vb)
 
 
 def test_checkpoint_version_gate(tmp_path):
@@ -410,3 +479,16 @@ def test_checkpoint_version_gate(tmp_path):
     np.savez(tmp_path / "bad.npz", **arrays)
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "bad.npz")
+
+
+def test_checkpoint_version_2_rejected(tmp_path):
+    """A version-2 file, which may carry Adam moments, is refused."""
+    cfg = tiny_config(input_size=1)
+    net = init_network(cfg)
+    arrays = {"dense_w": net.dense_w, "dense_b": net.dense_b}
+    for k, layer in enumerate(net.layers):
+        arrays.update({f"layer{k}_W": layer.w, f"layer{k}_U": layer.u, f"layer{k}_b": layer.b})
+    meta = {"version": 2, "config": asdict(cfg), "has_adam": False, "adam_t": 0}
+    np.savez(tmp_path / "v2.npz", meta=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(DataError, match="unsupported checkpoint version 2"):
+        load_checkpoint(tmp_path / "v2.npz")
