@@ -13,6 +13,10 @@ filter's denominator buffer) is built once per fit by `_innovations_for`; an
 evaluation is one subtraction, one matrix-vector product, one `lfilter` and
 one dot product. The objective, the final sum of squares and `forecast` share
 that one innovations routine.
+
+scipy is imported on first use: `minimize` (Nelder-Mead) on the first fit and
+`lfilter` on the first innovations build. Of the commands, `run` with an ARIMA
+leg, `fit-arima`, `forecast` and `fit-garch` load it; the others never do.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
+from ._optimize import minimize
 from .errors import DataError, ModelFitError, NonConvergenceError, NonStationaryError
 
 __all__ = [
@@ -154,6 +157,8 @@ def _innovations_for(y: np.ndarray, p: int, q: int):
     observations y[p:], the lag matrix, and the [1, theta] filter denominator,
     which each call overwrites in place.
     """
+    from scipy.signal import lfilter
+
     observed = y[p:]
     lags = _lag_matrix(y, p) if p else None
     numerator = np.ones(1)

@@ -181,17 +181,21 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fit_arima(args) -> int:
+    # NaN fails both comparisons, and an infinite value fails one of them
+    if not 0.0 < args.train_frac <= 1.0:
+        raise DataError(f"--train-frac must be a finite value in (0, 1], got {args.train_frac}")
+    order = _parse_triple(args.order, int, "--order") if args.order is not None else None
+    bounds = _parse_triple(args.bounds, int, "--bounds") if args.bounds else arima_mod.DEFAULT_BOUNDS
     _, series = _load_column(args.input, args.column)
     n_fit = int(len(series) * args.train_frac)
     if n_fit < 1:
         raise DataError("--train-frac leaves no observations to fit")
     series = series[:n_fit]
-    if args.order is not None:
-        p, d, q = _parse_triple(args.order, int, "--order")
+    if order is not None:
+        p, d, q = order
         model = arima_mod.fit_arma(arima_mod.difference(series, d), p, q)
         model = replace(model, order=arima_mod.ArimaOrder(p, d, q))
     else:
-        bounds = _parse_triple(args.bounds, int, "--bounds") if args.bounds else arima_mod.DEFAULT_BOUNDS
         model = arima_mod.auto_arima(series, bounds=bounds)
     out = Path(args.out if args.out else Path(_default_out_dir()) / "arima_model.json")
     atomic_write_text(out, json.dumps(arima_mod.model_to_dict(model), indent=2, sort_keys=True) + "\n")
@@ -334,7 +338,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--column", default="PX_LAST")
     p.add_argument("--bounds", default=None, help="search bounds p,d,q (default 5,2,5)")
     p.add_argument("--order", default=None, help="skip the search and fit this exact p,d,q")
-    p.add_argument("--train-frac", type=float, default=1.0, help="fit on the first fraction of rows")
+    p.add_argument("--train-frac", type=float, default=1.0, help="fit on the first fraction of rows, in (0, 1]")
     p.add_argument("--out", default=None, help="model JSON path")
     p.set_defaults(func=_cmd_fit_arima)
 

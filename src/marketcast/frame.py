@@ -131,8 +131,8 @@ class SplitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
-        if any(f < 0 for f in self.fractions):
-            raise DataError("split fractions must be non-negative")
+        if not all(math.isfinite(f) and f >= 0 for f in self.fractions):
+            raise DataError(f"split fractions must be finite and non-negative, got {self.fractions}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise DataError(f"split fractions sum to {sum(self.fractions)}, expected 1")
 

@@ -7,6 +7,11 @@ sample variance of the residuals. The optimizer works in an unconstrained
 parameterization (log alpha0; logistic persistence and its split between
 alpha1 and beta1) so alpha0 > 0, alpha1 >= 0, beta1 >= 0 and
 alpha1 + beta1 < 1 hold by construction.
+
+scipy is imported on first use, inside the functions that call it
+(`minimize`, `lfilter`, `expit`), so importing this module loads no scipy.
+Of the commands, `run` with an ARIMA leg, `fit-arima`, `forecast` and
+`fit-garch` load it; the others never do.
 """
 
 from __future__ import annotations
@@ -16,10 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
-from scipy.special import expit
 
+from ._optimize import minimize
 from .errors import DataError, ModelFitError, NonConvergenceError
 
 __all__ = [
@@ -88,6 +91,8 @@ def garch_recursion(params: GarchParams, residuals, sigma2_0: float) -> np.ndarr
     Element t of the output is the variance the model implies for the step
     after residual t; the output has the same length as the input.
     """
+    from scipy.signal import lfilter
+
     eps = np.asarray(residuals, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise DataError("residual series contains non-finite values")
@@ -125,6 +130,8 @@ def log_likelihood(residuals, params: GarchParams, sigma2_0: float | None = None
 
 
 def _unpack(u: np.ndarray) -> tuple[float, float, float]:
+    from scipy.special import expit
+
     # clamps keep extreme simplex vertices representable: alpha0 > 0 and
     # alpha1 + beta1 strictly below 1 even when expit saturates
     with np.errstate(over="ignore"):
@@ -147,6 +154,8 @@ def fit_garch11(residuals) -> GarchParams:
     LL_TIE_NATS the lower-persistence solution is preferred. A persistence
     estimate at or above 0.999 triggers a boundary warning.
     """
+    from scipy.signal import lfilter
+
     eps = np.asarray(residuals, dtype=float)
     n = len(eps)
     if n < MIN_OBS:

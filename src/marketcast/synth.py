@@ -17,7 +17,7 @@ given (seed, n_days, regimes) is byte-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 
 import numpy as np
@@ -57,6 +57,10 @@ class RegimeSpec:
     start_price: float = 1700.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 < self.break_fraction <= 1.0:
             raise ValueError("break_fraction must be in (0, 1]")
         if self.vol_before < 0 or self.vol_after < 0:

@@ -279,7 +279,14 @@ def test_usage_errors_exit_1(args):
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("flag", [("--break-frac", "0"), ("--vol-after", "-1"), ("--start-price", "0")])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ("--break-frac", "0"), ("--vol-after", "-1"), ("--start-price", "0"),
+        ("--vol-before", "nan"), ("--drift-before", "nan"), ("--start-price", "nan"),
+        ("--vol-after", "inf"), ("--drift-after", "inf"), ("--break-frac", "nan"),
+    ],
+)
 def test_synth_bad_regime_exits_2(tmp_path, capsys, flag):
     out = tmp_path / "x.csv"
     assert cli.main(["synth", "--out", str(out), *flag]) == 2
@@ -341,7 +348,10 @@ def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, bad):
 
 @pytest.mark.parametrize(
     "flag",
-    [("--hidden", "0"), ("--dropout", "1.0"), ("--lr", "0"), ("--batch", "0"), ("--epochs", "0"), ("--patience", "-1")],
+    [
+        ("--hidden", "0"), ("--dropout", "1.0"), ("--lr", "0"), ("--batch", "0"), ("--epochs", "0"),
+        ("--patience", "-1"), ("--splits", "0.6,nan,0.2"), ("--splits", "0.6,0.2,inf"),
+    ],
 )
 def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, flag):
     def no_preprocessing(*args, **kwargs):
@@ -351,6 +361,22 @@ def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, 
     out = tmp_path / "out"
     assert cli.main(["run", "--input", str(tmp_path / "x.csv"), "--out-dir", str(out), *flag]) == 2
     assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_features_non_finite_splits_exit_2_before_ingest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "load_csv", lambda *a, **k: pytest.fail("preprocessing started"))
+    assert cli.main(["features", "--input", str(tmp_path / "x.csv"), "--splits", "nan,0.2,0.2"]) == 2
+    assert "split fractions must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frac", ["nan", "inf", "-inf", "1.5", "0", "-0.1"])
+def test_fit_arima_bad_train_frac_exits_2_before_reading(tmp_path, monkeypatch, capsys, frac):
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("the CSV was read"))
+    out = tmp_path / "m.json"
+    argv = ["fit-arima", "--input", str(tmp_path / "x.csv"), f"--train-frac={frac}", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "--train-frac must be a finite value in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 

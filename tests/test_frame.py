@@ -179,6 +179,15 @@ def test_split_spec_validation():
         SplitSpec(fractions=(0.5, 0.6))
 
 
+@pytest.mark.parametrize(
+    "fractions",
+    [(math.nan, 0.2, 0.2), (0.6, math.nan, 0.2), (0.6, 0.2, math.inf), (-math.inf, 0.5, 0.5), (1.2, -0.2, 0.0)],
+)
+def test_split_spec_rejects_non_finite_and_negative(fractions):
+    with pytest.raises(DataError, match="finite and non-negative"):
+        SplitSpec(fractions=fractions)
+
+
 # ---------------------------------------------------------------- scaler
 
 

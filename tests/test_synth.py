@@ -80,6 +80,14 @@ def test_validation_errors():
         RegimeSpec(start_price=0.0)
 
 
+@pytest.mark.parametrize("field", ["break_fraction", "drift_before", "vol_before", "drift_after",
+                                   "vol_after", "start_price"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_regime_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RegimeSpec(**{field: value})
+
+
 def test_write_csv_format(tmp_path):
     frame = generate(seed=2, n_days=45)
     out = tmp_path / "prices.csv"
