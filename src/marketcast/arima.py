@@ -15,8 +15,9 @@ one dot product. The objective, the final sum of squares and `forecast` share
 that one innovations routine.
 
 scipy is imported on first use: `minimize` (Nelder-Mead) on the first fit and
-`lfilter` on the first innovations build. Of the commands, `run` with an ARIMA
-leg, `fit-arima`, `forecast` and `fit-garch` load it; the others never do.
+`lfilter` on the first innovations build with q > 0. Of the commands, `run`
+with an ARIMA leg, `fit-arima`, `forecast` of a model with MA terms and
+`fit-garch` load it; the others, and `forecast` of a pure-AR model, never do.
 """
 
 from __future__ import annotations
@@ -155,9 +156,11 @@ def _innovations_for(y: np.ndarray, p: int, q: int):
 
     Everything that depends only on (y, p, q) is made here, once: the
     observations y[p:], the lag matrix, and the [1, theta] filter denominator,
-    which each call overwrites in place.
+    which each call overwrites in place. scipy's `lfilter` is imported only
+    for q > 0, so a pure-AR model forecasts without scipy.
     """
-    from scipy.signal import lfilter
+    if q:
+        from scipy.signal import lfilter
 
     observed = y[p:]
     lags = _lag_matrix(y, p) if p else None

@@ -38,6 +38,8 @@ __all__ = [
     "make_windows",
 ]
 
+DATE_COLUMN = "DATE"
+
 
 def _freeze(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -84,15 +86,6 @@ class TimeSeriesFrame:
             columns={name: vals[start:stop] for name, vals in self.columns.items()},
         )
 
-    def restrict(self, names) -> "TimeSeriesFrame":
-        """Keep only the given columns, in the given order."""
-        missing = [n for n in names if n not in self.columns]
-        if missing:
-            raise DataError(f"no column named {missing[0]!r}")
-        return TimeSeriesFrame(
-            dates=self.dates, columns={n: self.columns[n] for n in names}
-        )
-
     def with_columns(self, new: dict[str, np.ndarray]) -> "TimeSeriesFrame":
         """Add or replace columns."""
         merged = dict(self.columns)
@@ -114,13 +107,6 @@ class ScalerParams:
 
     def to_dict(self) -> dict:
         return {name: [self.mins[name], self.maxs[name]] for name in self.mins}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(
-            mins={name: float(lo) for name, (lo, hi) in d.items()},
-            maxs={name: float(hi) for name, (lo, hi) in d.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -177,7 +163,7 @@ def _parse_date(text: str, where: str) -> date:
         raise DataError(f"{where}: unparseable date {text!r}") from exc
 
 
-def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
+def load_csv(path) -> TimeSeriesFrame:
     """Load a header-ed CSV into a frame, sorting rows by date.
 
     Non-date columns are parsed as floats; unparseable or empty cells (and a
@@ -197,9 +183,9 @@ def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         header = [h.strip() for h in header]
-        if date_column not in header:
-            raise DataError(f"date column {date_column!r} not in header {header}")
-        date_idx = header.index(date_column)
+        if DATE_COLUMN not in header:
+            raise DataError(f"date column {DATE_COLUMN!r} not in header {header}")
+        date_idx = header.index(DATE_COLUMN)
         value_names = [h for i, h in enumerate(header) if i != date_idx]
         records = []
         for row in reader:
@@ -209,7 +195,7 @@ def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
             if date_idx >= len(row):
                 raise DataError(
                     f"{path}: line {line} has {len(row)} cells, "
-                    f"too few to reach the {date_column!r} column"
+                    f"too few to reach the {DATE_COLUMN!r} column"
                 )
             if len(row) > len(header):
                 raise DataError(
@@ -241,8 +227,8 @@ def load_csv(path, date_column: str = "DATE") -> TimeSeriesFrame:
     return TimeSeriesFrame(dates=dates, columns=columns)
 
 
-def write_csv(frame: TimeSeriesFrame, path, formats: dict[str, str] | None = None, date_column: str = "DATE") -> None:
-    """Write a frame as CSV with the date column first.
+def write_csv(frame: TimeSeriesFrame, path, formats: dict[str, str] | None = None) -> None:
+    """Write a frame as CSV with the DATE column first.
 
     NaN cells become empty strings; `formats` maps column name to a
     str.format template (default "{:.6f}"). Output uses \\n line endings so
@@ -250,7 +236,7 @@ def write_csv(frame: TimeSeriesFrame, path, formats: dict[str, str] | None = Non
     """
     formats = formats or {}
     names = frame.column_names
-    lines = [date_column + "," + ",".join(names)]
+    lines = [DATE_COLUMN + "," + ",".join(names)]
     for i, d in enumerate(frame.dates):
         cells = [d.isoformat()]
         for name in names:

@@ -32,7 +32,6 @@ __all__ = [
     "garch_state",
     "log_likelihood",
     "fit_garch11",
-    "forecast_variance",
     "simulate_garch11",
 ]
 
@@ -227,26 +226,6 @@ def fit_garch11(residuals) -> GarchParams:
             stacklevel=2,
         )
     return GarchParams(alpha0=alpha0, alpha1=alpha1, beta1=beta1)
-
-
-def forecast_variance(params: GarchParams, last_sigma2: float, last_eps: float, steps: int) -> np.ndarray:
-    """Variance forecasts 1..steps ahead of the last observed residual.
-
-    One step ahead applies the recursion exactly; beyond that E[eps^2] is
-    replaced by sigma2, giving geometric decay toward the long-run variance.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not (np.isfinite(last_sigma2) and np.isfinite(last_eps) and last_sigma2 > 0):
-        raise DataError("last_sigma2 must be positive and inputs finite")
-    if params.alpha1 + params.beta1 >= 1:
-        raise ModelFitError("persistence >= 1: no finite long-run variance")
-    out = np.empty(steps)
-    out[0] = params.alpha0 + params.alpha1 * last_eps**2 + params.beta1 * last_sigma2
-    lrv = params.long_run_variance
-    for h in range(1, steps):
-        out[h] = lrv + params.persistence * (out[h - 1] - lrv)
-    return out
 
 
 def simulate_garch11(params: GarchParams, n: int, rng: np.random.Generator, burn: int = 500) -> np.ndarray:

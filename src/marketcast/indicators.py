@@ -9,9 +9,6 @@ of vendor-sourced ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import DataError
@@ -20,54 +17,12 @@ from .frame import TimeSeriesFrame
 TRADING_DAYS_PER_YEAR = 252
 
 __all__ = [
-    "IndicatorKind",
-    "IndicatorSpec",
     "sma",
     "rsi",
     "rolling_volatility",
     "high_low_diff",
     "derive_indicators",
-    "DEFAULT_INDICATORS",
 ]
-
-
-class IndicatorKind(str, Enum):
-    SMA = "SMA"
-    RSI = "RSI"
-    ROLLING_VOL = "ROLLING_VOL"
-    HIGH_LOW_DIFF = "HIGH_LOW_DIFF"
-
-
-@dataclass(frozen=True)
-class IndicatorSpec:
-    """One derived column: what to compute, over which period, from which input."""
-
-    kind: IndicatorKind
-    period: int = 1
-    sources: tuple[str, ...] = ("PX_LAST",)
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError("indicator period must be >= 1")
-
-    @property
-    def column_name(self) -> str:
-        if self.kind is IndicatorKind.SMA:
-            return f"MOV_AVG_{self.period}D"
-        if self.kind is IndicatorKind.RSI:
-            return f"RSI_{self.period}D"
-        if self.kind is IndicatorKind.ROLLING_VOL:
-            return f"VOLATILITY_{self.period}D"
-        return "PX_HIGH_LOW_DIFFERENCE"
-
-
-DEFAULT_INDICATORS = (
-    IndicatorSpec(IndicatorKind.SMA, 50),
-    IndicatorSpec(IndicatorKind.SMA, 200),
-    IndicatorSpec(IndicatorKind.RSI, 14),
-    IndicatorSpec(IndicatorKind.ROLLING_VOL, 30),
-    IndicatorSpec(IndicatorKind.HIGH_LOW_DIFF, sources=("PX_HIGH", "PX_LOW")),
-)
 
 
 def sma(series, n: int) -> np.ndarray:
@@ -148,36 +103,24 @@ def high_low_diff(high, low) -> np.ndarray:
     return high - low
 
 
-def derive_indicators(
-    frame: TimeSeriesFrame,
-    specs=DEFAULT_INDICATORS,
-    price_column: str = "PX_LAST",
-) -> TimeSeriesFrame:
-    """Append indicator columns that are absent and whose sources exist.
+def derive_indicators(frame: TimeSeriesFrame, price_column: str = "PX_LAST") -> TimeSeriesFrame:
+    """Append the five indicator columns that are absent and whose sources exist.
 
-    Price-based indicators read `price_column`; the high-low range needs both
-    of its source columns. Specs whose sources are missing are skipped so the
-    pipeline runs on price-only datasets.
+    MOV_AVG_50D, MOV_AVG_200D, RSI_14D and VOLATILITY_30D read `price_column`;
+    PX_HIGH_LOW_DIFFERENCE needs PX_HIGH and PX_LOW. A column whose sources
+    are missing is skipped so the pipeline runs on price-only datasets.
     """
     new: dict[str, np.ndarray] = {}
-    for spec in specs:
-        name = spec.column_name
-        if name in frame.columns:
-            continue
-        if spec.kind is IndicatorKind.HIGH_LOW_DIFF:
-            if not all(src in frame.columns for src in spec.sources):
-                continue
-            new[name] = high_low_diff(
-                frame.column(spec.sources[0]), frame.column(spec.sources[1])
-            )
-            continue
-        if price_column not in frame.columns:
-            continue
+    if price_column in frame.columns:
         prices = frame.column(price_column)
-        if spec.kind is IndicatorKind.SMA:
-            new[name] = sma(prices, spec.period)
-        elif spec.kind is IndicatorKind.RSI:
-            new[name] = rsi(prices, spec.period)
-        elif spec.kind is IndicatorKind.ROLLING_VOL:
-            new[name] = rolling_volatility(prices, spec.period)
+        for name, indicator, period in (
+            ("MOV_AVG_50D", sma, 50),
+            ("MOV_AVG_200D", sma, 200),
+            ("RSI_14D", rsi, 14),
+            ("VOLATILITY_30D", rolling_volatility, 30),
+        ):
+            if name not in frame.columns:
+                new[name] = indicator(prices, period)
+    if "PX_HIGH_LOW_DIFFERENCE" not in frame.columns and {"PX_HIGH", "PX_LOW"} <= frame.columns.keys():
+        new["PX_HIGH_LOW_DIFFERENCE"] = high_low_diff(frame.column("PX_HIGH"), frame.column("PX_LOW"))
     return frame.with_columns(new) if new else frame

@@ -56,7 +56,6 @@ __all__ = [
     "TrainingHistory",
     "init_network",
     "forward",
-    "mse_loss",
     "backward",
     "adam_step",
     "train",
@@ -70,6 +69,8 @@ CHECKPOINT_VERSION = 3
 # (the (W, 4H, EVAL_CHUNK) gate buffer is 28 MB at W=216, H=64) below a
 # training step's forward caches
 EVAL_CHUNK = 64
+# Adam moment decay rates and denominator guard, the published defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -303,17 +301,6 @@ def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Gen
     return float(preds[0]), caches
 
 
-def mse_loss(predictions, targets) -> float:
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise DataError(f"shape mismatch: {predictions.shape} vs {targets.shape}")
-    if predictions.size == 0:
-        raise DataError("empty prediction vector")
-    diff = predictions - targets
-    return float(np.mean(diff * diff))
-
-
 def backward(network: LstmNetwork, caches: dict, dloss_dpred) -> list[np.ndarray]:
     """Gradients for every parameter, ordered like network.parameters().
 
@@ -384,16 +371,16 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter, gradient, and state lengths disagree")
     state.t += 1
-    correction1 = 1.0 - state.beta1**state.t
-    correction2 = 1.0 - state.beta2**state.t
+    correction1 = 1.0 - ADAM_BETA1**state.t
+    correction2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / correction1
         v_hat = v / correction2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 

@@ -16,7 +16,7 @@ comparable. Windows are built over the whole frame and partitioned by target
 row; a window may therefore read rows from before its own split, which is
 ordinary use of past data and leaks nothing from the future. All artifact
 writes are atomic (temp file + rename) and a failed stage removes whatever
-was already written.
+was already written, and the directories the run made for it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .frame import (
     split_bounds,
     write_csv,
 )
-from .indicators import DEFAULT_INDICATORS, derive_indicators
+from .indicators import derive_indicators
 from .lstm import LstmConfig, init_network, predict_series, save_checkpoint, train
 
 __all__ = [
@@ -223,10 +223,25 @@ class RunArtifacts:
 
 
 class Writer:
-    """Atomic file writes with rollback of everything written so far."""
+    """Atomic file writes with rollback of everything written so far,
+    and of the directories made for them."""
 
     def __init__(self):
         self.written: list[Path] = []
+        self.made_dirs: list[Path] = []
+
+    def mkdir(self, path: Path):
+        """Create `path` and its missing parents, remembering each one made."""
+        missing = []
+        while not path.exists():
+            missing.append(path)
+            path = path.parent
+        for made in reversed(missing):
+            try:
+                made.mkdir()
+            except OSError as exc:
+                raise DataError(f"cannot create {made}: {exc.strerror or exc}") from exc
+            self.made_dirs.append(made)
 
     def text(self, path: Path, content: str):
         atomic_write_text(path, content)
@@ -240,6 +255,11 @@ class Writer:
         for path in self.written:
             try:
                 os.unlink(path)
+            except OSError:
+                pass
+        for made in reversed(self.made_dirs):  # deepest first; never a non-empty one
+            try:
+                made.rmdir()
             except OSError:
                 pass
 
@@ -331,7 +351,7 @@ def prepare(config: PipelineConfig) -> Prepared:
             raise DataError(f"target column {config.target_column!r} not in input")
 
         stage = "indicators"
-        enriched = derive_indicators(filled, DEFAULT_INDICATORS, price_column=config.target_column)
+        enriched = derive_indicators(filled, price_column=config.target_column)
         # indicator warmup rows carry leading NaN; a second fill drops them
         enriched = forward_fill(enriched)
 
@@ -381,12 +401,8 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         raise DataError(f"unknown dump stage {sorted(unknown)[0]!r}")
 
     prep = prepare(config)
-    # only a run that got through preprocessing creates its directories
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stage_dir = out_dir / "stages"
-    if dump:
-        stage_dir.mkdir(exist_ok=True)
     target = config.target_column
     features_json = json.dumps(
         {
@@ -414,8 +430,12 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
             writer.text(path, content)
         stages_written[name] = str(path)
 
-    stage = "dump"
+    stage = "output"
     try:
+        # only a run that got through preprocessing creates its directories
+        writer.mkdir(stage_dir if dump else out_dir)
+
+        stage = "dump"
         _dump("filled", "filled.csv", lambda tmp: write_csv(prep.filled, tmp))
         _dump("enriched", "enriched.csv", lambda tmp: write_csv(prep.enriched, tmp))
         _dump("scaler", "scaler.json", json.dumps(prep.scaler.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -140,9 +140,6 @@ def generate(seed: int, n_days: int, regimes: RegimeSpec = RegimeSpec()) -> Time
     )
 
 
-def write_csv(frame: TimeSeriesFrame, path, formats: dict[str, str] | None = None) -> None:
+def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame as CSV with DATE first, using the price-data formats."""
-    fmts = dict(COLUMN_FORMATS)
-    if formats:
-        fmts.update(formats)
-    _write_frame_csv(frame, path, formats=fmts)
+    _write_frame_csv(frame, path, formats=COLUMN_FORMATS)

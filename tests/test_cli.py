@@ -213,6 +213,26 @@ def test_fit_arima_then_forecast(synth_csv, tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1],
+        {"order": 5},
+        {"order": [1, 1, 0], "phi": [0.5], "theta": [], "intercept": None,
+         "sigma2": 1.0, "n_obs": 100, "aic": 10.0},
+    ],
+    ids=["list", "scalar-order", "null-intercept"],
+)
+def test_forecast_malformed_model_exits_2(synth_csv, tmp_path, capsys, payload):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "preds.csv"
+    code = cli.main(["forecast", "--model", str(model), "--input", str(synth_csv), "--steps", "5", "--out", str(out)])
+    assert code == 2
+    assert "error: malformed model file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_garch_outputs(synth_csv, tmp_path):
     params_path = tmp_path / "params.json"
     csv_path = tmp_path / "var.csv"

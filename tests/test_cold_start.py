@@ -36,6 +36,7 @@ def test_commands_without_a_model_fit_run_without_scipy(tmp_path):
     # fit-garch, which needs scipy, shows that the block holds
     proc = run_python(
         """
+        import json
         import sys
         sys.modules["scipy"] = None
         from marketcast import cli
@@ -49,6 +50,13 @@ def test_commands_without_a_model_fit_run_without_scipy(tmp_path):
             ["chart", "--input", "out/predictions_lstm.csv", "--out", "chart.svg"],
         ]
         codes = {argv[0]: cli.main(argv) for argv in commands}
+        # a pure-AR model forecasts without the MA filter, so without scipy
+        with open("ar.json", "w") as fh:
+            json.dump({"order": [2, 1, 0], "phi": [0.3, -0.1], "theta": [], "intercept": 0.01,
+                       "sigma2": 1.0, "n_obs": 300, "aic": 900.0}, fh)
+        for mode in ("static", "rolling"):
+            codes[f"forecast {mode}"] = cli.main(["forecast", "--model", "ar.json", "--input", "prices.csv",
+                                                  "--steps", "20", "--mode", mode, "--out", f"{mode}.csv"])
         try:
             cli.main(["fit-garch", "--input", "prices.csv", "--out-params", "g.json", "--out-csv", "g.csv"])
         except ImportError:
@@ -58,7 +66,9 @@ def test_commands_without_a_model_fit_run_without_scipy(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    codes = {name: 0 for name in ("synth", "features", "run", "evaluate", "chart")}
+    names = ("synth", "features", "run", "evaluate", "chart", "forecast static", "forecast rolling")
+    codes = {name: 0 for name in names}
     codes["fit-garch"] = "ImportError"
     assert proc.stdout.splitlines()[-1] == str(codes), proc.stderr
     assert (tmp_path / "chart.svg").is_file()
+    assert (tmp_path / "static.csv").is_file() and (tmp_path / "rolling.csv").is_file()

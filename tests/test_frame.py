@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from marketcast.errors import DataError
 from marketcast.frame import (
-    ScalerParams,
     SplitSpec,
     TimeSeriesFrame,
     apply_scaler,
@@ -229,12 +228,6 @@ def test_scaler_round_trip(vals):
     assert np.max(np.abs(back - f.column("A"))) <= 1e-12 * scale
 
 
-def test_scaler_params_serialization_round_trip():
-    params = fit_scaler(frame_of(A=[1.0, 2.0], B=[-3.0, 4.5]))
-    again = ScalerParams.from_dict(params.to_dict())
-    assert again.mins == params.mins and again.maxs == params.maxs
-
-
 # ---------------------------------------------------------------- correlations
 
 
@@ -337,12 +330,10 @@ def test_windowed_dataset_subset():
 # ---------------------------------------------------------------- frame ops
 
 
-def test_rows_restrict_with_columns():
+def test_rows_with_columns():
     f = frame_of(A=[1.0, 2.0, 3.0], B=[4.0, 5.0, 6.0])
     r = f.rows(1, 3)
     assert r.column("A").tolist() == [2.0, 3.0] and len(r.dates) == 2
-    only_b = f.restrict(["B"])
-    assert only_b.column_names == ["B"]
     g = f.with_columns({"C": np.array([7.0, 8.0, 9.0])})
     assert g.column_names == ["A", "B", "C"]
     assert f.column_names == ["A", "B"]

@@ -10,7 +10,6 @@ from marketcast.errors import DataError, ModelFitError
 from marketcast.garch import (
     GarchParams,
     fit_garch11,
-    forecast_variance,
     garch_recursion,
     garch_state,
     log_likelihood,
@@ -145,32 +144,6 @@ def test_fit_input_gates():
     bad[10] = math.inf
     with pytest.raises(DataError):
         fit_garch11(bad)
-
-
-# ---------------------------------------------------------------- forecasting
-
-
-def test_forecast_variance_matches_hand_recursion():
-    p = GarchParams(0.1, 0.1, 0.8)
-    out = forecast_variance(p, last_sigma2=2.0, last_eps=1.5, steps=5)
-    want = [0.1 + 0.1 * 1.5**2 + 0.8 * 2.0]
-    for _ in range(4):
-        want.append(0.1 + (0.1 + 0.8) * want[-1])
-    np.testing.assert_allclose(out, want, rtol=1e-12)
-
-
-def test_forecast_variance_decays_to_long_run():
-    p = GarchParams(0.05, 0.08, 0.9)
-    out = forecast_variance(p, last_sigma2=30.0, last_eps=0.0, steps=2000)
-    lrv = p.long_run_variance
-    diffs = np.abs(out - lrv)
-    assert (np.diff(diffs) <= 1e-12).all()
-    assert out[-1] == pytest.approx(lrv, rel=1e-6)
-
-
-def test_forecast_variance_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        forecast_variance(GarchParams(0.1, 0.1, 0.8), 1.0, 0.0, 0)
 
 
 # ---------------------------------------------------------------- simulation

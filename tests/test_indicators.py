@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from marketcast.errors import DataError
 from marketcast.indicators import (
-    DEFAULT_INDICATORS,
-    IndicatorKind,
-    IndicatorSpec,
     TRADING_DAYS_PER_YEAR,
     derive_indicators,
     high_low_diff,
@@ -169,7 +166,7 @@ def test_derive_indicators_default_columns(rng):
         PX_LOW=px * 0.99,
     )
     out = derive_indicators(f)
-    assert set(out.column_names) == {
+    assert out.column_names == [
         "PX_LAST",
         "PX_HIGH",
         "PX_LOW",
@@ -178,7 +175,7 @@ def test_derive_indicators_default_columns(rng):
         "RSI_14D",
         "VOLATILITY_30D",
         "PX_HIGH_LOW_DIFFERENCE",
-    }
+    ]
     # the 200-day average drives the warmup length
     assert np.isnan(out.column("MOV_AVG_200D")[:199]).all()
     assert np.isfinite(out.column("MOV_AVG_200D")[199:]).all()
@@ -199,15 +196,3 @@ def test_derive_indicators_keeps_existing_columns(rng):
     out = derive_indicators(f)
     np.testing.assert_array_equal(out.column("RSI_14D"), sentinel)
 
-
-def test_indicator_spec_names():
-    assert IndicatorSpec(IndicatorKind.SMA, 50).column_name == "MOV_AVG_50D"
-    assert IndicatorSpec(IndicatorKind.RSI, 14).column_name == "RSI_14D"
-    assert IndicatorSpec(IndicatorKind.ROLLING_VOL, 30).column_name == "VOLATILITY_30D"
-    assert (
-        IndicatorSpec(IndicatorKind.HIGH_LOW_DIFF, sources=("PX_HIGH", "PX_LOW")).column_name
-        == "PX_HIGH_LOW_DIFFERENCE"
-    )
-    with pytest.raises(ValueError):
-        IndicatorSpec(IndicatorKind.SMA, 0)
-    assert len(DEFAULT_INDICATORS) == 5

@@ -22,7 +22,6 @@ from marketcast.lstm import (
     forward,
     init_network,
     load_checkpoint,
-    mse_loss,
     predict_series,
     save_checkpoint,
     train,
@@ -439,14 +438,6 @@ def test_saturated_gates_are_exact_and_silent(rng):
     assert np.all(np.isfinite(preds))
     assert np.all(np.isfinite(batch))
     assert all(np.all(np.isfinite(g)) for g in grads)
-
-
-def test_mse_loss_guards():
-    assert mse_loss([1.0, 3.0], [0.0, 1.0]) == pytest.approx(2.5)
-    with pytest.raises(DataError):
-        mse_loss([1.0], [1.0, 2.0])
-    with pytest.raises(DataError):
-        mse_loss([], [])
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -199,17 +199,34 @@ def test_dump_stages(input_csv, tmp_path):
 
 def test_failed_run_rolls_back_partial_files(input_csv, tmp_path):
     # window is longer than the training split, so the windows stage fails
-    # after the filled/enriched/scaler/features dumps have been written
+    # after the filled/enriched/scaler/features dumps have been written; the
+    # directories the run made for them go too
     cfg = PipelineConfig(
         input_path=str(input_csv),
-        out_dir=str(tmp_path),
+        out_dir=str(tmp_path / "leftover" / "run"),
         window=216,
         arima_bounds=(1, 1, 1),
     )
     with pytest.raises(DataError, match="^stage windows:"):
         run_pipeline(cfg, dump_stages=("all",))
-    leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]
-    assert leftovers == []
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_failed_run_keeps_directories_it_did_not_make(input_csv, tmp_path):
+    # the empty output directory was there before the run, so it stays
+    (tmp_path / "out").mkdir()
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path / "out"), window=216)
+    with pytest.raises(DataError, match="^stage windows:"):
+        run_pipeline(cfg, dump_stages=("all",))
+    assert list(tmp_path.rglob("*")) == [tmp_path / "out"]
+
+
+def test_out_dir_under_a_file_is_a_data_error(input_csv, tmp_path):
+    (tmp_path / "afile").write_text("")
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path / "afile" / "run"), **TINY)
+    with pytest.raises(DataError, match="^stage output: cannot create"):
+        run_pipeline(cfg)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_missing_target_column_fails_with_stage_prefix(tmp_path):
