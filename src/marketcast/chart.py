@@ -40,8 +40,8 @@ def read_predictions(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read predictions file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read predictions file {path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["date", "actual", "predicted"]:
         raise DataError("predictions file must start with header date,actual,predicted")
     dates: list[date] = []

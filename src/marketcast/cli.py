@@ -45,13 +45,13 @@ from .pipeline import (
     FORECAST_MODES,
     MODEL_MODES,
     PipelineConfig,
-    Writer,
     atomic_write_text,
     atomic_write_via,
     load_config,
     prediction_rows,
     prepare,
     run_pipeline,
+    write_all,
 )
 
 OUT_DIR_ENV = "MARKETCAST_OUT"
@@ -154,9 +154,11 @@ def _cmd_synth(args) -> int:
     min_days = 216 + 1 + 10
     if args.days < min_days:
         raise DataError(f"--days must be at least {min_days} to feed the default pipeline")
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     frame = synth_mod.generate(args.seed, args.days, regimes)
     out = Path(args.out if args.out else Path(_default_out_dir()) / "synthetic_prices.csv")
-    atomic_write_via(out, lambda tmp: synth_mod.write_csv(frame, tmp), suffix=".csv")
+    atomic_write_via(out, lambda tmp: synth_mod.write_csv(frame, tmp))
     print(f"wrote {out} ({args.days} rows, seed {args.seed})")
     return 0
 
@@ -186,6 +188,9 @@ def _cmd_fit_arima(args) -> int:
         raise DataError(f"--train-frac must be a finite value in (0, 1], got {args.train_frac}")
     order = _parse_triple(args.order, int, "--order") if args.order is not None else None
     bounds = _parse_triple(args.bounds, int, "--bounds") if args.bounds else arima_mod.DEFAULT_BOUNDS
+    for flag, triple in (("--order", order), ("--bounds", bounds)):
+        if triple is not None and min(triple) < 0:
+            raise DataError(f"{flag} must be three non-negative integers, got {triple}")
     _, series = _load_column(args.input, args.column)
     n_fit = int(len(series) * args.train_frac)
     if n_fit < 1:
@@ -255,13 +260,9 @@ def _cmd_fit_garch(args) -> int:
     lines = ["date,residual,sigma2"]
     for d, e, s2 in zip(dates, state.residuals, state.sigma2):
         lines.append(f"{d.isoformat()},{e:.8f},{s2:.8f}")
-    writer = Writer()  # both files or neither
-    try:
-        writer.text(params_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        writer.text(csv_path, "\n".join(lines) + "\n")
-    except BaseException:
-        writer.rollback()
-        raise
+    write_all(  # both files or neither
+        {params_path: json.dumps(payload, indent=2, sort_keys=True) + "\n", csv_path: "\n".join(lines) + "\n"}
+    )
     print(
         f"alpha0 {params.alpha0:.6g}  alpha1 {params.alpha1:.4f}  beta1 {params.beta1:.4f}  "
         f"persistence {params.persistence:.4f}"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -163,21 +164,30 @@ def _parse_date(text: str, where: str) -> date:
         raise DataError(f"{where}: unparseable date {text!r}") from exc
 
 
+def _read_lines(path: Path):
+    """The lines of a UTF-8 text file; a failure to open, read or decode it is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def load_csv(path) -> TimeSeriesFrame:
     """Load a header-ed CSV into a frame, sorting rows by date.
 
     Non-date columns are parsed as floats; unparseable or empty cells (and a
     literal "nan") become missing (NaN). Raises DataError on a missing file,
-    a missing date column, zero data rows, or a row that is too short to hold
-    its date, has more cells than the header, has an unparseable date or an
-    infinite value, or repeats an earlier row's date; the row errors name
-    the row's 1-based line.
+    one that cannot be read or is not UTF-8, a missing date column, zero data
+    rows, or a row that is too short to hold its date, has more cells than
+    the header, has an unparseable date or an infinite value, or repeats an
+    earlier row's date; the row errors name the row's 1-based line.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with closing(_read_lines(path)) as lines:
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:

@@ -106,6 +106,8 @@ class LstmConfig:
             raise ValueError("max_epochs must be >= 1")
         if not 0 <= self.patience <= self.max_epochs:
             raise ValueError("patience must be in [0, max_epochs]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -14,9 +14,9 @@ sliding windows and executes the requested model legs:
 Both legs score the same test rows, so their metrics files are directly
 comparable. Windows are built over the whole frame and partitioned by target
 row; a window may therefore read rows from before its own split, which is
-ordinary use of past data and leaks nothing from the future. All artifact
-writes are atomic (temp file + rename) and a failed stage removes whatever
-was already written, and the directories the run made for it.
+ordinary use of past data and leaks nothing from the future. No file is
+written until every stage has run; then `write_all` writes all of them, each
+atomically (temp file + rename), or none.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -63,7 +64,7 @@ __all__ = [
     "load_config",
     "atomic_write_text",
     "atomic_write_via",
-    "Writer",
+    "write_all",
     "DUMPABLE_STAGES",
     "FORECAST_MODES",
     "MODEL_MODES",
@@ -198,8 +199,8 @@ def load_config(path, overrides: dict | None = None, defaults: dict | None = Non
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -222,61 +223,26 @@ class RunArtifacts:
     stages: dict[str, str]
 
 
-class Writer:
-    """Atomic file writes with rollback of everything written so far,
-    and of the directories made for them."""
-
-    def __init__(self):
-        self.written: list[Path] = []
-        self.made_dirs: list[Path] = []
-
-    def mkdir(self, path: Path):
-        """Create `path` and its missing parents, remembering each one made."""
-        missing = []
-        while not path.exists():
-            missing.append(path)
-            path = path.parent
-        for made in reversed(missing):
-            try:
-                made.mkdir()
-            except OSError as exc:
-                raise DataError(f"cannot create {made}: {exc.strerror or exc}") from exc
-            self.made_dirs.append(made)
-
-    def text(self, path: Path, content: str):
-        atomic_write_text(path, content)
-        self.written.append(path)
-
-    def via(self, path: Path, write_fn, suffix: str = ".tmp"):
-        atomic_write_via(path, write_fn, suffix=suffix)
-        self.written.append(path)
-
-    def rollback(self):
-        for path in self.written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        for made in reversed(self.made_dirs):  # deepest first; never a non-empty one
-            try:
-                made.rmdir()
-            except OSError:
-                pass
+@contextmanager
+def _stage(name: str):
+    """Prefix a MarketcastError raised inside with `stage <name>: ` and re-raise it."""
+    try:
+        yield
+    except MarketcastError as exc:
+        head = exc.args[0] if exc.args else str(exc)
+        exc.args = (f"stage {name}: {head}",) + tuple(exc.args[1:])
+        raise
 
 
-def _stage_guard(name: str, exc: MarketcastError):
-    head = exc.args[0] if exc.args else str(exc)
-    exc.args = (f"stage {name}: {head}",) + tuple(exc.args[1:])
-
-
-def _atomic_write(path, write_fn, suffix: str) -> None:
+def _atomic_write(path, write_fn) -> None:
     """write_fn(tmp) fills a temp file beside `path`, which then replaces it.
 
-    Any OS failure, such as a missing directory, is a DataError naming `path`.
+    The temp file takes `path`'s suffix, which np.savez needs. Any OS
+    failure, such as a missing directory, is a DataError naming `path`.
     """
     path = Path(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=suffix)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=path.suffix)
         os.close(fd)
         try:
             write_fn(tmp)
@@ -296,12 +262,49 @@ def atomic_write_text(path, content: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
 
-    _atomic_write(path, _write, ".tmp")
+    _atomic_write(path, _write)
 
 
-def atomic_write_via(path, write_fn, suffix: str = ".tmp") -> None:
+def atomic_write_via(path, write_fn) -> None:
     """Atomic variant for writers that need a path (np.savez, write_csv)."""
-    _atomic_write(path, write_fn, suffix)
+    _atomic_write(path, write_fn)
+
+
+def write_all(files: dict, new_dir=None) -> None:
+    """Write every file of `files` (path -> text, or a write_fn(tmp)), or none.
+
+    `new_dir` and its missing parents are created first. On any exception,
+    the files already written are removed, then the directories made here,
+    deepest first, and the exception propagates. A directory that existed
+    before is never removed.
+    """
+    made: list[Path] = []
+    written: list[Path] = []
+    try:
+        if new_dir is not None:
+            new_dir = Path(new_dir)
+            for path in reversed([new_dir, *new_dir.parents]):
+                if path.exists():
+                    continue
+                try:
+                    path.mkdir()
+                except OSError as exc:
+                    raise DataError(f"cannot create {path}: {exc.strerror or exc}") from exc
+                made.append(path)
+        for path, content in files.items():
+            if callable(content):
+                atomic_write_via(path, content)
+            else:
+                atomic_write_text(path, content)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with suppress(OSError):
+                os.unlink(path)
+        for path in reversed(made):
+            with suppress(OSError):
+                path.rmdir()
+        raise
 
 
 def prediction_rows(dates, actual: np.ndarray, preds: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
@@ -341,40 +344,31 @@ def prepare(config: PipelineConfig) -> Prepared:
 
     A failure is re-raised with the name of its stage as a prefix.
     """
-    stage = "ingest"
-    try:
+    with _stage("ingest"):
         frame = load_csv(config.input_path)
-
-        stage = "fill"
+    with _stage("fill"):
         filled = forward_fill(frame)
         if config.target_column not in filled.columns:
             raise DataError(f"target column {config.target_column!r} not in input")
-
-        stage = "indicators"
+    with _stage("indicators"):
         enriched = derive_indicators(filled, price_column=config.target_column)
         # indicator warmup rows carry leading NaN; a second fill drops them
         enriched = forward_fill(enriched)
-
-        stage = "split"
+    with _stage("split"):
         n = len(enriched)
         bounds = split_bounds(n, SplitSpec(config.splits))
         b1, b2 = bounds[1], bounds[2]
         if min(b1, b2 - b1, n - b2) < 0 or n - b2 < 2:
             raise DataError(f"test split has {n - b2} rows; need at least 2")
-
-        stage = "scale"
+    with _stage("scale"):
         scaler = fit_scaler(enriched.rows(0, b1))
         scaled = apply_scaler(enriched, scaler)
-
-        stage = "features"
+    with _stage("features"):
         correlations = correlation_vector(enriched.rows(0, b1), config.target_column)
         if config.feature_mode == "with_features":
             selected = select_features(correlations, config.corr_threshold)
         else:
             selected = []
-    except MarketcastError as exc:
-        _stage_guard(stage, exc)
-        raise
     return Prepared(
         filled=filled,
         enriched=enriched,
@@ -388,7 +382,7 @@ def prepare(config: PipelineConfig) -> Prepared:
 
 
 def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
-    """Execute the configured experiment and write all artifacts.
+    """Execute the configured experiment, then write all artifacts or none.
 
     `dump_stages` is a collection of DUMPABLE_STAGES names (or "all"); each
     requested intermediate lands under <out_dir>/stages/.
@@ -416,32 +410,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         sort_keys=True,
     ) + "\n"
 
-    writer = Writer()
-    stages_written: dict[str, str] = {}
-
-    def _dump(name: str, filename: str, content):
-        """Write a requested stage file; `content` is text or a write_fn(tmp)."""
-        if name not in dump:
-            return
-        path = stage_dir / filename
-        if callable(content):
-            writer.via(path, content, suffix=path.suffix)
-        else:
-            writer.text(path, content)
-        stages_written[name] = str(path)
-
-    stage = "output"
-    try:
-        # only a run that got through preprocessing creates its directories
-        writer.mkdir(stage_dir if dump else out_dir)
-
-        stage = "dump"
-        _dump("filled", "filled.csv", lambda tmp: write_csv(prep.filled, tmp))
-        _dump("enriched", "enriched.csv", lambda tmp: write_csv(prep.enriched, tmp))
-        _dump("scaler", "scaler.json", json.dumps(prep.scaler.to_dict(), indent=2, sort_keys=True) + "\n")
-        _dump("features", "features.json", features_json)
-
-        stage = "windows"
+    with _stage("windows"):
         _, b1, b2, n = prep.bounds
         windows = make_windows(prep.scaled, prep.window_columns, target, config.window, config.horizon)
         target_rows = np.arange(len(windows)) + config.window + config.horizon - 1
@@ -455,10 +424,17 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
             )
         if len(test_ds) != n - b2:
             raise DataError("test windows do not cover the test split")
-        _dump(
-            "windows",
-            "windows.npz",
-            lambda tmp: np.savez(
+
+    # every output, path -> text or a write_fn(tmp), in the order it is written;
+    # a dumped stage's file is named after the stage
+    files = {
+        stage_dir / filename: content
+        for filename, content in {
+            "filled.csv": lambda tmp: write_csv(prep.filled, tmp),
+            "enriched.csv": lambda tmp: write_csv(prep.enriched, tmp),
+            "scaler.json": json.dumps(prep.scaler.to_dict(), indent=2, sort_keys=True) + "\n",
+            "features.json": features_json,
+            "windows.npz": lambda tmp: np.savez(
                 tmp,
                 train_inputs=train_ds.inputs,
                 train_targets=train_ds.targets,
@@ -467,79 +443,59 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
                 test_inputs=test_ds.inputs,
                 test_targets=test_ds.targets,
             ),
-        )
+        }.items()
+        if Path(filename).stem in dump
+    }
+    stages_written = {path.stem: str(path) for path in files}
 
-        prices = prep.enriched.column(target)
-        test_dates = prep.enriched.dates[b2:]
-        actual_test = prices[b2:]
+    prices = prep.enriched.column(target)
+    test_dates = prep.enriched.dates[b2:]
+    actual_test = prices[b2:]
+    legs = [leg for leg in ("arima", "lstm") if config.model_mode in (leg, "both")]
 
-        predictions: dict[str, str] = {}
-        metric_files: dict[str, str] = {}
-        chart_files: dict[str, str] = {}
-        arima_model_path: str | None = None
-        checkpoint_path: str | None = None
+    def _add_leg(leg: str, preds: np.ndarray):
+        all_dates, all_actual, all_preds = prediction_rows(prep.enriched.dates, prices, preds)
+        files[out_dir / f"predictions_{leg}.csv"] = format_predictions(all_dates, all_actual, all_preds)
+        rep = metrics_mod.report(test_dates, actual_test, preds)
+        files[out_dir / f"metrics_{leg}.txt"] = metrics_mod.format_report(rep)
+        svg = render_chart(all_dates, all_actual, all_preds, title=f"{leg} forecast vs actual")
+        files[out_dir / f"chart_{leg}.svg"] = svg
 
-        def _emit_leg(leg: str, preds: np.ndarray):
-            all_dates, all_actual, all_preds = prediction_rows(prep.enriched.dates, prices, preds)
-            pred_path = out_dir / f"predictions_{leg}.csv"
-            writer.text(pred_path, format_predictions(all_dates, all_actual, all_preds))
-            predictions[leg] = str(pred_path)
-
-            rep = metrics_mod.report(test_dates, actual_test, preds)
-            met_path = out_dir / f"metrics_{leg}.txt"
-            writer.text(met_path, metrics_mod.format_report(rep))
-            metric_files[leg] = str(met_path)
-
-            svg = render_chart(all_dates, all_actual, all_preds, title=f"{leg} forecast vs actual")
-            chart_path = out_dir / f"chart_{leg}.svg"
-            writer.text(chart_path, svg)
-            chart_files[leg] = str(chart_path)
-
-        if config.model_mode in ("arima", "both"):
-            stage = "arima"
+    if "arima" in legs:
+        with _stage("arima"):
             model = arima_mod.auto_arima(prices[:b2], bounds=config.arima_bounds)
             mode = arima_mod.ForecastMode(config.forecast_mode)
             history = prices[:b2] if mode is arima_mod.ForecastMode.STATIC else prices
             preds = arima_mod.forecast(model, history, n - b2, mode)
-            model_path = out_dir / "arima_model.json"
-            writer.text(
-                model_path,
-                json.dumps(arima_mod.model_to_dict(model), indent=2, sort_keys=True) + "\n",
-            )
-            arima_model_path = str(model_path)
-            _emit_leg("arima", preds)
+            model_json = json.dumps(arima_mod.model_to_dict(model), indent=2, sort_keys=True) + "\n"
+            files[out_dir / "arima_model.json"] = model_json
+            _add_leg("arima", preds)
 
-        if config.model_mode in ("lstm", "both"):
-            stage = "lstm"
+    if "lstm" in legs:
+        with _stage("lstm"):
             lcfg = config.lstm_config(input_size=len(prep.window_columns))
             network = init_network(lcfg)
             network, history = train(network, train_ds, val_ds, lcfg)
             preds_scaled = predict_series(network, test_ds)
             preds = invert_scaler(preds_scaled, target, prep.scaler)
-            ckpt_path = out_dir / "lstm_checkpoint.npz"
-            writer.via(ckpt_path, lambda tmp: save_checkpoint(network, tmp), suffix=".npz")
-            checkpoint_path = str(ckpt_path)
-            _emit_leg("lstm", preds)
+            files[out_dir / "lstm_checkpoint.npz"] = lambda tmp: save_checkpoint(network, tmp)
+            _add_leg("lstm", preds)
 
-        stage = "report"
-        features_path = out_dir / "selected_features.json"
-        writer.text(features_path, features_json)
-        resolved = asdict(config)
-        resolved["_window_includes_target"] = True
-        resolved_path = out_dir / "resolved_config.json"
-        writer.text(resolved_path, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-    except BaseException as exc:
-        writer.rollback()
-        if isinstance(exc, MarketcastError):
-            _stage_guard(stage, exc)
-        raise
+    features_path = out_dir / "selected_features.json"
+    files[features_path] = features_json
+    resolved = asdict(config)
+    resolved["_window_includes_target"] = True
+    resolved_path = out_dir / "resolved_config.json"
+    files[resolved_path] = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    with _stage("output"):
+        write_all(files, new_dir=stage_dir if dump else out_dir)
 
     return RunArtifacts(
-        predictions=predictions,
-        metrics=metric_files,
-        charts=chart_files,
-        checkpoint=checkpoint_path,
-        arima_model=arima_model_path,
+        predictions={leg: str(out_dir / f"predictions_{leg}.csv") for leg in legs},
+        metrics={leg: str(out_dir / f"metrics_{leg}.txt") for leg in legs},
+        charts={leg: str(out_dir / f"chart_{leg}.svg") for leg in legs},
+        checkpoint=str(out_dir / "lstm_checkpoint.npz") if "lstm" in legs else None,
+        arima_model=str(out_dir / "arima_model.json") if "arima" in legs else None,
         selected_features=str(features_path),
         resolved_config=str(resolved_path),
         stages=stages_written,

@@ -305,6 +305,7 @@ def test_usage_errors_exit_1(args):
         ("--break-frac", "0"), ("--vol-after", "-1"), ("--start-price", "0"),
         ("--vol-before", "nan"), ("--drift-before", "nan"), ("--start-price", "nan"),
         ("--vol-after", "inf"), ("--drift-after", "inf"), ("--break-frac", "nan"),
+        ("--seed", "-1"),
     ],
 )
 def test_synth_bad_regime_exits_2(tmp_path, capsys, flag):
@@ -352,6 +353,7 @@ def test_failed_ingest_leaves_no_directories(tmp_path, capsys):
         {"lstm_batch": 0},
         {"lstm_epochs": 0},
         {"lstm_patience": -1},
+        {"seed": -1},
     ],
 )
 def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, bad):
@@ -371,6 +373,7 @@ def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, bad):
     [
         ("--hidden", "0"), ("--dropout", "1.0"), ("--lr", "0"), ("--batch", "0"), ("--epochs", "0"),
         ("--patience", "-1"), ("--splits", "0.6,nan,0.2"), ("--splits", "0.6,0.2,inf"),
+        ("--seed", "-1"),
     ],
 )
 def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, flag):
@@ -398,6 +401,38 @@ def test_fit_arima_bad_train_frac_exits_2_before_reading(tmp_path, monkeypatch, 
     assert cli.main(argv) == 2
     assert "--train-frac must be a finite value in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("triple", ["--order=1,-1,0", "--order=-1,0,0", "--order=1,0,-1", "--bounds=1,-1,1"])
+def test_fit_arima_negative_integers_exit_2_before_reading(tmp_path, monkeypatch, capsys, triple):
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("the CSV was read"))
+    out = tmp_path / "m.json"
+    assert cli.main(["fit-arima", "--input", str(tmp_path / "x.csv"), triple, "--out", str(out)]) == 2
+    assert "must be three non-negative integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [
+        ("features", "--input", "directory"),
+        ("features", "--input", "not_utf8"),
+        ("fit-arima", "--input", "not_utf8"),
+        ("evaluate", "--input", "directory"),
+        ("evaluate", "--input", "not_utf8"),
+        ("run", "--config", "directory"),
+        ("run", "--config", "not_utf8"),
+    ],
+)
+def test_unreadable_input_exits_2(tmp_path, capsys, command, flag, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"DATE,PX_LAST\n2020-01-01,1.0\xff\n")
+    assert cli.main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_config_file_checked_before_flags_override_it(tmp_path, monkeypatch):

@@ -5,15 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marketcast import synth
+from marketcast import pipeline, synth
 from marketcast.chart import read_predictions
-from marketcast.errors import DataError
+from marketcast.errors import DataError, DivergenceError
 from marketcast.pipeline import (
     DUMPABLE_STAGES,
     PipelineConfig,
     RunArtifacts,
     load_config,
     run_pipeline,
+    write_all,
 )
 
 TINY = dict(
@@ -198,9 +199,8 @@ def test_dump_stages(input_csv, tmp_path):
 
 
 def test_failed_run_rolls_back_partial_files(input_csv, tmp_path):
-    # window is longer than the training split, so the windows stage fails
-    # after the filled/enriched/scaler/features dumps have been written; the
-    # directories the run made for them go too
+    # window is longer than the training split, so the windows stage fails;
+    # no dump and no directory is made before every stage has run
     cfg = PipelineConfig(
         input_path=str(input_csv),
         out_dir=str(tmp_path / "leftover" / "run"),
@@ -227,6 +227,40 @@ def test_out_dir_under_a_file_is_a_data_error(input_csv, tmp_path):
     with pytest.raises(DataError, match="^stage output: cannot create"):
         run_pipeline(cfg)
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_failed_lstm_leg_leaves_nothing_after_arima_ran(input_csv, tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("non-finite loss", epoch=0)
+
+    monkeypatch.setattr(pipeline, "train", diverge)
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path / "a" / "b"), **TINY)
+    with pytest.raises(DivergenceError, match="^stage lstm:"):
+        run_pipeline(cfg, dump_stages=("all",))
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_failed_output_write_removes_the_files_it_wrote(input_csv, tmp_path):
+    # a directory where resolved_config.json, the last file, goes fails the write
+    out = tmp_path / "out"
+    (out / "resolved_config.json").mkdir(parents=True)
+    (out / "keep.txt").write_text("mine")
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(out), model_mode="arima", **TINY)
+    with pytest.raises(DataError, match="^stage output: cannot write"):
+        run_pipeline(cfg, dump_stages=("all",))
+    assert sorted(p.name for p in out.rglob("*")) == ["keep.txt", "resolved_config.json"]
+    assert (out / "keep.txt").read_text() == "mine"
+
+
+def test_write_all_removes_files_and_new_directories_on_interrupt(tmp_path):
+    new_dir = tmp_path / "x" / "y"
+
+    def interrupted(tmp):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_all({new_dir / "first.txt": "one\n", new_dir / "second.npz": interrupted}, new_dir=new_dir)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_target_column_fails_with_stage_prefix(tmp_path):
