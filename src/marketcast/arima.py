@@ -12,7 +12,9 @@ depends only on the series and the order (the lag matrix, y[p:], the MA
 filter's denominator buffer) is built once per fit by `_innovations_for`; an
 evaluation is one subtraction, one matrix-vector product, one `lfilter` and
 one dot product. The objective, the final sum of squares and `forecast` share
-that one innovations routine.
+that one innovations routine. A rolling forecast reads the fit's innovations
+directly: the one-step prediction of x_t is x_t - eps_t, which uses no data
+from t on, because x_t enters eps_t with coefficient 1 and cancels.
 
 scipy is imported on first use: `minimize` (Nelder-Mead) on the first fit and
 `lfilter` on the first innovations build with q > 0. Of the commands, `run`
@@ -206,20 +208,15 @@ def _hannan_rissanen(y: np.ndarray, p: int, q: int) -> np.ndarray:
     return coef
 
 
-def _ar_roots(phi: np.ndarray) -> np.ndarray:
-    coeffs = np.concatenate((-phi[::-1], [1.0]))
-    return np.roots(coeffs)
-
-
-def _ma_roots(theta: np.ndarray) -> np.ndarray:
-    coeffs = np.concatenate((theta[::-1], [1.0]))
-    return np.roots(coeffs)
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of 1 + c_1 z + ... + c_k z^k; the AR roots are _roots(-phi)."""
+    return np.roots(np.concatenate((coeffs[::-1], [1.0])))
 
 
 def _check_stationarity(phi: np.ndarray) -> None:
     if len(phi) == 0 or not phi.any():
         return
-    roots = _ar_roots(phi)
+    roots = _roots(-phi)
     if roots.size == 0:
         return
     closest = float(np.min(np.abs(roots)))
@@ -255,59 +252,52 @@ def fit_arma(series, p: int, q: int) -> ArimaModel:
 
     if p == 0 and q == 0:
         intercept = float(y.mean())
+        phi = theta = np.empty(0)
         sse = float(np.sum((y - intercept) ** 2))
-        return ArimaModel(
-            order=ArimaOrder(0, 0, 0),
-            phi=np.empty(0),
-            theta=np.empty(0),
-            intercept=intercept,
-            sigma2=sse / n_eff,
-            n_obs=n_eff,
-            aic=aic(sse, n_eff, k),
-        )
+    else:
+        innovations = _innovations_for(y, p, q)
 
-    innovations = _innovations_for(y, p, q)
+        def objective(params: np.ndarray) -> float:
+            eps = innovations(params[0], params[1 : 1 + p], params[1 + p :])
+            sse = float(eps @ eps)
+            if not math.isfinite(sse) or sse <= 0:
+                return 1e100
+            return math.log(sse / n_eff)
 
-    def objective(params: np.ndarray) -> float:
-        eps = innovations(params[0], params[1 : 1 + p], params[1 + p :])
+        x0 = _hannan_rissanen(y, p, q)
+        # trial points far outside the invertible region overflow the filter;
+        # the objective maps those to 1e100, so the warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                options={
+                    "maxfev": 400 * (k + 1),
+                    "maxiter": 400 * (k + 1),
+                    "xatol": 1e-6,
+                    "fatol": 1e-10,
+                    "adaptive": True,
+                },
+            )
+        params = result.x
+        if not result.success:
+            raise NonConvergenceError(
+                f"ARMA({p},{q}) search stopped after {result.nfev} evaluations "
+                "without converging",
+                best={"params": params.tolist(), "objective": float(result.fun), "nfev": result.nfev},
+            )
+        intercept = float(params[0])
+        phi = params[1 : 1 + p]
+        theta = params[1 + p :]
+        _check_stationarity(phi)
+        eps = innovations(params[0], phi, theta)
         sse = float(eps @ eps)
-        if not math.isfinite(sse) or sse <= 0:
-            return 1e100
-        return math.log(sse / n_eff)
-
-    x0 = _hannan_rissanen(y, p, q)
-    # trial points far outside the invertible region overflow the filter;
-    # the objective maps those to 1e100, so the warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": 400 * (k + 1),
-                "maxiter": 400 * (k + 1),
-                "xatol": 1e-6,
-                "fatol": 1e-10,
-                "adaptive": True,
-            },
-        )
-    params = result.x
-    if not result.success:
-        raise NonConvergenceError(
-            f"ARMA({p},{q}) search stopped after {result.nfev} evaluations "
-            "without converging",
-            best={"params": params.tolist(), "objective": float(result.fun), "nfev": result.nfev},
-        )
-    phi = params[1 : 1 + p]
-    theta = params[1 + p :]
-    _check_stationarity(phi)
-    eps = innovations(params[0], phi, theta)
-    sse = float(eps @ eps)
     return ArimaModel(
         order=ArimaOrder(p, 0, q),
         phi=phi,
         theta=theta,
-        intercept=float(params[0]),
+        intercept=intercept,
         sigma2=sse / n_eff,
         n_obs=n_eff,
         aic=aic(sse, n_eff, k),
@@ -347,8 +337,9 @@ def auto_arima(series, bounds=DEFAULT_BOUNDS) -> ArimaModel:
                 except (ModelFitError, DataError) as exc:
                     failures.append(f"({p},{d},{q}): {exc}")
                     continue
+                ar_roots = _roots(-model.phi)
                 if d < d_max and p > 0:
-                    closest = float(np.min(np.abs(_ar_roots(model.phi))))
+                    closest = float(np.min(np.abs(ar_roots)))
                     if closest < SOFT_ROOT_LIMIT:
                         failures.append(
                             f"({p},{d},{q}): AR root at modulus {closest:.6f}; "
@@ -356,9 +347,7 @@ def auto_arima(series, bounds=DEFAULT_BOUNDS) -> ArimaModel:
                         )
                         continue
                 if p > 0 and q > 0:
-                    gaps = np.abs(
-                        _ar_roots(model.phi)[:, None] - _ma_roots(model.theta)[None, :]
-                    )
+                    gaps = np.abs(ar_roots[:, None] - _roots(model.theta)[None, :])
                     if float(gaps.min()) < CANCEL_ROOT_GAP:
                         failures.append(
                             f"({p},{d},{q}): near-canceling AR/MA root pair "
@@ -386,7 +375,10 @@ def forecast(model: ArimaModel, history, steps: int, mode: ForecastMode = Foreca
     innovations at zero, then integrates back, returning the next `steps`
     values. ROLLING treats the last `steps` points of `history` as the
     evaluation span and returns their one-step-ahead predictions, each using
-    only true observations before that point (no refitting).
+    only true observations before that point (no refitting). A rolling
+    prediction is the observation less its innovation, x_t - eps_t: the d-th
+    difference holds x_t with coefficient 1, so x_t cancels and what remains
+    is built from data before t.
     """
     x = np.asarray(history, dtype=float)
     p, d, q = model.order
@@ -410,26 +402,20 @@ def forecast(model: ArimaModel, history, steps: int, mode: ForecastMode = Foreca
             for i in range(1, p + 1):
                 value += model.phi[i - 1] * w_ext[t - i]
             for j in range(1, q + 1):
-                idx = t - j
-                if idx < len(w):
-                    value += model.theta[j - 1] * eps_ext[idx]
+                value += model.theta[j - 1] * eps_ext[t - j]
             preds_w.append(value)
             w_ext.append(value)
             eps_ext.append(0.0)
-        return undifference(np.array(preds_w), x[len(x) - d :], d)
+        return undifference(preds_w, x[len(x) - d :], d)
 
     if len(w) - p < steps:
         raise DataError(
             f"rolling forecast of {steps} steps needs at least {steps + p + d} observations"
         )
-    preds = np.empty(steps)
-    n = len(x)
-    for s in range(steps):
-        t = n - steps + s          # index into x being predicted
-        tw = t - d                 # same point on the differenced scale
-        w_hat = w[tw] - eps[tw - p]
-        preds[s] = undifference(np.array([w_hat]), x[t - d : t], d)[0]
-    return preds
+    # The prediction of w_t is w_t - eps_t, and w_t is x_t (coefficient 1) plus
+    # a combination of x_{t-1} .. x_{t-d}: integrated back it is x_t - eps_t,
+    # where x_t cancels, so only observations before t are used.
+    return x[len(x) - steps :] - eps[len(eps) - steps :]
 
 
 def model_to_dict(model: ArimaModel) -> dict:

@@ -38,7 +38,7 @@ def read_predictions(path):
     on structural problems (wrong header, bad numbers, unsorted dates).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read predictions file {path}: {exc}") from exc

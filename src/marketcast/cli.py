@@ -212,7 +212,7 @@ def _cmd_fit_arima(args) -> int:
 
 def _cmd_forecast(args) -> int:
     try:
-        with open(args.model, encoding="utf-8") as fh:
+        with open(args.model, encoding="utf-8-sig") as fh:
             model = arima_mod.model_from_dict(json.load(fh))
     except OSError as exc:
         raise DataError(f"cannot read model: {exc}") from exc
@@ -244,7 +244,7 @@ def _cmd_fit_garch(args) -> int:
         returns = series
     residuals = returns - returns.mean()
     params = garch_mod.fit_garch11(residuals)
-    state = garch_mod.garch_state(params, residuals)
+    sigma2 = garch_mod.garch_state(params, residuals)
     out_dir = Path(_default_out_dir())
     params_path = Path(args.out_params if args.out_params else out_dir / "garch_params.json")
     payload = {
@@ -258,7 +258,7 @@ def _cmd_fit_garch(args) -> int:
     }
     csv_path = Path(args.out_csv if args.out_csv else out_dir / "garch_variance.csv")
     lines = ["date,residual,sigma2"]
-    for d, e, s2 in zip(dates, state.residuals, state.sigma2):
+    for d, e, s2 in zip(dates, residuals, sigma2):
         lines.append(f"{d.isoformat()},{e:.8f},{s2:.8f}")
     write_all(  # both files or neither
         {params_path: json.dumps(payload, indent=2, sort_keys=True) + "\n", csv_path: "\n".join(lines) + "\n"}

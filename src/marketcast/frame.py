@@ -165,9 +165,10 @@ def _parse_date(text: str, where: str) -> date:
 
 
 def _read_lines(path: Path):
-    """The lines of a UTF-8 text file; a failure to open, read or decode it is a DataError."""
+    """The lines of a UTF-8 text file, less any leading byte-order mark; a failure
+    to open, read or decode it is a DataError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -8,6 +8,11 @@ parameterization (log alpha0; logistic persistence and its split between
 alpha1 and beta1) so alpha0 > 0, alpha1 >= 0, beta1 >= 0 and
 alpha1 + beta1 < 1 hold by construction.
 
+The recursion is written once, in `_variances` (the one `lfilter` call).
+`garch_state` returns the variance path paired with the residuals as an
+array; `log_likelihood` scores it, and the fit's objective calls the same
+helpers, so the fit maximizes the likelihood that `fit-garch` reports.
+
 scipy is imported on first use, inside the functions that call it
 (`minimize`, `lfilter`, `expit`), so importing this module loads no scipy.
 Of the commands, `run` with an ARIMA leg, `fit-arima`, `forecast` and
@@ -27,7 +32,6 @@ from .errors import DataError, ModelFitError, NonConvergenceError
 
 __all__ = [
     "GarchParams",
-    "GarchState",
     "garch_recursion",
     "garch_state",
     "log_likelihood",
@@ -65,23 +69,32 @@ class GarchParams:
         return self.alpha0 / (1.0 - self.alpha1 - self.beta1)
 
 
-@dataclass(frozen=True)
-class GarchState:
-    """A residual series with its conditional variance path (sigma2_t pairs
-    with eps_t; sigma2_0 is the seed value)."""
+def _variances(alpha0: float, alpha1: float, beta1: float, eps: np.ndarray, sigma2_0: float) -> np.ndarray:
+    """The variance recursion, unchecked: sigma2_1 .. sigma2_n from eps_0 .. eps_{n-1}."""
+    from scipy.signal import lfilter
 
-    sigma2: np.ndarray
-    residuals: np.ndarray
+    # sigma2_t - beta1 sigma2_{t-1} = alpha0 + alpha1 eps_{t-1}^2: IIR in t
+    drive = alpha0 + alpha1 * eps**2
+    out, _ = lfilter([1.0], [1.0, -beta1], drive, zi=np.array([beta1 * sigma2_0]))
+    return out
 
-    def __post_init__(self):
-        sigma2 = np.asarray(self.sigma2, dtype=float)
-        residuals = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "residuals", residuals)
-        if sigma2.shape != residuals.shape:
-            raise ValueError("sigma2 and residuals must have equal length")
-        if not np.all(sigma2 > 0):
-            raise ValueError("conditional variances must be positive")
+
+def _qmle_path(alpha0: float, alpha1: float, beta1: float, eps: np.ndarray, sigma2_0: float) -> np.ndarray:
+    """sigma2_t paired with eps_t for t = 0..n-1: the seed sigma2_0, then the
+    recursion over eps_0 .. eps_{n-2}."""
+    return np.concatenate(([sigma2_0], _variances(alpha0, alpha1, beta1, eps[:-1], sigma2_0)))
+
+
+def _half_nll(eps: np.ndarray, sigma2: np.ndarray) -> float:
+    """0.5 * sum(log sigma2_t + eps_t^2 / sigma2_t): minus the quasi-log-likelihood."""
+    return 0.5 * np.sum(np.log(sigma2) + eps**2 / sigma2)
+
+
+def _check_inputs(eps: np.ndarray, sigma2_0: float) -> None:
+    if not np.all(np.isfinite(eps)):
+        raise DataError("residual series contains non-finite values")
+    if not (np.isfinite(sigma2_0) and sigma2_0 > 0):
+        raise DataError("sigma2_0 must be positive and finite")
 
 
 def garch_recursion(params: GarchParams, residuals, sigma2_0: float) -> np.ndarray:
@@ -90,42 +103,27 @@ def garch_recursion(params: GarchParams, residuals, sigma2_0: float) -> np.ndarr
     Element t of the output is the variance the model implies for the step
     after residual t; the output has the same length as the input.
     """
-    from scipy.signal import lfilter
-
     eps = np.asarray(residuals, dtype=float)
-    if not np.all(np.isfinite(eps)):
-        raise DataError("residual series contains non-finite values")
-    if not (np.isfinite(sigma2_0) and sigma2_0 > 0):
-        raise DataError("sigma2_0 must be positive and finite")
-    # sigma2_t - beta1 sigma2_{t-1} = alpha0 + alpha1 eps_{t-1}^2: IIR in t
-    drive = params.alpha0 + params.alpha1 * eps**2
-    zi = np.array([params.beta1 * sigma2_0])
-    out, _ = lfilter([1.0], [1.0, -params.beta1], drive, zi=zi)
-    return out
+    _check_inputs(eps, sigma2_0)
+    return _variances(params.alpha0, params.alpha1, params.beta1, eps, sigma2_0)
 
 
-def _scoring_path(params: GarchParams, eps: np.ndarray, sigma2_0: float) -> np.ndarray:
-    """sigma2_t aligned with eps_t for t = 0..n-1 (the QMLE pairing)."""
-    if len(eps) == 1:
-        return np.array([sigma2_0])
-    return np.concatenate(([sigma2_0], garch_recursion(params, eps[:-1], sigma2_0)))
-
-
-def garch_state(params: GarchParams, residuals, sigma2_0: float | None = None) -> GarchState:
-    """Conditional variance path for a residual series, seeded at its sample
-    variance unless overridden."""
+def garch_state(params: GarchParams, residuals) -> np.ndarray:
+    """Conditional variance path of a residual series, as an array the length
+    of the series: element t pairs with eps_t, and element 0 is the seed, the
+    sample variance of the residuals."""
     eps = np.asarray(residuals, dtype=float)
     if len(eps) == 0:
         raise DataError("empty residual series")
-    if sigma2_0 is None:
-        sigma2_0 = float(np.var(eps))
-    return GarchState(sigma2=_scoring_path(params, eps, sigma2_0), residuals=eps)
+    sigma2_0 = float(np.var(eps))
+    _check_inputs(eps, sigma2_0)
+    return _qmle_path(params.alpha0, params.alpha1, params.beta1, eps, sigma2_0)
 
 
-def log_likelihood(residuals, params: GarchParams, sigma2_0: float | None = None) -> float:
+def log_likelihood(residuals, params: GarchParams) -> float:
     """Gaussian quasi-log-likelihood up to the -n/2 log(2 pi) constant."""
-    state = garch_state(params, residuals, sigma2_0)
-    return float(-0.5 * np.sum(np.log(state.sigma2) + state.residuals**2 / state.sigma2))
+    eps = np.asarray(residuals, dtype=float)
+    return float(-_half_nll(eps, garch_state(params, eps)))
 
 
 def _unpack(u: np.ndarray) -> tuple[float, float, float]:
@@ -153,8 +151,6 @@ def fit_garch11(residuals) -> GarchParams:
     LL_TIE_NATS the lower-persistence solution is preferred. A persistence
     estimate at or above 0.999 triggers a boundary warning.
     """
-    from scipy.signal import lfilter
-
     eps = np.asarray(residuals, dtype=float)
     n = len(eps)
     if n < MIN_OBS:
@@ -164,16 +160,11 @@ def fit_garch11(residuals) -> GarchParams:
     sample_var = float(np.var(eps))
     if sample_var == 0.0:
         raise ModelFitError("degenerate residual series: zero variance")
-    eps_sq = eps[:-1] ** 2
 
     def objective(u: np.ndarray) -> float:
+        # the inputs were checked above, so the unchecked helpers serve
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            alpha0, alpha1, beta1 = _unpack(u)
-            drive = alpha0 + alpha1 * eps_sq
-            zi = np.array([beta1 * sample_var])
-            tail, _ = lfilter([1.0], [1.0, -beta1], drive, zi=zi)
-            sig2 = np.concatenate(([sample_var], tail))
-            value = 0.5 * np.sum(np.log(sig2) + eps**2 / sig2)
+            value = _half_nll(eps, _qmle_path(*_unpack(u), eps, sample_var))
         if not np.isfinite(value):
             return 1e100
         return float(value)

@@ -15,8 +15,9 @@ Both legs score the same test rows, so their metrics files are directly
 comparable. Windows are built over the whole frame and partitioned by target
 row; a window may therefore read rows from before its own split, which is
 ordinary use of past data and leaks nothing from the future. No file is
-written until every stage has run; then `write_all` writes all of them, each
-atomically (temp file + rename), or none.
+written until every stage has run; then `write_all` stages all of them beside
+their targets and renames them into place only once every one is written, so a
+failed run leaves the earlier files as they were.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def load_config(path, overrides: dict | None = None, defaults: dict | None = Non
     replaces it.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
@@ -273,13 +274,17 @@ def atomic_write_via(path, write_fn) -> None:
 def write_all(files: dict, new_dir=None) -> None:
     """Write every file of `files` (path -> text, or a write_fn(tmp)), or none.
 
-    `new_dir` and its missing parents are created first. On any exception,
-    the files already written are removed, then the directories made here,
-    deepest first, and the exception propagates. A directory that existed
-    before is never removed.
+    `new_dir` and its missing parents are created first. Each file is then
+    written in full to a staging file beside its target, `.{stem}.staged{suffix}`
+    (np.savez needs the suffix), and a target that is a directory is refused;
+    only when every file is staged does each staging file replace its target.
+    On any exception, the staging files are removed, then the directories made
+    here, deepest first, and the exception propagates. A failure before the
+    renames leaves every target as it was, so a failed rerun keeps the earlier
+    run's files whole; a directory that existed before is never removed.
     """
     made: list[Path] = []
-    written: list[Path] = []
+    staged: dict[Path, Path] = {}
     try:
         if new_dir is not None:
             new_dir = Path(new_dir)
@@ -292,15 +297,28 @@ def write_all(files: dict, new_dir=None) -> None:
                     raise DataError(f"cannot create {path}: {exc.strerror or exc}") from exc
                 made.append(path)
         for path, content in files.items():
-            if callable(content):
-                atomic_write_via(path, content)
-            else:
-                atomic_write_text(path, content)
-            written.append(path)
+            path = Path(path)
+            if path.is_dir():
+                raise DataError(f"cannot write {path}: Is a directory")
+            staged[path] = staging = path.with_name(f".{path.stem}.staged{path.suffix}")
+            try:
+                if callable(content):
+                    atomic_write_via(staging, content)
+                else:
+                    atomic_write_text(staging, content)
+            except DataError as exc:
+                # name the target, not its staging file
+                exc.args = (exc.args[0].replace(str(staging), str(path)),) + exc.args[1:]
+                raise
+        for path, staging in staged.items():
+            try:
+                os.replace(staging, path)
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
-        for path in written:
+        for staging in staged.values():
             with suppress(OSError):
-                os.unlink(path)
+                os.unlink(staging)
         for path in reversed(made):
             with suppress(OSError):
                 path.rmdir()

@@ -301,18 +301,19 @@ def test_static_ma1_matches_oracle(rng):
 
 
 def test_rolling_matches_scalar_oracle(rng):
-    m = make_model(1, 1, 1, phi=[0.4], theta=[0.25], intercept=0.05)
     x = np.cumsum(rng.standard_normal(60)) + 50.0
-    steps = 7
-    got = forecast(m, x, steps, ForecastMode.ROLLING)
-    w = np.diff(x)
-    eps = css_innovations_oracle(w, 0.05, [0.4], [0.25])
     n = len(x)
-    want = [
-        x[t - 1] + (w[t - 1] - eps[t - 2])
-        for t in range(n - steps, n)
-    ]
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    steps = 7
+    # x_t less its d-th difference: what the d previous observations add back
+    carry = {0: lambda t: 0.0, 1: lambda t: x[t - 1], 2: lambda t: 2 * x[t - 1] - x[t - 2]}
+    for d in (0, 1, 2):
+        m = make_model(1, d, 1, phi=[0.4], theta=[0.25], intercept=0.05)
+        got = forecast(m, x, steps, ForecastMode.ROLLING)
+        w = np.diff(x, n=d)
+        eps = css_innovations_oracle(w, 0.05, [0.4], [0.25])
+        # w_hat_t = w_t - eps_t, rebuilt on the original scale
+        want = [carry[d](t) + (w[t - d] - eps[t - d - 1]) for t in range(n - steps, n)]
+        np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"d={d}")
 
 
 def test_rolling_reanchors_on_truth():

@@ -435,6 +435,30 @@ def test_unreadable_input_exits_2(tmp_path, capsys, command, flag, kind):
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("features", "--input"), ("evaluate", "--input"), ("features", "--config"), ("forecast", "--model"),
+])
+def test_utf8_bom_is_ignored(synth_csv, tmp_path, capsys, command, flag):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    contents = {
+        ("features", "--input"): synth_csv.read_bytes(),
+        ("evaluate", "--input"): b"date,actual,predicted\n2020-01-01,1.0,\n2020-01-02,2.0,2.5\n2020-01-03,3.0,2.5\n",
+        ("features", "--config"): json.dumps({"input_path": str(synth_csv)}).encode(),
+        ("forecast", "--model"): json.dumps(
+            {"order": [1, 1, 0], "phi": [0.2], "theta": [], "intercept": 0.0, "sigma2": 1.0, "n_obs": 100, "aic": 0.0}
+        ).encode(),
+    }[command, flag]
+    extra = ["--input", str(synth_csv), "--steps", "5"] if command == "forecast" else []
+    results = []
+    for name, data in (("plain", contents), ("bom", b"\xef\xbb\xbf" + contents)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        out = tmp_path / f"{name}.out"
+        assert cli.main([command, flag, str(path), *extra, "--out", str(out)]) == 0, capsys.readouterr().err
+        results.append(out.read_bytes())
+    assert results[0] == results[1]
+
+
 def test_config_file_checked_before_flags_override_it(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "load_csv", lambda *a, **k: pytest.fail("preprocessing started"))
     cfg = tmp_path / "cfg.json"

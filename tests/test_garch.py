@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -86,11 +87,11 @@ def test_recursion_positive_and_mean_reverting():
 def test_state_pairs_variance_with_residual(rng):
     eps = rng.standard_normal(40)
     p = GarchParams(0.1, 0.15, 0.7)
-    state = garch_state(p, eps)
+    sigma2 = garch_state(p, eps)
     v0 = float(np.var(eps))
     want = [v0] + recursion_oracle(0.1, 0.15, 0.7, eps[:-1], v0)
-    np.testing.assert_allclose(state.sigma2, want, rtol=1e-12)
-    np.testing.assert_array_equal(state.residuals, eps)
+    np.testing.assert_allclose(sigma2, want, rtol=1e-12)
+    assert sigma2.shape == eps.shape
 
 
 def test_log_likelihood_matches_scalar(rng):
@@ -112,6 +113,18 @@ def test_fit_recovers_simulated_parameters():
     assert abs(fit.alpha0 - 0.1) <= 0.1
     assert abs(fit.alpha1 - 0.1) <= 0.1
     assert abs(fit.beta1 - 0.8) <= 0.1
+
+
+def test_fit_is_local_maximum_of_reported_likelihood():
+    # the fit maximizes the same likelihood that fit-garch reports: no +-1%
+    # nudge of any one parameter raises log_likelihood
+    eps = simulate_garch11(GarchParams(0.1, 0.1, 0.8), 10_000, np.random.default_rng(42))
+    fit = fit_garch11(eps)
+    best = log_likelihood(eps, fit)
+    for name in ("alpha0", "alpha1", "beta1"):
+        for factor in (0.99, 1.01):
+            nudged = dataclasses.replace(fit, **{name: getattr(fit, name) * factor})
+            assert log_likelihood(eps, nudged) <= best, (name, factor)
 
 
 def test_fit_homoskedastic_noise_low_persistence():

@@ -263,6 +263,32 @@ def test_write_all_removes_files_and_new_directories_on_interrupt(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_all_leaves_an_existing_target_when_a_later_write_fails(tmp_path):
+    (tmp_path / "first.txt").write_text("old")
+
+    def failing(tmp):
+        raise OSError("disk full")
+
+    with pytest.raises(DataError, match="cannot write .*second.npz: disk full"):
+        write_all({tmp_path / "first.txt": "new", tmp_path / "second.npz": failing})
+    assert (tmp_path / "first.txt").read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["first.txt"]
+
+
+def test_failed_rerun_keeps_the_earlier_run_whole(input_csv, tmp_path):
+    out = tmp_path / "out"
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(out), model_mode="arima", **TINY)
+    run_pipeline(cfg)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "metrics_arima.txt").unlink()
+    (out / "metrics_arima.txt").mkdir()
+    with pytest.raises(DataError, match="^stage output: cannot write .*metrics_arima.txt: Is a directory"):
+        run_pipeline(cfg)
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    del first["metrics_arima.txt"]
+    assert after == first
+
+
 def test_missing_target_column_fails_with_stage_prefix(tmp_path):
     path = tmp_path / "in.csv"
     synth.write_csv(synth.generate(seed=1, n_days=250), path)
