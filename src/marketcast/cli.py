@@ -13,6 +13,8 @@ Subcommands cover each pipeline stage plus an end-to-end run:
   chart       SVG rendering of a predictions file
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 model-fit error.
+Errors and warnings print on stderr as one `error: <message>` or
+`warning: <message>` line each.
 A `run`/`train-lstm`/`features` setting out of range or of the wrong type
 exits 2 before any input is read or any file is written.
 
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -386,9 +389,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a warning prints as one `warning:` line, with no source path or code
+    saved_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except DataError as exc:
@@ -397,6 +407,8 @@ def main(argv=None) -> int:
     except ModelFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

@@ -404,7 +404,9 @@ def make_windows(
     """Slide a window of `window_size` rows over the frame.
 
     Window starting at row i covers rows [i, i+W) and predicts the target at
-    row i + W + horizon - 1, giving length - W - horizon + 1 samples.
+    row i + W + horizon - 1, giving length - W - horizon + 1 samples. Both
+    arrays are read-only views: `inputs` of one stacked copy of the feature
+    columns, `targets` of the frame's own target column.
     """
     if window_size < 1 or horizon < 1:
         raise ValueError("window_size and horizon must be >= 1")
@@ -419,8 +421,9 @@ def make_windows(
     data = np.column_stack([frame.column(name) for name in feature_columns])
     windows = np.lib.stride_tricks.sliding_window_view(data, window_size, axis=0)
     # sliding_window_view yields (n-W+1, F, W); reorder to (count, W, F)
-    inputs = np.ascontiguousarray(windows[:count].transpose(0, 2, 1))
-    targets = frame.column(target)[window_size + horizon - 1 :].copy()
     return WindowedDataset(
-        inputs=inputs, targets=targets, window_size=window_size, horizon=horizon
+        inputs=windows[:count].transpose(0, 2, 1),
+        targets=frame.column(target)[window_size + horizon - 1 :],
+        window_size=window_size,
+        horizon=horizon,
     )

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -98,8 +99,8 @@ class LstmConfig:
             raise ValueError("num_layers must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
@@ -452,11 +453,11 @@ def _train_epoch(
     return sq_sum
 
 
-def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDataset | None, config: LstmConfig):
+def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDataset, config: LstmConfig):
     """Mini-batch Adam training with early stopping on validation MSE.
 
     Windows are visited in a seeded random permutation each epoch; dropout
-    masks are redrawn per batch. When a validation set is supplied the
+    masks are redrawn per batch. When the validation set is not empty the
     parameters of the best validation epoch are restored at the end, and
     training stops after `patience` epochs without improvement. Returns
     (network, TrainingHistory); the network is updated in place.
@@ -469,7 +470,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         raise DataError(
             f"training windows have {x_train.shape[2]} features, config expects {config.input_size}"
         )
-    has_val = val_set is not None and len(val_set.targets) > 0
+    has_val = len(val_set.targets) > 0
     if has_val:
         x_val = np.asarray(val_set.inputs, dtype=float)
         y_val = np.asarray(val_set.targets, dtype=float)

@@ -3,7 +3,8 @@
 `prepare` runs ingest -> forward-fill -> indicator derivation -> chronological
 split -> train-only scaling -> correlation-based feature selection; it is the
 one preprocessing path, shared with `marketcast features`. A run then builds
-sliding windows and executes the requested model legs:
+sliding windows, when the LSTM or a windows dump reads them, and executes the
+requested model legs:
 
   arima: order search on the unscaled close over the train+validation span,
          then a STATIC (fixed-origin) or ROLLING (one-step) forecast of the
@@ -428,20 +429,26 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         sort_keys=True,
     ) + "\n"
 
-    with _stage("windows"):
-        _, b1, b2, n = prep.bounds
-        windows = make_windows(prep.scaled, prep.window_columns, target, config.window, config.horizon)
-        target_rows = np.arange(len(windows)) + config.window + config.horizon - 1
-        train_ds = windows.subset(target_rows < b1)
-        val_ds = windows.subset((target_rows >= b1) & (target_rows < b2))
-        test_ds = windows.subset(target_rows >= b2)
-        if len(train_ds) == 0:
-            raise DataError(
-                f"no training windows: window {config.window} + horizon {config.horizon} "
-                f"reaches past the training split of {b1} rows"
-            )
-        if len(test_ds) != n - b2:
-            raise DataError("test windows do not cover the test split")
+    _, b1, b2, n = prep.bounds
+    legs = [leg for leg in ("arima", "lstm") if config.model_mode in (leg, "both")]
+    # only the LSTM and the windows dump read windows; an ARIMA-only run must
+    # not fail on a window setting it never reads
+    if "lstm" in legs or "windows" in dump:
+        with _stage("windows"):
+            windows = make_windows(prep.scaled, prep.window_columns, target, config.window, config.horizon)
+            # target rows increase with the window index, so each split is one slice
+            target_rows = np.arange(len(windows)) + config.window + config.horizon - 1
+            i1, i2 = np.searchsorted(target_rows, (b1, b2))
+            train_ds = windows.subset(slice(0, i1))
+            val_ds = windows.subset(slice(i1, i2))
+            test_ds = windows.subset(slice(i2, None))
+            if len(train_ds) == 0:
+                raise DataError(
+                    f"no training windows: window {config.window} + horizon {config.horizon} "
+                    f"reaches past the training split of {b1} rows"
+                )
+            if len(test_ds) != n - b2:
+                raise DataError("test windows do not cover the test split")
 
     # every output, path -> text or a write_fn(tmp), in the order it is written;
     # a dumped stage's file is named after the stage
@@ -469,7 +476,6 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
     prices = prep.enriched.column(target)
     test_dates = prep.enriched.dates[b2:]
     actual_test = prices[b2:]
-    legs = [leg for leg in ("arima", "lstm") if config.model_mode in (leg, "both")]
 
     def _add_leg(leg: str, preds: np.ndarray):
         all_dates, all_actual, all_preds = prediction_rows(prep.enriched.dates, prices, preds)

@@ -373,7 +373,7 @@ def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, bad):
     [
         ("--hidden", "0"), ("--dropout", "1.0"), ("--lr", "0"), ("--batch", "0"), ("--epochs", "0"),
         ("--patience", "-1"), ("--splits", "0.6,nan,0.2"), ("--splits", "0.6,0.2,inf"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--lr", "nan"), ("--lr", "inf"),
     ],
 )
 def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, flag):
@@ -464,6 +464,16 @@ def test_config_file_checked_before_flags_override_it(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"input_path": str(tmp_path / "x.csv"), "lstm_epochs": 1.5}))
     assert cli.main(["run", "--config", str(cfg), "--epochs", "3", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_warning_prints_as_one_line(tmp_path):
+    # in a subprocess: pytest records warnings itself, so none would reach stderr
+    proc = run_cli(
+        "fit-arima", "--input", BUNDLED_CSV, "--order", "3,0,1", "--train-frac", "0.7",
+        "--out", tmp_path / "m.json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: AR root at modulus 1.003027 is close to the unit circle\n"
 
 
 def test_model_fit_errors_exit_3(tmp_path):

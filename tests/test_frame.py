@@ -318,6 +318,14 @@ def test_make_windows_multifeature_layout():
     assert ds.targets.tolist() == [2.0, 3.0]
 
 
+def test_make_windows_returns_read_only_views():
+    f = frame_of(A=[float(i) for i in range(8)], B=[float(-i) for i in range(8)])
+    ds = make_windows(f, ["A", "B"], "A", window_size=3, horizon=1)
+    assert np.shares_memory(ds.targets, f.column("A"))
+    assert not ds.inputs.flags.writeable
+    assert not ds.targets.flags.writeable
+
+
 def test_windowed_dataset_subset():
     f = frame_of(A=[float(i) for i in range(8)])
     ds = make_windows(f, ["A"], "A", window_size=2, horizon=1)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -83,6 +84,8 @@ def test_config_dict_round_trip():
         dict(lstm_batch=0),
         dict(lstm_epochs=0),
         dict(lstm_patience=-1),
+        dict(lstm_lr=float("nan")),
+        dict(lstm_lr=float("inf")),
     ],
 )
 def test_config_validation(bad):
@@ -287,6 +290,47 @@ def test_failed_rerun_keeps_the_earlier_run_whole(input_csv, tmp_path):
     after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
     del first["metrics_arima.txt"]
     assert after == first
+
+
+def test_windows_are_not_copied(tmp_path, monkeypatch):
+    """The run's peak stays below one copy of its own window tensor."""
+    bundled = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
+    built = []
+    make_windows = pipeline.make_windows
+
+    def recording_make_windows(*args, **kwargs):
+        built.append(make_windows(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "make_windows", recording_make_windows)
+    cfg = PipelineConfig(
+        input_path=str(bundled), out_dir=str(tmp_path), model_mode="lstm", feature_mode="with_features",
+        window=32, lstm_hidden=4, lstm_epochs=1, seed=0,
+    )
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (windows,) = built
+    assert windows.inputs.shape[2] > 1  # the features were selected
+    assert peak < windows.inputs.nbytes
+
+
+def test_arima_only_run_builds_no_windows(tmp_path):
+    """An ARIMA-only run does not fail on a window longer than its training split."""
+    path = tmp_path / "in.csv"
+    synth.write_csv(synth.generate(3, 500), path)
+    outputs = []
+    for window in (PipelineConfig.window, 50):
+        out = tmp_path / f"window{window}"
+        cfg = PipelineConfig(
+            input_path=str(path), out_dir=str(out), model_mode="arima", arima_bounds=(1, 1, 1), window=window
+        )
+        run_pipeline(cfg)
+        outputs.append((out / "predictions_arima.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_target_column_fails_with_stage_prefix(tmp_path):
