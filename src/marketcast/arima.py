@@ -2,24 +2,26 @@
 
 Estimation minimizes the conditional sum of squared innovations (pre-sample
 innovations fixed at zero, conditioning on the first p observations), starting
-from Hannan-Rissanen regression estimates and refined with Nelder-Mead. Order
+from Hannan-Rissanen regression estimates and refined with the in-house
+adaptive Nelder-Mead of `_optimize` (scipy's steps, bit for bit). Order
 selection is an exhaustive grid over (p, d, q) scored by AIC in Gaussian-CSS
 form; differencing needs no separate unit-root pretest because d competes in
 the same grid.
 
 Nelder-Mead evaluates the objective thousands of times per fit, so what
-depends only on the series and the order (the lag matrix, y[p:], the MA
-filter's denominator buffer) is built once per fit by `_innovations_for`; an
-evaluation is one subtraction, one matrix-vector product, one `lfilter` and
-one dot product. The objective, the final sum of squares and `forecast` share
-that one innovations routine. A rolling forecast reads the fit's innovations
+depends only on the series and the order (the lag matrix, y[p:], the buffers
+for the AR product and the MA filter's denominator) is built once per fit by
+`_innovations_for`; an evaluation is one subtraction, one AR product, one
+`lfilter` and one dot product. The objective, the final sum of squares and
+`forecast` share that one innovations routine. A rolling forecast reads the fit's innovations
 directly: the one-step prediction of x_t is x_t - eps_t, which uses no data
 from t on, because x_t enters eps_t with coefficient 1 and cancels.
 
-scipy is imported on first use: `minimize` (Nelder-Mead) on the first fit and
-`lfilter` on the first innovations build with q > 0. Of the commands, `run`
-with an ARIMA leg, `fit-arima`, `forecast` of a model with MA terms and
-`fit-garch` load it; the others, and `forecast` of a pure-AR model, never do.
+scipy is imported on first use: `lfilter`, on the first innovations build
+with q > 0. Of the commands, `run` with an ARIMA leg (its grid has MA
+candidates), `fit-arima` and `forecast` of an order with MA terms, and
+`fit-garch` load it; the others, and `fit-arima` and `forecast` of a pure-AR
+order, never do.
 """
 
 from __future__ import annotations
@@ -157,22 +159,28 @@ def _innovations_for(y: np.ndarray, p: int, q: int):
     (intercept, phi, theta).
 
     Everything that depends only on (y, p, q) is made here, once: the
-    observations y[p:], the lag matrix, and the [1, theta] filter denominator,
-    which each call overwrites in place. scipy's `lfilter` is imported only
-    for q > 0, so a pure-AR model forecasts without scipy.
+    observations y[p:], the lag matrix, the buffer for its product with phi,
+    and the [1, theta] filter denominator, which each call overwrites in
+    place. For p = 1 the product is an elementwise multiply: BLAS's
+    matrix-vector product on one column costs about four times as much and
+    gives the same bits. scipy's `lfilter` is imported only for q > 0, so a
+    pure-AR model forecasts without scipy.
     """
     if q:
         from scipy.signal import lfilter
 
     observed = y[p:]
     lags = _lag_matrix(y, p) if p else None
+    ar_part = np.empty(len(observed)) if p else None
     numerator = np.ones(1)
     denominator = np.ones(q + 1)
 
     def innovations(intercept: float, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         z = observed - intercept
-        if p:
-            z -= lags @ phi
+        if p == 1:
+            z -= np.multiply(lags[:, 0], phi[0], out=ar_part)
+        elif p:
+            z -= np.matmul(lags, phi, out=ar_part)
         if q:
             # eps_t + theta_1 eps_{t-1} + ... = z_t, an IIR filter with zero state
             denominator[1:] = theta
@@ -268,18 +276,7 @@ def fit_arma(series, p: int, q: int) -> ArimaModel:
         # trial points far outside the invertible region overflow the filter;
         # the objective maps those to 1e100, so the warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
-            result = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": 400 * (k + 1),
-                    "maxiter": 400 * (k + 1),
-                    "xatol": 1e-6,
-                    "fatol": 1e-10,
-                    "adaptive": True,
-                },
-            )
+            result = minimize(objective, x0, maxfev=400 * (k + 1), xatol=1e-6, fatol=1e-10)
         params = result.x
         if not result.success:
             raise NonConvergenceError(
@@ -379,6 +376,9 @@ def forecast(model: ArimaModel, history, steps: int, mode: ForecastMode = Foreca
     prediction is the observation less its innovation, x_t - eps_t: the d-th
     difference holds x_t with coefficient 1, so x_t cancels and what remains
     is built from data before t.
+
+    Raises DataError when any prediction is not finite: the model's
+    coefficients overflow on this history, or are not numbers.
     """
     x = np.asarray(history, dtype=float)
     p, d, q = model.order
@@ -388,6 +388,18 @@ def forecast(model: ArimaModel, history, steps: int, mode: ForecastMode = Foreca
         raise DataError(
             f"history of {len(x)} values is too short for order ({p},{d},{q})"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = _forecast(model, x, steps, mode)
+    if not np.all(np.isfinite(preds)):
+        raise DataError(
+            f"the ({p},{d},{q}) model's forecast is not finite on this history: "
+            f"{int(np.sum(~np.isfinite(preds)))} of {steps} predictions overflow or are NaN"
+        )
+    return preds
+
+
+def _forecast(model: ArimaModel, x: np.ndarray, steps: int, mode: ForecastMode) -> np.ndarray:
+    p, d, q = model.order
     w = difference(x, d)
     eps = _innovations_for(w, p, q)(model.intercept, model.phi, model.theta)
 
@@ -430,14 +442,26 @@ def model_to_dict(model: ArimaModel) -> dict:
     }
 
 
+def _whole(value, name: str) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise DataError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def model_from_dict(payload: dict) -> ArimaModel:
-    p, d, q = payload["order"]
-    return ArimaModel(
-        order=ArimaOrder(int(p), int(d), int(q)),
+    """The model `model_to_dict` wrote. Raises DataError on a non-integral
+    order term or count and on a non-finite coefficient, variance or AIC."""
+    p, d, q = (_whole(v, "order term") for v in payload["order"])
+    model = ArimaModel(
+        order=ArimaOrder(p, d, q),
         phi=np.asarray(payload["phi"], dtype=float),
         theta=np.asarray(payload["theta"], dtype=float),
         intercept=float(payload["intercept"]),
         sigma2=float(payload["sigma2"]),
-        n_obs=int(payload["n_obs"]),
+        n_obs=_whole(payload["n_obs"], "n_obs"),
         aic=float(payload["aic"]),
     )
+    numbers = np.concatenate((model.phi, model.theta, [model.intercept, model.sigma2, model.aic]))
+    if not np.all(np.isfinite(numbers)):
+        raise DataError("phi, theta, intercept, sigma2 and aic must be finite")
+    return model

@@ -219,7 +219,7 @@ def _cmd_forecast(args) -> int:
             model = arima_mod.model_from_dict(json.load(fh))
     except OSError as exc:
         raise DataError(f"cannot read model: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
     dates, series = _load_column(args.input, args.column)
     steps = args.steps

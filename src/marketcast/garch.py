@@ -13,10 +13,9 @@ The recursion is written once, in `_variances` (the one `lfilter` call).
 array; `log_likelihood` scores it, and the fit's objective calls the same
 helpers, so the fit maximizes the likelihood that `fit-garch` reports.
 
-scipy is imported on first use, inside the functions that call it
-(`minimize`, `lfilter`, `expit`), so importing this module loads no scipy.
-Of the commands, `run` with an ARIMA leg, `fit-arima`, `forecast` and
-`fit-garch` load it; the others never do.
+The fit runs the in-house adaptive Nelder-Mead of `_optimize`. scipy is
+imported on first use, inside the functions that call it (`lfilter` and
+`expit`), so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -184,12 +183,7 @@ def fit_garch11(residuals) -> GarchParams:
         pack(0.9 * sample_var, 0.05, 0.02),
     ]
     results = [
-        minimize(
-            objective,
-            u0,
-            method="Nelder-Mead",
-            options={"maxfev": 4000, "maxiter": 4000, "xatol": 1e-6, "fatol": 1e-9, "adaptive": True},
-        )
+        minimize(objective, u0, maxfev=4000, xatol=1e-6, fatol=1e-9)
         for u0 in starts
     ]
     converged = [r for r in results if r.success]

@@ -233,6 +233,34 @@ def test_forecast_malformed_model_exits_2(synth_csv, tmp_path, capsys, payload):
     assert not out.exists()
 
 
+ARMA11_MODEL = {"order": [1, 0, 1], "phi": [0.5], "theta": [0.2], "intercept": 0.1,
+                "sigma2": 1.0, "n_obs": 100, "aic": 10.0}
+NOT_FINITE = "malformed model file: phi, theta, intercept, sigma2 and aic must be finite"
+
+
+@pytest.mark.parametrize(
+    "fields, mode, message",
+    [
+        ({"phi": [float("nan")]}, "static", NOT_FINITE),
+        ({"intercept": float("nan"), "sigma2": float("nan")}, "rolling", NOT_FINITE),
+        ({"theta": [1e308]}, "rolling", "forecast is not finite"),
+        ({"order": [1.5, 0, 1]}, "static", "malformed model file: order term must be a whole number, got 1.5"),
+    ],
+    ids=["nan-phi", "nan-intercept-sigma2", "overflowing-theta", "fractional-order"],
+)
+def test_forecast_non_finite_model_exits_2(synth_csv, tmp_path, capsys, fields, mode, message):
+    model = tmp_path / "model.json"
+    # json writes NaN as the bare token NaN, which json.load reads back
+    model.write_text(json.dumps({**ARMA11_MODEL, **fields}))
+    out = tmp_path / "preds.csv"
+    code = cli.main(["forecast", "--model", str(model), "--input", str(synth_csv), "--steps", "5",
+                     "--mode", mode, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_fit_garch_outputs(synth_csv, tmp_path):
     params_path = tmp_path / "params.json"
     csv_path = tmp_path / "var.csv"

@@ -1,5 +1,5 @@
 """Importing marketcast loads no scipy module, and the commands that fit no
-model run with scipy unimportable."""
+model, or only a pure-AR one, run with scipy unimportable."""
 
 import os
 import subprocess
@@ -48,6 +48,8 @@ def test_commands_without_a_model_fit_run_without_scipy(tmp_path):
              "--window", "60", "--hidden", "8", "--batch", "16"],
             ["evaluate", "--input", "out/predictions_lstm.csv", "--out", "evaluate.txt"],
             ["chart", "--input", "out/predictions_lstm.csv", "--out", "chart.svg"],
+            # Nelder-Mead is in-house, so a pure-AR fit needs no scipy either
+            ["fit-arima", "--input", "prices.csv", "--order", "2,1,0", "--out", "ar_fit.json"],
         ]
         codes = {argv[0]: cli.main(argv) for argv in commands}
         # a pure-AR model forecasts without the MA filter, so without scipy
@@ -66,7 +68,8 @@ def test_commands_without_a_model_fit_run_without_scipy(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    names = ("synth", "features", "run", "evaluate", "chart", "forecast static", "forecast rolling")
+    names = ("synth", "features", "run", "evaluate", "chart", "fit-arima",
+             "forecast static", "forecast rolling")
     codes = {name: 0 for name in names}
     codes["fit-garch"] = "ImportError"
     assert proc.stdout.splitlines()[-1] == str(codes), proc.stderr

@@ -127,6 +127,18 @@ def test_fit_is_local_maximum_of_reported_likelihood():
             assert log_likelihood(eps, nudged) <= best, (name, factor)
 
 
+def test_fit_golden_bits():
+    # float.hex of (alpha0, alpha1, beta1): any change in the order of the
+    # optimizer's or the likelihood's floating-point operations shows up here
+    eps = simulate_garch11(GarchParams(0.05, 0.1, 0.85), 2000, np.random.default_rng(2024))
+    fit = fit_garch11(eps)
+    assert (fit.alpha0.hex(), fit.alpha1.hex(), fit.beta1.hex()) == (
+        "0x1.6472068d1f434p-5",
+        "0x1.1d6b63e316f08p-4",
+        "0x1.c58abd91a5a2ep-1",
+    )
+
+
 def test_fit_homoskedastic_noise_low_persistence():
     # on iid noise the volatility recursion has nothing to explain; the
     # fitted persistence should collapse in nearly all seeds
