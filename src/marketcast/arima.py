@@ -224,10 +224,7 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
 def _check_stationarity(phi: np.ndarray) -> None:
     if len(phi) == 0 or not phi.any():
         return
-    roots = _roots(-phi)
-    if roots.size == 0:
-        return
-    closest = float(np.min(np.abs(roots)))
+    closest = float(np.min(np.abs(_roots(-phi))))
     if closest < HARD_ROOT_LIMIT:
         raise NonStationaryError(
             f"AR root at modulus {closest:.6f} is on or inside the unit circle"
@@ -327,9 +324,9 @@ def auto_arima(series, bounds=DEFAULT_BOUNDS) -> ArimaModel:
             for q in range(q_max + 1):
                 try:
                     with warnings.catch_warnings():
-                        # root warnings for discarded candidates are noise;
+                        # only root warnings, noise for discarded candidates;
                         # the winner is re-checked below
-                        warnings.simplefilter("ignore")
+                        warnings.filterwarnings("ignore", "AR root at modulus", UserWarning)
                         model = fit_arma(w, p, q)
                 except (ModelFitError, DataError) as exc:
                     failures.append(f"({p},{d},{q}): {exc}")
@@ -442,24 +439,30 @@ def model_to_dict(model: ArimaModel) -> dict:
     }
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(value, name).is_integer():
         raise DataError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
 def model_from_dict(payload: dict) -> ArimaModel:
-    """The model `model_to_dict` wrote. Raises DataError on a non-integral
-    order term or count and on a non-finite coefficient, variance or AIC."""
+    """The model `model_to_dict` wrote. Raises DataError on a string or bool where a
+    number goes, a non-integral order term or count, and a non-finite number."""
     p, d, q = (_whole(v, "order term") for v in payload["order"])
     model = ArimaModel(
         order=ArimaOrder(p, d, q),
-        phi=np.asarray(payload["phi"], dtype=float),
-        theta=np.asarray(payload["theta"], dtype=float),
-        intercept=float(payload["intercept"]),
-        sigma2=float(payload["sigma2"]),
+        phi=[_number(v, "phi") for v in payload["phi"]],
+        theta=[_number(v, "theta") for v in payload["theta"]],
+        intercept=_number(payload["intercept"], "intercept"),
+        sigma2=_number(payload["sigma2"], "sigma2"),
         n_obs=_whole(payload["n_obs"], "n_obs"),
-        aic=float(payload["aic"]),
+        aic=_number(payload["aic"], "aic"),
     )
     numbers = np.concatenate((model.phi, model.theta, [model.intercept, model.sigma2, model.aic]))
     if not np.all(np.isfinite(numbers)):

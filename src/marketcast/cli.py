@@ -154,9 +154,12 @@ def _cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    min_days = 216 + 1 + 10
+    min_days = 199 + 6  # what every command's preprocessing needs
     if args.days < min_days:
-        raise DataError(f"--days must be at least {min_days} to feed the default pipeline")
+        raise DataError(
+            f"--days must be at least {min_days}: MOV_AVG_200D's 199 warm-up rows, then 6 for a "
+            "60/20/20 split with 2 test rows"
+        )
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     frame = synth_mod.generate(args.seed, args.days, regimes)
@@ -214,17 +217,17 @@ def _cmd_fit_arima(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
+    steps = args.steps
+    if steps < 1:
+        raise DataError("--steps must be >= 1")
     try:
         with open(args.model, encoding="utf-8-sig") as fh:
             model = arima_mod.model_from_dict(json.load(fh))
     except OSError as exc:
         raise DataError(f"cannot read model: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
     dates, series = _load_column(args.input, args.column)
-    steps = args.steps
-    if steps < 1:
-        raise DataError("--steps must be >= 1")
     if steps >= len(series):
         raise DataError(f"--steps {steps} must be below the series length {len(series)}")
     mode = arima_mod.ForecastMode(args.mode)

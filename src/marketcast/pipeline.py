@@ -15,8 +15,9 @@ requested model legs:
 Both legs score the same test rows, so their metrics files are directly
 comparable. Windows are built over the whole frame and partitioned by target
 row; a window may therefore read rows from before its own split, which is
-ordinary use of past data and leaks nothing from the future. No file is
-written until every stage has run; then `write_all` stages all of them beside
+ordinary use of past data and leaks nothing from the future. The legs only
+compute their test predictions; then the run names every path once, in its
+`RunArtifacts`, builds each file, and `write_all` stages all of them beside
 their targets and renames them into place only once every one is written, so a
 failed run leaves the earlier files as they were.
 """
@@ -400,6 +401,10 @@ def prepare(config: PipelineConfig) -> Prepared:
     )
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
     """Execute the configured experiment, then write all artifacts or none.
 
@@ -414,21 +419,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         raise DataError(f"unknown dump stage {sorted(unknown)[0]!r}")
 
     prep = prepare(config)
-    out_dir = Path(config.out_dir)
-    stage_dir = out_dir / "stages"
     target = config.target_column
-    features_json = json.dumps(
-        {
-            "correlations": prep.correlations_json(),
-            "threshold": config.corr_threshold,
-            "feature_mode": config.feature_mode,
-            "selected": prep.selected,
-            "window_columns": prep.window_columns,
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
-
     _, b1, b2, n = prep.bounds
     legs = [leg for leg in ("arima", "lstm") if config.model_mode in (leg, "both")]
     # only the LSTM and the windows dump read windows; an ARIMA-only run must
@@ -450,77 +441,75 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
             if len(test_ds) != n - b2:
                 raise DataError("test windows do not cover the test split")
 
-    # every output, path -> text or a write_fn(tmp), in the order it is written;
-    # a dumped stage's file is named after the stage
-    files = {
-        stage_dir / filename: content
-        for filename, content in {
-            "filled.csv": lambda tmp: write_csv(prep.filled, tmp),
-            "enriched.csv": lambda tmp: write_csv(prep.enriched, tmp),
-            "scaler.json": json.dumps(prep.scaler.to_dict(), indent=2, sort_keys=True) + "\n",
-            "features.json": features_json,
-            "windows.npz": lambda tmp: np.savez(
-                tmp,
-                train_inputs=train_ds.inputs,
-                train_targets=train_ds.targets,
-                val_inputs=val_ds.inputs,
-                val_targets=val_ds.targets,
-                test_inputs=test_ds.inputs,
-                test_targets=test_ds.targets,
-            ),
-        }.items()
-        if Path(filename).stem in dump
-    }
-    stages_written = {path.stem: str(path) for path in files}
-
+    # each leg's predictions of the test rows, in price units
+    preds: dict[str, np.ndarray] = {}
     prices = prep.enriched.column(target)
-    test_dates = prep.enriched.dates[b2:]
-    actual_test = prices[b2:]
-
-    def _add_leg(leg: str, preds: np.ndarray):
-        all_dates, all_actual, all_preds = prediction_rows(prep.enriched.dates, prices, preds)
-        files[out_dir / f"predictions_{leg}.csv"] = format_predictions(all_dates, all_actual, all_preds)
-        rep = metrics_mod.report(test_dates, actual_test, preds)
-        files[out_dir / f"metrics_{leg}.txt"] = metrics_mod.format_report(rep)
-        svg = render_chart(all_dates, all_actual, all_preds, title=f"{leg} forecast vs actual")
-        files[out_dir / f"chart_{leg}.svg"] = svg
-
     if "arima" in legs:
         with _stage("arima"):
             model = arima_mod.auto_arima(prices[:b2], bounds=config.arima_bounds)
             mode = arima_mod.ForecastMode(config.forecast_mode)
             history = prices[:b2] if mode is arima_mod.ForecastMode.STATIC else prices
-            preds = arima_mod.forecast(model, history, n - b2, mode)
-            model_json = json.dumps(arima_mod.model_to_dict(model), indent=2, sort_keys=True) + "\n"
-            files[out_dir / "arima_model.json"] = model_json
-            _add_leg("arima", preds)
+            preds["arima"] = arima_mod.forecast(model, history, n - b2, mode)
 
     if "lstm" in legs:
         with _stage("lstm"):
             lcfg = config.lstm_config(input_size=len(prep.window_columns))
-            network = init_network(lcfg)
-            network, history = train(network, train_ds, val_ds, lcfg)
-            preds_scaled = predict_series(network, test_ds)
-            preds = invert_scaler(preds_scaled, target, prep.scaler)
-            files[out_dir / "lstm_checkpoint.npz"] = lambda tmp: save_checkpoint(network, tmp)
-            _add_leg("lstm", preds)
+            network, _ = train(init_network(lcfg), train_ds, val_ds, lcfg)
+            preds["lstm"] = invert_scaler(predict_series(network, test_ds), target, prep.scaler)
 
-    features_path = out_dir / "selected_features.json"
-    files[features_path] = features_json
-    resolved = asdict(config)
-    resolved["_window_includes_target"] = True
-    resolved_path = out_dir / "resolved_config.json"
-    files[resolved_path] = json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+    out_dir = Path(config.out_dir)
+    stage_dir = out_dir / "stages"
+    features_json = _json_text(
+        {
+            "correlations": prep.correlations_json(),
+            "threshold": config.corr_threshold,
+            "feature_mode": config.feature_mode,
+            "selected": prep.selected,
+            "window_columns": prep.window_columns,
+        }
+    )
+    # a dumped stage's file is named after the stage
+    stage_files = {
+        "filled.csv": lambda tmp: write_csv(prep.filled, tmp),
+        "enriched.csv": lambda tmp: write_csv(prep.enriched, tmp),
+        "scaler.json": _json_text(prep.scaler.to_dict()),
+        "features.json": features_json,
+        "windows.npz": lambda tmp: np.savez(
+            tmp,
+            train_inputs=train_ds.inputs,
+            train_targets=train_ds.targets,
+            val_inputs=val_ds.inputs,
+            val_targets=val_ds.targets,
+            test_inputs=test_ds.inputs,
+            test_targets=test_ds.targets,
+        ),
+    }
+    artifacts = RunArtifacts(
+        predictions={leg: str(out_dir / f"predictions_{leg}.csv") for leg in preds},
+        metrics={leg: str(out_dir / f"metrics_{leg}.txt") for leg in preds},
+        charts={leg: str(out_dir / f"chart_{leg}.svg") for leg in preds},
+        checkpoint=str(out_dir / "lstm_checkpoint.npz") if "lstm" in preds else None,
+        arima_model=str(out_dir / "arima_model.json") if "arima" in preds else None,
+        selected_features=str(out_dir / "selected_features.json"),
+        resolved_config=str(out_dir / "resolved_config.json"),
+        stages={Path(name).stem: str(stage_dir / name) for name in stage_files if Path(name).stem in dump},
+    )
+
+    # every output, path -> text or a write_fn(tmp), in the order it is written
+    files = {path: stage_files[Path(path).name] for path in artifacts.stages.values()}
+    for leg, leg_preds in preds.items():
+        with _stage(leg):
+            rows = prediction_rows(prep.enriched.dates, prices, leg_preds)
+            files[artifacts.predictions[leg]] = format_predictions(*rows)
+            rep = metrics_mod.report(prep.enriched.dates[b2:], prices[b2:], leg_preds)
+            files[artifacts.metrics[leg]] = metrics_mod.format_report(rep)
+            files[artifacts.charts[leg]] = render_chart(*rows, title=f"{leg} forecast vs actual")
+    if artifacts.arima_model:
+        files[artifacts.arima_model] = _json_text(arima_mod.model_to_dict(model))
+    if artifacts.checkpoint:
+        files[artifacts.checkpoint] = lambda tmp: save_checkpoint(network, tmp)
+    files[artifacts.selected_features] = features_json
+    files[artifacts.resolved_config] = _json_text({**asdict(config), "_window_includes_target": True})
     with _stage("output"):
         write_all(files, new_dir=stage_dir if dump else out_dir)
-
-    return RunArtifacts(
-        predictions={leg: str(out_dir / f"predictions_{leg}.csv") for leg in legs},
-        metrics={leg: str(out_dir / f"metrics_{leg}.txt") for leg in legs},
-        charts={leg: str(out_dir / f"chart_{leg}.svg") for leg in legs},
-        checkpoint=str(out_dir / "lstm_checkpoint.npz") if "lstm" in legs else None,
-        arima_model=str(out_dir / "arima_model.json") if "arima" in legs else None,
-        selected_features=str(features_path),
-        resolved_config=str(resolved_path),
-        stages=stages_written,
-    )
+    return artifacts

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from marketcast import arima
 from marketcast.arima import (
     ArimaModel,
     ArimaOrder,
@@ -261,6 +262,18 @@ def test_auto_arima_near_oracle_sse():
         sel = auto_arima(y, bounds=(2, 1, 2))
         oracle = fit_arma(y, 1, 0)
         assert sel.sigma2 * sel.n_obs <= 1.05 * oracle.sigma2 * oracle.n_obs
+
+
+def test_auto_arima_silences_only_root_warnings(monkeypatch):
+    fit = arima.fit_arma
+
+    def warning_fit(w, p, q):
+        warnings.warn("overflow in a candidate", RuntimeWarning)
+        return fit(w, p, q)
+
+    monkeypatch.setattr(arima, "fit_arma", warning_fit)
+    with pytest.warns(RuntimeWarning, match="overflow in a candidate"):
+        auto_arima(simulate_ar1(0.5, 300, seed=9), bounds=(1, 0, 0))
 
 
 def test_auto_arima_all_candidates_fail():

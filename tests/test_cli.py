@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marketcast import cli, pipeline
+from marketcast import cli, pipeline, synth
 from marketcast.chart import read_predictions
 from marketcast.errors import DataError
 
@@ -60,6 +60,20 @@ def test_synth_rejects_short_series(tmp_path):
     proc = run_cli("synth", "--out", tmp_path / "x.csv", "--days", "50")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_synth_minimum_is_what_features_needs(tmp_path, capsys):
+    # 199 MOV_AVG_200D warm-up rows plus 6 rows, the least a 60/20/20 split
+    # with 2 test rows takes
+    short = tmp_path / "short.csv"
+    assert cli.main(["synth", "--out", str(short), "--days", "204"]) == 2
+    assert "--days must be at least 205" in capsys.readouterr().err
+    assert not short.exists()
+    synth.write_csv(synth.generate(0, 204), short)
+    assert cli.main(["features", "--input", str(short)]) == 2
+    enough = tmp_path / "enough.csv"
+    assert cli.main(["synth", "--out", str(enough), "--days", "205"]) == 0
+    assert cli.main(["features", "--input", str(enough)]) == 0
 
 
 def test_run_writes_and_reports_artifacts(run_dir):
@@ -213,6 +227,10 @@ def test_fit_arima_then_forecast(synth_csv, tmp_path):
     assert proc.returncode == 2
 
 
+ARMA11_MODEL = {"order": [1, 0, 1], "phi": [0.5], "theta": [0.2], "intercept": 0.1,
+                "sigma2": 1.0, "n_obs": 100, "aic": 10.0}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -220,8 +238,21 @@ def test_fit_arima_then_forecast(synth_csv, tmp_path):
         {"order": 5},
         {"order": [1, 1, 0], "phi": [0.5], "theta": [], "intercept": None,
          "sigma2": 1.0, "n_obs": 100, "aic": 10.0},
+        # a string or a bool is not a number, though Python reads each as one
+        {**ARMA11_MODEL, "order": "111"},
+        {**ARMA11_MODEL, "order": [True, 1, True]},
+        {**ARMA11_MODEL, "n_obs": "7"},
+        {**ARMA11_MODEL, "intercept": "1.5"},
+        {**ARMA11_MODEL, "sigma2": "1"},
+        {**ARMA11_MODEL, "phi": ["0.5"]},
+        {**ARMA11_MODEL, "theta": [True]},
+        {**ARMA11_MODEL, "aic": True},
+        {**ARMA11_MODEL, "intercept": 10**400},
     ],
-    ids=["list", "scalar-order", "null-intercept"],
+    ids=[
+        "list", "scalar-order", "null-intercept", "string-order", "bool-order-terms", "string-n_obs",
+        "string-intercept", "string-sigma2", "string-phi", "bool-theta", "bool-aic", "int-past-float-range",
+    ],
 )
 def test_forecast_malformed_model_exits_2(synth_csv, tmp_path, capsys, payload):
     model = tmp_path / "model.json"
@@ -233,8 +264,6 @@ def test_forecast_malformed_model_exits_2(synth_csv, tmp_path, capsys, payload):
     assert not out.exists()
 
 
-ARMA11_MODEL = {"order": [1, 0, 1], "phi": [0.5], "theta": [0.2], "intercept": 0.1,
-                "sigma2": 1.0, "n_obs": 100, "aic": 10.0}
 NOT_FINITE = "malformed model file: phi, theta, intercept, sigma2 and aic must be finite"
 
 
@@ -428,6 +457,16 @@ def test_fit_arima_bad_train_frac_exits_2_before_reading(tmp_path, monkeypatch, 
     argv = ["fit-arima", "--input", str(tmp_path / "x.csv"), f"--train-frac={frac}", "--out", str(out)]
     assert cli.main(argv) == 2
     assert "--train-frac must be a finite value in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forecast_bad_steps_exits_2_before_reading(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("the CSV was read"))
+    out = tmp_path / "preds.csv"
+    argv = ["forecast", "--model", str(tmp_path / "missing.json"), "--input", str(tmp_path / "x.csv"),
+            "--steps", "0", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "error: --steps must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

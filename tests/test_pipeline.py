@@ -132,6 +132,17 @@ def test_run_writes_all_artifacts(both_run):
     assert art.stages == {}
 
 
+@pytest.mark.parametrize("mode, dump", [("both", ("all",)), ("arima", ()), ("lstm", ())])
+def test_artifacts_name_every_file_written(input_csv, tmp_path, mode, dump):
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path), model_mode=mode, **TINY)
+    art = run_pipeline(cfg, dump_stages=dump)
+    named = set()
+    for value in asdict(art).values():
+        named |= set(value.values()) if isinstance(value, dict) else {value} - {None}
+    assert {str(p) for p in tmp_path.rglob("*") if p.is_file()} == named
+    assert len(named) == {"both": 15, "arima": 6, "lstm": 6}[mode]
+
+
 def test_predictions_have_context_rows(both_run):
     _, art = both_run
     dates, actual, predicted = read_predictions(art.predictions["lstm"])
