@@ -5,12 +5,14 @@ cell may be empty on leading context rows (history shown before the forecast
 start). The chart draws the actual and predicted series as exactly two
 polyline elements, labels both axes, and marks the boundary where predictions
 begin when the file contains context rows. Output is built with ElementTree,
-so it is well-formed XML by construction.
+which escapes markup, and a title holding a character outside XML 1.0's
+`Char` production is a DataError, so the SVG is well-formed XML.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from datetime import date
 from xml.etree import ElementTree as ET
 
@@ -29,6 +31,10 @@ MARGIN_BOTTOM = 60
 
 ACTUAL_COLOR = "#1f77b4"
 PREDICTED_COLOR = "#d62728"
+
+# a character outside XML 1.0's Char production, such as a control character or
+# the lone surrogate a non-UTF-8 argv byte becomes
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def read_predictions(path):
@@ -98,6 +104,9 @@ def render_chart(dates, actual, predicted, title: str = "Actual vs predicted") -
         raise DataError("dates, actual, and predicted lengths differ")
     if n == 0:
         raise DataError("nothing to chart")
+    bad = _NON_XML_CHAR.search(title)
+    if bad:
+        raise DataError(f"chart title holds {bad.group()!r}, a character XML 1.0 does not allow")
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

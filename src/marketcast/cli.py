@@ -50,6 +50,7 @@ from .pipeline import (
     PipelineConfig,
     atomic_write_text,
     atomic_write_via,
+    json_text,
     load_config,
     prediction_rows,
     prepare,
@@ -70,6 +71,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
+
+
+def _out_path(given, default_name: str) -> Path:
+    """The path an output flag gave, else `default_name` in the default output directory."""
+    return Path(given) if given else Path(_default_out_dir()) / default_name
 
 
 def _parse_triple(text: str, cast, label: str) -> tuple:
@@ -163,7 +169,7 @@ def _cmd_synth(args) -> int:
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     frame = synth_mod.generate(args.seed, args.days, regimes)
-    out = Path(args.out if args.out else Path(_default_out_dir()) / "synthetic_prices.csv")
+    out = _out_path(args.out, "synthetic_prices.csv")
     atomic_write_via(out, lambda tmp: synth_mod.write_csv(frame, tmp))
     print(f"wrote {out} ({args.days} rows, seed {args.seed})")
     return 0
@@ -179,7 +185,7 @@ def _cmd_features(args) -> int:
         "selected": prep.selected,
         "training_rows": prep.bounds[1],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.out}")
@@ -208,8 +214,8 @@ def _cmd_fit_arima(args) -> int:
         model = replace(model, order=arima_mod.ArimaOrder(p, d, q))
     else:
         model = arima_mod.auto_arima(series, bounds=bounds)
-    out = Path(args.out if args.out else Path(_default_out_dir()) / "arima_model.json")
-    atomic_write_text(out, json.dumps(arima_mod.model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    out = _out_path(args.out, "arima_model.json")
+    atomic_write_text(out, json_text(arima_mod.model_to_dict(model)))
     o = model.order
     print(f"order ({o.p},{o.d},{o.q})  aic {model.aic:.4f}  sigma2 {model.sigma2:.6g}  n {model.n_obs}")
     print(f"wrote {out}")
@@ -233,7 +239,7 @@ def _cmd_forecast(args) -> int:
     mode = arima_mod.ForecastMode(args.mode)
     history = series[:-steps] if mode is arima_mod.ForecastMode.STATIC else series
     preds = arima_mod.forecast(model, history, steps, mode)
-    out = Path(args.out if args.out else Path(_default_out_dir()) / "predictions_arima.csv")
+    out = _out_path(args.out, "predictions_arima.csv")
     atomic_write_text(out, format_predictions(*prediction_rows(dates, series, preds)))
     print(f"wrote {out}")
     return 0
@@ -251,8 +257,7 @@ def _cmd_fit_garch(args) -> int:
     residuals = returns - returns.mean()
     params = garch_mod.fit_garch11(residuals)
     sigma2 = garch_mod.garch_state(params, residuals)
-    out_dir = Path(_default_out_dir())
-    params_path = Path(args.out_params if args.out_params else out_dir / "garch_params.json")
+    params_path = _out_path(args.out_params, "garch_params.json")
     payload = {
         "alpha0": params.alpha0,
         "alpha1": params.alpha1,
@@ -262,13 +267,12 @@ def _cmd_fit_garch(args) -> int:
         "log_likelihood": garch_mod.log_likelihood(residuals, params),
         "n_obs": len(residuals),
     }
-    csv_path = Path(args.out_csv if args.out_csv else out_dir / "garch_variance.csv")
+    csv_path = _out_path(args.out_csv, "garch_variance.csv")
     lines = ["date,residual,sigma2"]
     for d, e, s2 in zip(dates, residuals, sigma2):
         lines.append(f"{d.isoformat()},{e:.8f},{s2:.8f}")
-    write_all(  # both files or neither
-        {params_path: json.dumps(payload, indent=2, sort_keys=True) + "\n", csv_path: "\n".join(lines) + "\n"}
-    )
+    # both files or neither; pairs, not a dict, so two flags naming one file reach write_all
+    write_all([(params_path, json_text(payload)), (csv_path, "\n".join(lines) + "\n")])
     print(
         f"alpha0 {params.alpha0:.6g}  alpha1 {params.alpha1:.4f}  beta1 {params.beta1:.4f}  "
         f"persistence {params.persistence:.4f}"
@@ -313,7 +317,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_chart(args) -> int:
     svg = chart_from_file(args.input, title=args.title)
-    out = Path(args.out if args.out else Path(_default_out_dir()) / "chart.svg")
+    out = _out_path(args.out, "chart.svg")
     atomic_write_text(out, svg)
     print(f"wrote {out}")
     return 0

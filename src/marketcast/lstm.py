@@ -39,7 +39,6 @@ layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -548,10 +547,8 @@ def save_checkpoint(network: LstmNetwork, path) -> None:
     arrays["dense_w"] = network.dense_w
     arrays["dense_b"] = network.dense_b
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(network.config)}
-    buf = io.BytesIO()
-    np.savez(buf, meta=np.array(json.dumps(meta)), **arrays)
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> LstmNetwork:

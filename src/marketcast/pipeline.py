@@ -20,6 +20,10 @@ compute their test predictions; then the run names every path once, in its
 `RunArtifacts`, builds each file, and `write_all` stages all of them beside
 their targets and renames them into place only once every one is written, so a
 failed run leaves the earlier files as they were.
+
+`write_all` is the one function that puts a file on disk: every command writes
+through it, the one-file commands by way of `atomic_write_text` and
+`atomic_write_via`. Every JSON artifact's text comes from `json_text`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -68,6 +71,7 @@ __all__ = [
     "atomic_write_text",
     "atomic_write_via",
     "write_all",
+    "json_text",
     "DUMPABLE_STAGES",
     "FORECAST_MODES",
     "MODEL_MODES",
@@ -237,54 +241,40 @@ def _stage(name: str):
         raise
 
 
-def _atomic_write(path, write_fn) -> None:
-    """write_fn(tmp) fills a temp file beside `path`, which then replaces it.
-
-    The temp file takes `path`'s suffix, which np.savez needs. Any OS
-    failure, such as a missing directory, is a DataError naming `path`.
-    """
-    path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=path.suffix)
-        os.close(fd)
-        try:
-            write_fn(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def atomic_write_text(path, content: str) -> None:
-    """Write text via a temp file in the same directory plus os.replace."""
-
-    def _write(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-
-    _atomic_write(path, _write)
+    """Write one text file through `write_all`."""
+    write_all([(path, content)])
 
 
 def atomic_write_via(path, write_fn) -> None:
-    """Atomic variant for writers that need a path (np.savez, write_csv)."""
-    _atomic_write(path, write_fn)
+    """Write one file through `write_all`, for writers that need a path (np.savez, write_csv)."""
+    write_all([(path, write_fn)])
 
 
-def write_all(files: dict, new_dir=None) -> None:
-    """Write every file of `files` (path -> text, or a write_fn(tmp)), or none.
+def write_all(files, new_dir=None) -> None:
+    """Write every file of `files`, or none.
 
-    `new_dir` and its missing parents are created first. Each file is then
-    written in full to a staging file beside its target, `.{stem}.staged{suffix}`
-    (np.savez needs the suffix), and a target that is a directory is refused;
-    only when every file is staged does each staging file replace its target.
-    On any exception, the staging files are removed, then the directories made
-    here, deepest first, and the exception propagates. A failure before the
-    renames leaves every target as it was, so a failed rerun keeps the earlier
-    run's files whole; a directory that existed before is never removed.
+    `files` holds (path, content) pairs, such as a dict's items(); a content
+    is text, or a write_fn(staging) that fills the file. Two paths that
+    resolve to one file are a DataError, raised before anything is touched.
+    `new_dir` and its missing parents are created next. A target that is a
+    directory is refused. Each file is then written in full to a staging
+    file beside its target, created here under a random hidden name with the
+    target's suffix (np.savez needs it) and the mode the umask gives a new
+    file; only when every file is staged does each staging file replace its
+    target. On any exception, the staging files are removed, then the
+    directories made here, deepest first, and the exception propagates. A
+    failure before the renames leaves every target as it was, so a failed
+    rerun keeps the earlier run's files whole; a directory that existed
+    before is never removed. Any OS failure is a DataError naming the target.
     """
+    files = [(Path(path), content) for path, content in files]
+    seen: dict[str, Path] = {}
+    for path, _ in files:
+        key = os.path.realpath(path)
+        if key in seen:
+            raise DataError(f"cannot write {seen[key]} and {path}: they name one file")
+        seen[key] = path
     made: list[Path] = []
     staged: dict[Path, Path] = {}
     try:
@@ -298,20 +288,22 @@ def write_all(files: dict, new_dir=None) -> None:
                 except OSError as exc:
                     raise DataError(f"cannot create {path}: {exc.strerror or exc}") from exc
                 made.append(path)
-        for path, content in files.items():
-            path = Path(path)
+        for path, content in files:
             if path.is_dir():
                 raise DataError(f"cannot write {path}: Is a directory")
-            staged[path] = staging = path.with_name(f".{path.stem}.staged{path.suffix}")
+            staging = path.with_name(f".{path.stem}.{os.urandom(6).hex()}{path.suffix}")
             try:
+                # O_EXCL: the name is this call's alone; 0o666 lets the umask set the mode
+                fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged[path] = staging
                 if callable(content):
-                    atomic_write_via(staging, content)
+                    os.close(fd)
+                    content(staging)
                 else:
-                    atomic_write_text(staging, content)
-            except DataError as exc:
-                # name the target, not its staging file
-                exc.args = (exc.args[0].replace(str(staging), str(path)),) + exc.args[1:]
-                raise
+                    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                        fh.write(content)
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         for path, staging in staged.items():
             try:
                 os.replace(staging, path)
@@ -401,7 +393,8 @@ def prepare(config: PipelineConfig) -> Prepared:
     )
 
 
-def _json_text(payload) -> str:
+def json_text(payload) -> str:
+    """The text of a JSON artifact: sorted keys, two-space indent, a final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -459,7 +452,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
 
     out_dir = Path(config.out_dir)
     stage_dir = out_dir / "stages"
-    features_json = _json_text(
+    features_json = json_text(
         {
             "correlations": prep.correlations_json(),
             "threshold": config.corr_threshold,
@@ -472,7 +465,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
     stage_files = {
         "filled.csv": lambda tmp: write_csv(prep.filled, tmp),
         "enriched.csv": lambda tmp: write_csv(prep.enriched, tmp),
-        "scaler.json": _json_text(prep.scaler.to_dict()),
+        "scaler.json": json_text(prep.scaler.to_dict()),
         "features.json": features_json,
         "windows.npz": lambda tmp: np.savez(
             tmp,
@@ -505,11 +498,11 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
             files[artifacts.metrics[leg]] = metrics_mod.format_report(rep)
             files[artifacts.charts[leg]] = render_chart(*rows, title=f"{leg} forecast vs actual")
     if artifacts.arima_model:
-        files[artifacts.arima_model] = _json_text(arima_mod.model_to_dict(model))
+        files[artifacts.arima_model] = json_text(arima_mod.model_to_dict(model))
     if artifacts.checkpoint:
         files[artifacts.checkpoint] = lambda tmp: save_checkpoint(network, tmp)
     files[artifacts.selected_features] = features_json
-    files[artifacts.resolved_config] = _json_text({**asdict(config), "_window_includes_target": True})
+    files[artifacts.resolved_config] = json_text({**asdict(config), "_window_includes_target": True})
     with _stage("output"):
-        write_all(files, new_dir=stage_dir if dump else out_dir)
+        write_all(files.items(), new_dir=stage_dir if dump else out_dir)
     return artifacts

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,15 @@ def test_chart_from_predictions(run_dir, tmp_path):
     assert "My Tiny Run" in text
 
 
+@pytest.mark.parametrize("title", ["a\x01b", "\udcff"], ids=["control-character", "non-utf8-argv-byte"])
+def test_chart_title_outside_xml_exits_2(run_dir, tmp_path, capsys, title):
+    out, _ = run_dir
+    argv = ["chart", "--input", str(out / "predictions_lstm.csv"), "--out", str(tmp_path / "c.svg"), "--title", title]
+    assert cli.main(argv) == 2
+    assert "error: chart title holds " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_arima_then_forecast(synth_csv, tmp_path):
     model = tmp_path / "model.json"
     proc = run_cli(
@@ -306,6 +316,40 @@ def test_fit_garch_outputs(synth_csv, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "date,residual,sigma2"
     assert len(lines) == 400
+
+
+@pytest.mark.parametrize("csv_out", ["X", "{cwd}/X"], ids=["same-spelling", "absolute-spelling"])
+def test_fit_garch_outputs_naming_one_file_exit_2(synth_csv, tmp_path, monkeypatch, capsys, csv_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "X").write_bytes(b"earlier\n")
+    argv = ["fit-garch", "--input", str(synth_csv), "--out-params", "X", "--out-csv", csv_out.format(cwd=tmp_path)]
+    assert cli.main(argv) == 2
+    assert "they name one file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["X"]
+    assert (tmp_path / "X").read_bytes() == b"earlier\n"
+
+
+def test_outputs_get_the_mode_the_umask_gives(synth_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MARKETCAST_OUT", raising=False)
+    saved = os.umask(0o022)
+    try:
+        for argv in (
+            ["synth", "--days", "400", "--seed", "5"],
+            ["features", "--input", str(synth_csv), "--out", "features.json"],
+            ["run", "--input", str(synth_csv), "--out-dir", "run", "--dump-stage", "all", *TINY_RUN],
+            ["fit-arima", "--input", str(synth_csv), "--order", "1,1,0"],
+            ["forecast", "--model", "arima_model.json", "--input", str(synth_csv), "--steps", "20"],
+            ["fit-garch", "--input", str(synth_csv)],
+            ["evaluate", "--input", "predictions_arima.csv", "--out", "report.txt"],
+            ["chart", "--input", "predictions_arima.csv"],
+        ):
+            assert cli.main(argv) == 0, capsys.readouterr().err
+    finally:
+        os.umask(saved)
+    modes = {str(p.relative_to(tmp_path)): stat.S_IMODE(p.stat().st_mode) for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 23
+    assert {name: oct(mode) for name, mode in modes.items() if mode != 0o644} == {}
 
 
 def test_out_dir_env_var(run_dir, tmp_path):

@@ -205,6 +205,8 @@ def test_dump_stages(input_csv, tmp_path):
     assert set(art.stages) == set(DUMPABLE_STAGES)
     for path in art.stages.values():
         assert Path(path).is_file()
+    # every staging file was renamed into place, in out_dir and in stages/
+    assert list(tmp_path.rglob(".*")) == []
     scaler = json.loads(Path(art.stages["scaler"]).read_text())
     lo, hi = scaler[cfg.target_column]
     assert lo < hi
@@ -273,7 +275,7 @@ def test_write_all_removes_files_and_new_directories_on_interrupt(tmp_path):
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        write_all({new_dir / "first.txt": "one\n", new_dir / "second.npz": interrupted}, new_dir=new_dir)
+        write_all([(new_dir / "first.txt", "one\n"), (new_dir / "second.npz", interrupted)], new_dir=new_dir)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -284,8 +286,9 @@ def test_write_all_leaves_an_existing_target_when_a_later_write_fails(tmp_path):
         raise OSError("disk full")
 
     with pytest.raises(DataError, match="cannot write .*second.npz: disk full"):
-        write_all({tmp_path / "first.txt": "new", tmp_path / "second.npz": failing})
-    assert (tmp_path / "first.txt").read_text() == "old"
+        write_all([(tmp_path / "first.txt", "new"), (tmp_path / "second.npz", failing)])
+    # the target keeps its bytes, and no staging file is left beside it
+    assert (tmp_path / "first.txt").read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["first.txt"]
 
 
