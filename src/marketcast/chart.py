@@ -12,6 +12,7 @@ which escapes markup, and a title holding a character outside XML 1.0's
 from __future__ import annotations
 
 import csv
+import io
 import re
 from datetime import date
 from xml.etree import ElementTree as ET
@@ -19,6 +20,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .errors import DataError
+from .frame import read_text
 
 __all__ = ["read_predictions", "format_predictions", "render_chart", "chart_from_file"]
 
@@ -38,16 +40,12 @@ _NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 
 
 def read_predictions(path):
-    """Parse a predictions CSV into (dates, actual, predicted).
+    """Parse a predictions CSV, read through `frame.read_text`, into (dates, actual, predicted).
 
     `predicted` is float with NaN where the cell was empty. Raises DataError
-    on structural problems (wrong header, bad numbers, unsorted dates).
+    on an unreadable file or a structural problem (wrong header, bad numbers, unsorted dates).
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read predictions file {path}: {exc}") from exc
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["date", "actual", "predicted"]:
         raise DataError("predictions file must start with header date,actual,predicted")
     dates: list[date] = []

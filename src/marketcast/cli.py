@@ -42,7 +42,7 @@ from . import metrics as metrics_mod
 from . import synth as synth_mod
 from .chart import chart_from_file, format_predictions, read_predictions
 from .errors import DataError, ModelFitError
-from .frame import forward_fill, load_csv
+from .frame import forward_fill, load_csv, read_text
 from .pipeline import (
     DUMPABLE_STAGES,
     FORECAST_MODES,
@@ -59,6 +59,7 @@ from .pipeline import (
 )
 
 OUT_DIR_ENV = "MARKETCAST_OUT"
+_BOUNDS_DEFAULT_TEXT = ",".join(map(str, arima_mod.DEFAULT_BOUNDS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +125,8 @@ def _add_arima_flags(p: argparse.ArgumentParser):
     """Flags only `run` takes: the model legs, and the ARIMA search and forecast."""
     p.add_argument("--mode", dest="model_mode", choices=MODEL_MODES, help="model legs to run")
     p.add_argument("--forecast", dest="forecast_mode", choices=FORECAST_MODES, help="ARIMA forecast mode")
-    p.add_argument("--bounds", dest="arima_bounds", help="ARIMA search bounds p,d,q (default 5,2,5)")
+    p.add_argument("--bounds", dest="arima_bounds",
+                   help=f"ARIMA search bounds p,d,q (default {_BOUNDS_DEFAULT_TEXT})")
 
 
 _CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
@@ -226,12 +228,10 @@ def _cmd_forecast(args) -> int:
     steps = args.steps
     if steps < 1:
         raise DataError("--steps must be >= 1")
+    text = read_text(args.model)
     try:
-        with open(args.model, encoding="utf-8-sig") as fh:
-            model = arima_mod.model_from_dict(json.load(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read model: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError, DataError) as exc:
+        model = arima_mod.model_from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
     dates, series = _load_column(args.input, args.column)
     if steps >= len(series):
@@ -331,12 +331,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--days", type=int, default=2770, help="number of trading-day rows")
-    p.add_argument("--break-frac", type=float, default=0.9, help="regime break position in (0, 1]")
-    p.add_argument("--drift-before", type=float, default=0.08, help="annual drift before the break")
-    p.add_argument("--vol-before", type=float, default=0.15, help="annual volatility before the break")
-    p.add_argument("--drift-after", type=float, default=-0.25, help="annual drift after the break")
-    p.add_argument("--vol-after", type=float, default=0.35, help="annual volatility after the break")
-    p.add_argument("--start-price", type=float, default=1700.0)
+    regime = synth_mod.RegimeSpec  # its field defaults are the flag defaults
+    p.add_argument("--break-frac", type=float, default=regime.break_fraction,
+                   help="regime break position in (0, 1]")
+    p.add_argument("--drift-before", type=float, default=regime.drift_before, help="annual drift before the break")
+    p.add_argument("--vol-before", type=float, default=regime.vol_before, help="annual volatility before the break")
+    p.add_argument("--drift-after", type=float, default=regime.drift_after, help="annual drift after the break")
+    p.add_argument("--vol-after", type=float, default=regime.vol_after, help="annual volatility after the break")
+    p.add_argument("--start-price", type=float, default=regime.start_price)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("features", help="correlation scan and feature selection")
@@ -347,7 +349,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit-arima", help="fit an ARIMA model to one CSV column")
     p.add_argument("--input", required=True)
     p.add_argument("--column", default="PX_LAST")
-    p.add_argument("--bounds", default=None, help="search bounds p,d,q (default 5,2,5)")
+    p.add_argument("--bounds", default=None, help=f"search bounds p,d,q (default {_BOUNDS_DEFAULT_TEXT})")
     p.add_argument("--order", default=None, help="skip the search and fit this exact p,d,q")
     p.add_argument("--train-frac", type=float, default=1.0, help="fit on the first fraction of rows, in (0, 1]")
     p.add_argument("--out", default=None, help="model JSON path")

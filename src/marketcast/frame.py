@@ -2,17 +2,17 @@
 
 A :class:`TimeSeriesFrame` is a small immutable table: strictly increasing
 calendar dates plus named float columns, with NaN marking missing cells.
-The functions here cover CSV ingestion, forward filling, chronological
-splitting, min-max scaling, correlation-based feature selection, and
-sliding-window construction. All operations are pure: they return new
-frames and never mutate their inputs.
+The functions here cover reading input files (`read_text` reads every one),
+CSV ingestion, forward filling, chronological splitting, min-max scaling,
+correlation-based feature selection, and sliding-window construction. All
+operations are pure: they return new frames and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -26,6 +26,7 @@ __all__ = [
     "ScalerParams",
     "SplitSpec",
     "WindowedDataset",
+    "read_text",
     "load_csv",
     "write_csv",
     "forward_fill",
@@ -164,68 +165,76 @@ def _parse_date(text: str, where: str) -> date:
         raise DataError(f"{where}: unparseable date {text!r}") from exc
 
 
-def _read_lines(path: Path):
-    """The lines of a UTF-8 text file, less any leading byte-order mark; a failure
-    to open, read or decode it is a DataError."""
+def read_text(path) -> str:
+    """The text of a UTF-8 input file, less a leading byte-order mark, with its line ends kept.
+
+    A missing file is a DataError `no such file: <path>`; any other failure to
+    read or decode it is a DataError `cannot read <path>: <reason>`.
+    """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield from fh
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise DataError(f"no such file: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def load_csv(path) -> TimeSeriesFrame:
-    """Load a header-ed CSV into a frame, sorting rows by date.
+    """Load a header-ed CSV, read through `read_text`, into a frame sorted by date.
 
     Non-date columns are parsed as floats; unparseable or empty cells (and a
-    literal "nan") become missing (NaN). Raises DataError on a missing file,
-    one that cannot be read or is not UTF-8, a missing date column, zero data
-    rows, or a row that is too short to hold its date, has more cells than
-    the header, has an unparseable date or an infinite value, or repeats an
-    earlier row's date; the row errors name the row's 1-based line.
+    literal "nan") become missing (NaN). Raises DataError on a file that is
+    missing, unreadable or not UTF-8; before any row, on a header with an
+    empty cell, a repeated name or no date column; on zero data rows; and on
+    a row that is too short to hold its date, has more cells than the
+    header, has an unparseable date or an infinite value, or repeats an
+    earlier row's date. The row errors name the row's 1-based line.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with closing(_read_lines(path)) as lines:
-        reader = csv.reader(lines)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if DATE_COLUMN not in header:
-            raise DataError(f"date column {DATE_COLUMN!r} not in header {header}")
-        date_idx = header.index(DATE_COLUMN)
-        value_names = [h for i, h in enumerate(header) if i != date_idx]
-        records = []
-        for row in reader:
-            if not row or all(cell.strip() == "" for cell in row):
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    for i, name in enumerate(header):
+        if not name:
+            raise DataError(f"{path}: header cell {i + 1} is empty")
+        if name in header[:i]:
+            raise DataError(f"{path}: column {name!r} appears more than once in the header")
+    if DATE_COLUMN not in header:
+        raise DataError(f"date column {DATE_COLUMN!r} not in header {header}")
+    date_idx = header.index(DATE_COLUMN)
+    value_names = [h for i, h in enumerate(header) if i != date_idx]
+    records = []
+    for row in reader:
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        line = reader.line_num
+        if date_idx >= len(row):
+            raise DataError(
+                f"{path}: line {line} has {len(row)} cells, "
+                f"too few to reach the {DATE_COLUMN!r} column"
+            )
+        if len(row) > len(header):
+            raise DataError(
+                f"{path}: line {line} has {len(row)} cells, more than the {len(header)} in the header"
+            )
+        when = _parse_date(row[date_idx].strip(), f"{path}: line {line}")
+        values = []
+        for i, name in enumerate(header):
+            if i == date_idx:
                 continue
-            line = reader.line_num
-            if date_idx >= len(row):
-                raise DataError(
-                    f"{path}: line {line} has {len(row)} cells, "
-                    f"too few to reach the {DATE_COLUMN!r} column"
-                )
-            if len(row) > len(header):
-                raise DataError(
-                    f"{path}: line {line} has {len(row)} cells, more than the {len(header)} in the header"
-                )
-            when = _parse_date(row[date_idx].strip(), f"{path}: line {line}")
-            values = []
-            for i, name in enumerate(header):
-                if i == date_idx:
-                    continue
-                cell = row[i].strip() if i < len(row) else ""
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if math.isinf(value):
-                    raise DataError(f"{path}: line {line}, column {name!r}: infinite value {cell!r}")
-                values.append(value)
-            records.append((when, values, line))
+            cell = row[i].strip() if i < len(row) else ""
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if math.isinf(value):
+                raise DataError(f"{path}: line {line}, column {name!r}: infinite value {cell!r}")
+            values.append(value)
+        records.append((when, values, line))
     if not records:
         raise DataError(f"{path} has zero data rows")
     records.sort(key=lambda rec: rec[0])

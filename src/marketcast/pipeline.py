@@ -53,6 +53,7 @@ from .frame import (
     invert_scaler,
     load_csv,
     make_windows,
+    read_text,
     select_features,
     split_bounds,
     write_csv,
@@ -121,7 +122,7 @@ class PipelineConfig:
     feature_mode: str = "with_features"
     model_mode: str = "both"
     forecast_mode: str = "static"
-    arima_bounds: tuple[int, int, int] = (5, 2, 5)
+    arima_bounds: tuple[int, int, int] = arima_mod.DEFAULT_BOUNDS
     lstm_hidden: int = 64
     lstm_layers: int = 2
     lstm_dropout: float = 0.20
@@ -204,10 +205,7 @@ def load_config(path, overrides: dict | None = None, defaults: dict | None = Non
     replaces it.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -523,27 +523,77 @@ def test_fit_arima_negative_integers_exit_2_before_reading(tmp_path, monkeypatch
     assert not out.exists()
 
 
+READ_INPUTS = [
+    ("features", "--input"), ("fit-arima", "--input"), ("evaluate", "--input"), ("run", "--config"),
+    ("forecast", "--model"),
+]
+
+
 @pytest.mark.parametrize(
     "command, flag, kind",
-    [
-        ("features", "--input", "directory"),
-        ("features", "--input", "not_utf8"),
-        ("fit-arima", "--input", "not_utf8"),
-        ("evaluate", "--input", "directory"),
-        ("evaluate", "--input", "not_utf8"),
-        ("run", "--config", "directory"),
-        ("run", "--config", "not_utf8"),
-    ],
+    [(command, flag, kind) for command, flag in READ_INPUTS for kind in ("directory", "missing")],
 )
 def test_unreadable_input_exits_2(tmp_path, capsys, command, flag, kind):
+    # git cannot track an empty directory, so this case is built here, not in the corpus
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
-    else:
-        path.write_bytes(b"DATE,PX_LAST\n2020-01-01,1.0\xff\n")
-    assert cli.main([command, flag, str(path)]) == 2
+    extra = ["--input", str(BUNDLED_CSV), "--steps", "5"] if command == "forecast" else []
+    assert cli.main([command, flag, str(path), *extra]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (f"no such file: {path}\n" if kind == "missing" else f"cannot read {path}: ") in err
+
+
+MALFORMED_DIR = Path(__file__).resolve().parent / "data" / "malformed"
+
+FEATURES = ["features", "--input", "{input}", "--out", "{out}"]
+FIT_ARIMA = ["fit-arima", "--input", "{input}", "--order", "1,1,0", "--out", "{out}"]
+EVALUATE = ["evaluate", "--input", "{input}", "--out", "{out}"]
+FORECAST = ["forecast", "--model", "{input}", "--input", str(BUNDLED_CSV), "--steps", "5", "--out", "{out}"]
+RUN = ["run", "--config", "{input}", "--out-dir", "{out}"]
+NOT_UTF8 = "cannot read {input}: 'utf-8' codec can't decode"
+
+# (corpus file, argv with {input} and {out} to fill in, exit code, fragment of stderr)
+MALFORMED = [
+    ("truncated.csv", FEATURES, 2, "line 4: unparseable date '2020-01-0'"),
+    ("repeated_header_row.csv", FEATURES, 2, "line 2: unparseable date 'DATE'"),
+    ("nul_in_date.csv", FEATURES, 2, "line 3: unparseable date '2020-01-\\x0003'"),
+    ("repeated_column.csv", FIT_ARIMA, 2, "column 'PX_LAST' appears more than once in the header"),
+    ("repeated_column.csv", FEATURES, 2, "column 'PX_LAST' appears more than once in the header"),
+    ("blank_column_name.csv", FEATURES, 2, "header cell 3 is empty"),
+    ("trailing_comma_header.csv", FEATURES, 2, "header cell 4 is empty"),
+    ("prices_not_utf8.csv", FEATURES, 2, NOT_UTF8),
+    ("prices_not_utf8.csv", FIT_ARIMA, 2, NOT_UTF8),
+    ("predictions_non_number.csv", EVALUATE, 2, "line 3: bad actual value 'ten'"),
+    ("predictions_not_utf8.csv", EVALUATE, 2, NOT_UTF8),
+    ("model_without_theta.json", FORECAST, 2, "malformed model file: 'theta'"),
+    ("model_not_utf8.json", FORECAST, 2, NOT_UTF8),
+    ("config_list.json", RUN, 2, "config file must hold a JSON object"),
+    ("config_not_utf8.json", RUN, 2, NOT_UTF8),
+    ("crlf_line_ends.csv", FEATURES, 0, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, fragment", MALFORMED, ids=[f"{name}-{argv[0]}" for name, argv, _, _ in MALFORMED]
+)
+def test_malformed_input_corpus(tmp_path, capsys, name, argv, code, fragment):
+    path = MALFORMED_DIR / name
+    out = tmp_path / "out"
+    assert cli.main([arg.format(input=path, out=out) for arg in argv]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and fragment.format(input=path) in err
+        assert list(tmp_path.iterdir()) == []
+        return
+    assert err == ""
+    # the same file with LF line ends gives the same output, byte for byte
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    lf_out = tmp_path / "lf.out"
+    assert cli.main([arg.format(input=lf, out=lf_out) for arg in argv]) == 0
+    assert b"\r" in path.read_bytes() and out.read_bytes() == lf_out.read_bytes()
 
 
 @pytest.mark.parametrize("command, flag", [

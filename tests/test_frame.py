@@ -46,7 +46,7 @@ def test_load_csv_parses_and_sorts(tmp_path):
 
 
 def test_load_csv_errors(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=re.escape(f"no such file: {tmp_path / 'missing.csv'}")):
         load_csv(tmp_path / "missing.csv")
     p = tmp_path / "nodate.csv"
     p.write_text("A,B\n1,2\n")
@@ -68,6 +68,9 @@ def test_load_csv_errors(tmp_path):
         ("neginf.csv", "DATE,A,B\n2020-01-01,1,-Infinity\n", "line 2, column 'B': infinite value"),
         ("dupline.csv", "DATE,A\n2020-01-02,1\n2020-01-01,2\n2020-01-02,3\n",
          "duplicate date 2020-01-02 on lines 2 and 4"),
+        ("dupcol.csv", "DATE,A,A\n2020-01-01,1,2\n", "column 'A' appears more than once in the header"),
+        ("dupdate.csv", "DATE,A,DATE\n2020-01-01,1,2020-01-02\n", "column 'DATE' appears more than once"),
+        ("blankcol.csv", "DATE, ,A\n2020-01-01,1,2\n", "header cell 2 is empty"),
     ]:
         p = tmp_path / name
         p.write_text(body)
@@ -81,6 +84,16 @@ def test_load_csv_short_row_names_its_line(tmp_path):
     p.write_text("A,B,DATE\n1,2,2020-01-01\n\n3\n4,5,2020-01-03\n")
     with pytest.raises(DataError, match="line 4 has 1 cells"):
         load_csv(p)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_csv_accepts_any_line_end(tmp_path, end):
+    # \x0c and \u2028 end a line for str.splitlines, but inside a row they are only whitespace
+    p = tmp_path / "x.csv"
+    p.write_bytes(end.join(["DATE,A", "2020-01-01\x0c,1", "2020-01-02\u2028,2", ""]).encode())
+    f = load_csv(p)
+    assert f.dates == (date(2020, 1, 1), date(2020, 1, 2))
+    assert f.column("A").tolist() == [1.0, 2.0]
 
 
 def test_write_csv_round_trip(tmp_path):
