@@ -11,8 +11,6 @@ which escapes markup, and a title holding a character outside XML 1.0's
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from datetime import date
 from xml.etree import ElementTree as ET
@@ -20,7 +18,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from .errors import DataError
-from .frame import read_text
+from .frame import read_csv_rows
 
 __all__ = ["read_predictions", "format_predictions", "render_chart", "chart_from_file"]
 
@@ -40,18 +38,18 @@ _NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 
 
 def read_predictions(path):
-    """Parse a predictions CSV, read through `frame.read_text`, into (dates, actual, predicted).
+    """Parse a predictions CSV, read by `frame.read_csv_rows`, into (dates, actual, predicted).
 
     `predicted` is float with NaN where the cell was empty. Raises DataError
     on an unreadable file or a structural problem (wrong header, bad numbers, unsorted dates).
     """
-    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
-    if not rows or [c.strip() for c in rows[0]] != ["date", "actual", "predicted"]:
+    rows = list(read_csv_rows(path))
+    if not rows or [c.strip() for c in rows[0][1]] != ["date", "actual", "predicted"]:
         raise DataError("predictions file must start with header date,actual,predicted")
     dates: list[date] = []
     actual: list[float] = []
     predicted: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 3:
             raise DataError(f"line {lineno}: expected 3 cells, got {len(row)}")
         try:

@@ -8,7 +8,7 @@ Subcommands cover each pipeline stage plus an end-to-end run:
   forecast    apply a stored model to the tail of a series
   fit-garch   GARCH(1,1) on a returns column, variance path as CSV
   train-lstm  the LSTM leg of the experiment on its own
-  run         the full experiment (arima and/or lstm legs)
+  run         the full experiment: arima and/or lstm legs, or all three of the paper's legs
   evaluate    metrics report for a predictions file
   chart       SVG rendering of a predictions file
 
@@ -123,7 +123,9 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 def _add_arima_flags(p: argparse.ArgumentParser):
     """Flags only `run` takes: the model legs, and the ARIMA search and forecast."""
-    p.add_argument("--mode", dest="model_mode", choices=MODEL_MODES, help="model legs to run")
+    p.add_argument("--mode", dest="model_mode", choices=MODEL_MODES,
+                   help="model legs to run; all runs the paper's three legs, each in its own subdirectory: "
+                        "arima_<forecast>, and lstm_features and lstm_price_only whatever --features says")
     p.add_argument("--forecast", dest="forecast_mode", choices=FORECAST_MODES, help="ARIMA forecast mode")
     p.add_argument("--bounds", dest="arima_bounds",
                    help=f"ARIMA search bounds p,d,q (default {_BOUNDS_DEFAULT_TEXT})")
@@ -179,8 +181,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_features(args) -> int:
     cfg = _pipeline_config(args)
-    # the threshold selection is reported even when the config is price_only
-    prep = prepare(replace(cfg, feature_mode="with_features"))
+    prep = prepare(cfg)
     payload = {
         "correlations": prep.correlations_json(),
         "threshold": cfg.corr_threshold,
@@ -283,7 +284,27 @@ def _cmd_fit_garch(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    artifacts = run_pipeline(_pipeline_config(args), dump_stages=args.dump_stage)
+    cfg = _pipeline_config(args)
+    artifacts = run_pipeline(cfg, dump_stages=args.dump_stage)
+    if cfg.model_mode != "all":
+        _print_written(artifacts)
+        return 0
+    for leg_artifacts in artifacts.values():
+        _print_written(leg_artifacts)
+    print()
+    header = f"{'leg':<18}{'mae':>12}{'rmse':>12}{'acc%':>9}{'acc 1st%':>10}{'acc 2nd%':>10}"
+    print(header)
+    print("-" * len(header))
+    for name, leg_artifacts in artifacts.items():
+        (rep,) = leg_artifacts.reports.values()  # each leg directory holds one model leg
+        print(
+            f"{name:<18}{rep.mae:>12.2f}{rep.rmse:>12.2f}{rep.accuracy_pct:>9.2f}"
+            f"{rep.accuracy_first_half_pct:>10.2f}{rep.accuracy_second_half_pct:>10.2f}"
+        )
+    return 0
+
+
+def _print_written(artifacts) -> None:
     for leg in artifacts.predictions:
         print(f"wrote {artifacts.predictions[leg]}")
         print(f"wrote {artifacts.metrics[leg]}")
@@ -296,7 +317,6 @@ def _cmd_run(args) -> int:
     print(f"wrote {artifacts.resolved_config}")
     for name, path in artifacts.stages.items():
         print(f"dumped {name} -> {path}")
-    return 0
 
 
 def _cmd_evaluate(args) -> int:

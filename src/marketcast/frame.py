@@ -2,10 +2,11 @@
 
 A :class:`TimeSeriesFrame` is a small immutable table: strictly increasing
 calendar dates plus named float columns, with NaN marking missing cells.
-The functions here cover reading input files (`read_text` reads every one),
-CSV ingestion, forward filling, chronological splitting, min-max scaling,
-correlation-based feature selection, and sliding-window construction. All
-operations are pure: they return new frames and never mutate their inputs.
+The functions here cover reading input files (`read_text` reads every one,
+`read_csv_rows` parses the CSV ones), CSV ingestion, forward filling,
+chronological splitting, min-max scaling, correlation-based feature
+selection, and sliding-window construction. All operations are pure: they
+return new frames and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -27,6 +29,7 @@ __all__ = [
     "SplitSpec",
     "WindowedDataset",
     "read_text",
+    "read_csv_rows",
     "load_csv",
     "write_csv",
     "forward_fill",
@@ -180,24 +183,37 @@ def read_text(path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def read_csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """Yield each row of a CSV file read through `read_text`, with the 1-based line it ends on.
+
+    A row the csv module cannot parse, such as one with a cell over its field
+    size limit, is a DataError naming the path and the line.
+    """
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def load_csv(path) -> TimeSeriesFrame:
-    """Load a header-ed CSV, read through `read_text`, into a frame sorted by date.
+    """Load a header-ed CSV, read by `read_csv_rows`, into a frame sorted by date.
 
     Non-date columns are parsed as floats; unparseable or empty cells (and a
     literal "nan") become missing (NaN). Raises DataError on a file that is
-    missing, unreadable or not UTF-8; before any row, on a header with an
-    empty cell, a repeated name or no date column; on zero data rows; and on
-    a row that is too short to hold its date, has more cells than the
+    missing, unreadable, not UTF-8 or not CSV; before any row, on a header
+    with an empty cell, a repeated name or no date column; on zero data rows;
+    and on a row that is too short to hold its date, has more cells than the
     header, has an unparseable date or an infinite value, or repeats an
     earlier row's date. The row errors name the row's 1-based line.
     """
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path} is empty") from None
-    header = [h.strip() for h in header]
+    rows = read_csv_rows(path)
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"{path} is empty")
+    header = [h.strip() for h in first[1]]
     for i, name in enumerate(header):
         if not name:
             raise DataError(f"{path}: header cell {i + 1} is empty")
@@ -208,10 +224,9 @@ def load_csv(path) -> TimeSeriesFrame:
     date_idx = header.index(DATE_COLUMN)
     value_names = [h for i, h in enumerate(header) if i != date_idx]
     records = []
-    for row in reader:
+    for line, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
-        line = reader.line_num
         if date_idx >= len(row):
             raise DataError(
                 f"{path}: line {line} has {len(row)} cells, "

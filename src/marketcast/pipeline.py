@@ -2,8 +2,9 @@
 
 `prepare` runs ingest -> forward-fill -> indicator derivation -> chronological
 split -> train-only scaling -> correlation-based feature selection; it is the
-one preprocessing path, shared with `marketcast features`. A run then builds
-sliding windows, when the LSTM or a windows dump reads them, and executes the
+one preprocessing path, shared with `marketcast features`. A run then uses the
+selected features or the price alone, as its feature_mode says, builds sliding
+windows, when the LSTM or a windows dump reads them, and executes the
 requested model legs:
 
   arima: order search on the unscaled close over the train+validation span,
@@ -13,13 +14,15 @@ requested model legs:
          validation split, one-step test predictions mapped back to prices.
 
 Both legs score the same test rows, so their metrics files are directly
-comparable. Windows are built over the whole frame and partitioned by target
-row; a window may therefore read rows from before its own split, which is
-ordinary use of past data and leaks nothing from the future. The legs only
-compute their test predictions; then the run names every path once, in its
-`RunArtifacts`, builds each file, and `write_all` stages all of them beside
-their targets and renames them into place only once every one is written, so a
-failed run leaves the earlier files as they were.
+comparable. Model mode "all" is the paper's comparison: three one-directory
+runs (`_leg_configs`) on one `prepare`, written by one `write_all`. Windows
+are built over the whole frame and partitioned by target row; a window may
+therefore read rows from before its own split, which is ordinary use of past
+data and leaks nothing from the future. The legs only compute their test
+predictions; then the run names every path once, in its `RunArtifacts`,
+builds each file, and `write_all` stages all of them beside their targets and
+renames them into place only once every one is written, so a failed run
+leaves the earlier files as they were.
 
 `write_all` is the one function that puts a file on disk: every command writes
 through it, the one-file commands by way of `atomic_write_text` and
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -79,7 +83,7 @@ __all__ = [
 ]
 
 FEATURE_MODES = ("with_features", "price_only")
-MODEL_MODES = ("arima", "lstm", "both")
+MODEL_MODES = ("arima", "lstm", "both", "all")
 FORECAST_MODES = tuple(mode.value for mode in arima_mod.ForecastMode)
 DUMPABLE_STAGES = ("filled", "enriched", "scaler", "features", "windows")
 
@@ -93,7 +97,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an integer beyond a float's range is not a number here: float() of it overflows
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
 # a field's annotated type -> (check, noun for one value, noun for several)
@@ -206,7 +211,7 @@ def load_config(path, overrides: dict | None = None, defaults: dict | None = Non
     """
     try:
         payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() takes
         raise DataError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
@@ -218,6 +223,8 @@ def load_config(path, overrides: dict | None = None, defaults: dict | None = Non
 
 @dataclass(frozen=True)
 class RunArtifacts:
+    """The paths a run wrote, and the report each model leg's metrics file was made from."""
+
     predictions: dict[str, str]
     metrics: dict[str, str]
     charts: dict[str, str]
@@ -226,6 +233,7 @@ class RunArtifacts:
     selected_features: str
     resolved_config: str
     stages: dict[str, str]
+    reports: dict[str, metrics_mod.ForecastReport]
 
 
 @contextmanager
@@ -249,14 +257,14 @@ def atomic_write_via(path, write_fn) -> None:
     write_all([(path, write_fn)])
 
 
-def write_all(files, new_dir=None) -> None:
+def write_all(files, new_dirs=()) -> None:
     """Write every file of `files`, or none.
 
     `files` holds (path, content) pairs, such as a dict's items(); a content
     is text, or a write_fn(staging) that fills the file. Two paths that
     resolve to one file are a DataError, raised before anything is touched.
-    `new_dir` and its missing parents are created next. A target that is a
-    directory is refused. Each file is then written in full to a staging
+    Each of `new_dirs`, with its missing parents, is created next. A target
+    that is a directory is refused. Each file is then written in full to a staging
     file beside its target, created here under a random hidden name with the
     target's suffix (np.savez needs it) and the mode the umask gives a new
     file; only when every file is staged does each staging file replace its
@@ -276,8 +284,7 @@ def write_all(files, new_dir=None) -> None:
     made: list[Path] = []
     staged: dict[Path, Path] = {}
     try:
-        if new_dir is not None:
-            new_dir = Path(new_dir)
+        for new_dir in map(Path, new_dirs):
             for path in reversed([new_dir, *new_dir.parents]):
                 if path.exists():
                     continue
@@ -341,8 +348,7 @@ class Prepared:
     scaler: ScalerParams  # fitted on the training rows
     scaled: TimeSeriesFrame
     correlations: dict[str, float]  # of each column with the target, training rows
-    selected: list[str]  # features over the threshold; [] when price_only
-    window_columns: list[str]  # the target first, then the selected features
+    selected: list[str]  # features over the threshold, whatever the feature_mode
 
     def correlations_json(self) -> dict:
         """The correlations with NaN (a constant column) as None, for JSON."""
@@ -375,10 +381,7 @@ def prepare(config: PipelineConfig) -> Prepared:
         scaled = apply_scaler(enriched, scaler)
     with _stage("features"):
         correlations = correlation_vector(enriched.rows(0, b1), config.target_column)
-        if config.feature_mode == "with_features":
-            selected = select_features(correlations, config.corr_threshold)
-        else:
-            selected = []
+        selected = select_features(correlations, config.corr_threshold)
     return Prepared(
         filled=filled,
         enriched=enriched,
@@ -387,7 +390,6 @@ def prepare(config: PipelineConfig) -> Prepared:
         scaled=scaled,
         correlations=correlations,
         selected=selected,
-        window_columns=[config.target_column] + [c for c in selected if c != config.target_column],
     )
 
 
@@ -396,11 +398,33 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
+def _leg_configs(config: PipelineConfig) -> dict[str, PipelineConfig]:
+    """The one-directory runs a config asks for, by name.
+
+    Model mode "all" asks for the paper's three legs, each in its own
+    subdirectory of out_dir: `arima_<forecast_mode>` (with the config's
+    feature_mode), `lstm_features` and `lstm_price_only` (with their own
+    feature_mode, whatever the config's). Any other mode asks for itself,
+    under the name "".
+    """
+    if config.model_mode != "all":
+        return {"": config}
+    legs = {
+        f"arima_{config.forecast_mode}": replace(config, model_mode="arima"),
+        "lstm_features": replace(config, model_mode="lstm", feature_mode="with_features"),
+        "lstm_price_only": replace(config, model_mode="lstm", feature_mode="price_only"),
+    }
+    return {name: replace(leg, out_dir=str(Path(config.out_dir) / name)) for name, leg in legs.items()}
+
+
+def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts | dict[str, RunArtifacts]:
     """Execute the configured experiment, then write all artifacts or none.
 
     `dump_stages` is a collection of DUMPABLE_STAGES names (or "all"); each
-    requested intermediate lands under <out_dir>/stages/.
+    requested intermediate lands under <out_dir>/stages/. Returns the run's
+    RunArtifacts; with model mode "all", a dict of each leg's name to its
+    RunArtifacts (see `_leg_configs`). The legs share one `prepare`, and each
+    directory gets the files, byte for byte, of a run of its leg's config.
     """
     dump = set(dump_stages)
     if "all" in dump:
@@ -410,14 +434,33 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         raise DataError(f"unknown dump stage {sorted(unknown)[0]!r}")
 
     prep = prepare(config)
+    runs: dict[str, RunArtifacts] = {}
+    files: dict[str, object] = {}
+    new_dirs = []
+    for name, leg_config in _leg_configs(config).items():
+        runs[name], leg_files = _run_leg(leg_config, prep, dump)
+        files.update(leg_files)
+        new_dirs.append(Path(leg_config.out_dir) / "stages" if dump else Path(leg_config.out_dir))
+    with _stage("output"):
+        write_all(files.items(), new_dirs=new_dirs)
+    return runs if config.model_mode == "all" else runs[""]
+
+
+def _run_leg(config: PipelineConfig, prep: Prepared, dump: set) -> tuple[RunArtifacts, dict]:
+    """Run the model legs of a one-directory config on `prep`: its artifacts and its files.
+
+    The files map each path to its text or write_fn(tmp), in the order it is written.
+    """
     target = config.target_column
     _, b1, b2, n = prep.bounds
+    selected = prep.selected if config.feature_mode == "with_features" else []
+    window_columns = [target] + [c for c in selected if c != target]
     legs = [leg for leg in ("arima", "lstm") if config.model_mode in (leg, "both")]
     # only the LSTM and the windows dump read windows; an ARIMA-only run must
     # not fail on a window setting it never reads
     if "lstm" in legs or "windows" in dump:
         with _stage("windows"):
-            windows = make_windows(prep.scaled, prep.window_columns, target, config.window, config.horizon)
+            windows = make_windows(prep.scaled, window_columns, target, config.window, config.horizon)
             # target rows increase with the window index, so each split is one slice
             target_rows = np.arange(len(windows)) + config.window + config.horizon - 1
             i1, i2 = np.searchsorted(target_rows, (b1, b2))
@@ -444,7 +487,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
 
     if "lstm" in legs:
         with _stage("lstm"):
-            lcfg = config.lstm_config(input_size=len(prep.window_columns))
+            lcfg = config.lstm_config(input_size=len(window_columns))
             network, _ = train(init_network(lcfg), train_ds, val_ds, lcfg)
             preds["lstm"] = invert_scaler(predict_series(network, test_ds), target, prep.scaler)
 
@@ -455,8 +498,8 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
             "correlations": prep.correlations_json(),
             "threshold": config.corr_threshold,
             "feature_mode": config.feature_mode,
-            "selected": prep.selected,
-            "window_columns": prep.window_columns,
+            "selected": selected,
+            "window_columns": window_columns,
         }
     )
     # a dumped stage's file is named after the stage
@@ -484,16 +527,16 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         selected_features=str(out_dir / "selected_features.json"),
         resolved_config=str(out_dir / "resolved_config.json"),
         stages={Path(name).stem: str(stage_dir / name) for name in stage_files if Path(name).stem in dump},
+        reports={},
     )
 
-    # every output, path -> text or a write_fn(tmp), in the order it is written
     files = {path: stage_files[Path(path).name] for path in artifacts.stages.values()}
     for leg, leg_preds in preds.items():
         with _stage(leg):
             rows = prediction_rows(prep.enriched.dates, prices, leg_preds)
             files[artifacts.predictions[leg]] = format_predictions(*rows)
-            rep = metrics_mod.report(prep.enriched.dates[b2:], prices[b2:], leg_preds)
-            files[artifacts.metrics[leg]] = metrics_mod.format_report(rep)
+            artifacts.reports[leg] = metrics_mod.report(prep.enriched.dates[b2:], prices[b2:], leg_preds)
+            files[artifacts.metrics[leg]] = metrics_mod.format_report(artifacts.reports[leg])
             files[artifacts.charts[leg]] = render_chart(*rows, title=f"{leg} forecast vs actual")
     if artifacts.arima_model:
         files[artifacts.arima_model] = json_text(arima_mod.model_to_dict(model))
@@ -501,6 +544,4 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts:
         files[artifacts.checkpoint] = lambda tmp: save_checkpoint(network, tmp)
     files[artifacts.selected_features] = features_json
     files[artifacts.resolved_config] = json_text({**asdict(config), "_window_includes_target": True})
-    with _stage("output"):
-        write_all(files.items(), new_dir=stage_dir if dump else out_dir)
-    return artifacts
+    return artifacts, files

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ import pytest
 
 from marketcast import cli, pipeline, synth
 from marketcast.chart import read_predictions
-from marketcast.errors import DataError
+from marketcast.errors import DataError, DivergenceError
 
 BUNDLED_CSV = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
 
@@ -116,6 +117,56 @@ def test_train_lstm_runs_only_lstm_leg(synth_csv, tmp_path):
     assert (tmp_path / "predictions_lstm.csv").is_file()
     assert not (tmp_path / "predictions_arima.csv").exists()
     assert not (tmp_path / "arima_model.json").exists()
+
+
+ALL_LEGS = ["arima_static", "lstm_features", "lstm_price_only"]
+
+
+def test_run_mode_all_is_three_one_leg_runs(synth_csv, tmp_path, capsys):
+    out = tmp_path / "exp"
+    argv = ["run", "--mode", "all", "--features", "without", "--input", str(synth_csv), "--out-dir", str(out)]
+    assert cli.main([*argv, *TINY_RUN]) == 0
+    written, table = capsys.readouterr().out.split("\n\n")
+    assert written.count("wrote ") == 18
+    assert [row.split()[0] for row in table.splitlines()[2:]] == ALL_LEGS
+    assert sorted(p.name for p in out.iterdir()) == ALL_LEGS
+    assert list(out.rglob(".*")) == []
+    # the ARIMA leg keeps --features; the LSTM legs each have their own
+    modes = [json.loads((out / leg / "selected_features.json").read_text())["feature_mode"] for leg in ALL_LEGS]
+    assert modes == ["price_only", "with_features", "price_only"]
+    # a one-leg run of each leg's resolved config writes that leg's directory again, byte for byte
+    for leg in ALL_LEGS:
+        files = {p.name: p.read_bytes() for p in (out / leg).iterdir()}
+        for name in files:
+            (out / leg / name).unlink()
+        config = tmp_path / f"{leg}.json"
+        config.write_bytes(files["resolved_config.json"])
+        assert cli.main(["run", "--config", str(config)]) == 0
+        rerun = {p.name: p.read_bytes() for p in (out / leg).iterdir()}
+        assert rerun.keys() == files.keys()
+        for name in files:
+            if name.endswith(".npz"):
+                with np.load(out / leg / name) as new, np.load(io.BytesIO(files[name])) as old:
+                    assert all(np.array_equal(new[key], old[key]) for key in old.files)
+            else:
+                assert rerun[name] == files[name], (leg, name)
+
+
+def test_failed_last_leg_of_mode_all_writes_nothing(synth_csv, tmp_path, monkeypatch, capsys):
+    train = pipeline.train
+    calls = []
+
+    def fail_second_training(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:  # lstm_price_only, the last leg
+            raise DivergenceError("non-finite loss", epoch=0)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train", fail_second_training)
+    argv = ["run", "--mode", "all", "--input", str(synth_csv), "--out-dir", str(tmp_path / "exp")]
+    assert cli.main([*argv, *TINY_RUN]) == 3
+    assert "error: stage lstm: non-finite loss" in capsys.readouterr().err
+    assert len(calls) == 2 and list(tmp_path.iterdir()) == []
 
 
 def test_features_prints_json(synth_csv):
@@ -455,6 +506,8 @@ def test_failed_ingest_leaves_no_directories(tmp_path, capsys):
         {"lstm_epochs": 0},
         {"lstm_patience": -1},
         {"seed": -1},
+        {"lstm_lr": 10**400},
+        {"splits": [10**400, 0, 0]},
     ],
 )
 def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, bad):
@@ -571,15 +624,29 @@ MALFORMED = [
     ("model_not_utf8.json", FORECAST, 2, NOT_UTF8),
     ("config_list.json", RUN, 2, "config file must hold a JSON object"),
     ("config_not_utf8.json", RUN, 2, NOT_UTF8),
+    ("config_huge_int.json", RUN, 2, "lstm_lr must be a number, got 1000"),
+    ("config_huge_int_digits.json", RUN, 2, "config is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("huge_cell.csv", FEATURES, 2, "huge_cell.csv: line 2: field larger than field limit (131072)"),
+    ("huge_cell_predictions.csv", EVALUATE, 2, "huge_cell_predictions.csv: line 3: field larger than field limit"),
     ("crlf_line_ends.csv", FEATURES, 0, ""),
 ]
+
+# corpus files made in a temporary directory, not checked in, for their size
+GENERATED = {
+    "config_huge_int_digits.json": '{"input_path": "prices.csv", "lstm_lr": 1' + "0" * 5000 + "}\n",
+    "huge_cell.csv": "DATE,A\n2020-01-01," + "1" * 140_000 + "\n",
+    "huge_cell_predictions.csv": "date,actual,predicted\n2020-01-01,1.0,\n2020-01-02," + "1" * 140_000 + ",2.0\n",
+}
 
 
 @pytest.mark.parametrize(
     "name, argv, code, fragment", MALFORMED, ids=[f"{name}-{argv[0]}" for name, argv, _, _ in MALFORMED]
 )
-def test_malformed_input_corpus(tmp_path, capsys, name, argv, code, fragment):
+def test_malformed_input_corpus(tmp_path_factory, tmp_path, capsys, name, argv, code, fragment):
     path = MALFORMED_DIR / name
+    if name in GENERATED:
+        path = tmp_path_factory.mktemp("generated") / name
+        path.write_text(GENERATED[name])
     out = tmp_path / "out"
     assert cli.main([arg.format(input=path, out=out) for arg in argv]) == code
     err = capsys.readouterr().err

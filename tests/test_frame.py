@@ -4,10 +4,11 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketcast.errors import DataError
+from marketcast.chart import read_predictions
+from marketcast.errors import DataError, MarketcastError
 from marketcast.frame import (
     SplitSpec,
     TimeSeriesFrame,
@@ -94,6 +95,28 @@ def test_load_csv_accepts_any_line_end(tmp_path, end):
     f = load_csv(p)
     assert f.dates == (date(2020, 1, 1), date(2020, 1, 2))
     assert f.column("A").tolist() == [1.0, 2.0]
+
+
+# pieces of CSV text, most of them from the files these readers take
+CSV_PIECES = st.sampled_from([
+    "DATE,PX_LAST,A\n", "date,actual,predicted\n", "DATE", "date", ",", "\n", "\r\n", "\r", '"', " ",
+    "2020-01-01", "2020-01-02", "2020-1-3", "20200104", "2020-02-30", "-", "0", "1", "2.5", "-3e2", "1e999",
+    "nan", "inf", "-inf", "1_0", "x", "\x00", "\x0c", "\u2028", "\ufeff", "\udcff", "\xe9",
+])
+CSV_TEXT = st.lists(CSV_PIECES, max_size=40).map("".join) | st.text(max_size=60)
+
+
+@pytest.mark.parametrize("reader", [load_csv, read_predictions], ids=["load_csv", "read_predictions"])
+@settings(max_examples=300, derandomize=True)
+@given(text=CSV_TEXT)
+def test_csv_readers_raise_only_marketcast_errors(tmp_path_factory, reader, text):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.csv"
+    # a lone surrogate becomes bytes that are not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        reader(path)
+    except MarketcastError:
+        pass
 
 
 def test_write_csv_round_trip(tmp_path):

@@ -2,13 +2,16 @@ import json
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketcast import pipeline, synth
 from marketcast.chart import read_predictions
-from marketcast.errors import DataError, DivergenceError
+from marketcast.errors import DataError, DivergenceError, MarketcastError
 from marketcast.pipeline import (
     DUMPABLE_STAGES,
     PipelineConfig,
@@ -93,6 +96,43 @@ def test_config_validation(bad):
         PipelineConfig(input_path="x.csv", **bad)
 
 
+# what json.loads can return, integers beyond a float's range and NaN among them
+HUGE_INTS = st.one_of(
+    st.integers(min_value=10**300, max_value=10**400), st.integers(min_value=-(10**400), max_value=-(10**300))
+)
+NUMBERS = st.integers(min_value=0, max_value=300) | HUGE_INTS | st.floats()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | NUMBERS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# values of each field's type, so that payloads also get past the type checks to the range checks
+OF_TYPE = {
+    int: st.integers(min_value=0, max_value=300) | HUGE_INTS,
+    float: NUMBERS,
+    str: st.sampled_from(("with_features", "price_only", "arima", "all", "static", "rolling", "PX_LAST")),
+}
+FIELD_VALUES = {  # a triple field's type is tuple[t, t, t]
+    name: JSON_VALUES | (
+        st.lists(OF_TYPE[get_args(kind)[0]], min_size=3, max_size=3) if get_args(kind) else OF_TYPE[kind]
+    )
+    for name, kind in get_type_hints(PipelineConfig).items()
+}
+CONFIG_PAYLOADS = st.fixed_dictionaries(
+    {"input_path": FIELD_VALUES["input_path"]},
+    optional={name: values for name, values in FIELD_VALUES.items() if name != "input_path"},
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(payload=CONFIG_PAYLOADS)
+def test_from_dict_raises_only_marketcast_errors(payload):
+    try:
+        PipelineConfig.from_dict(payload)
+    except MarketcastError:
+        pass
+
+
 def test_load_config_applies_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"input_path": "a.csv", "window": 30}))
@@ -132,15 +172,17 @@ def test_run_writes_all_artifacts(both_run):
     assert art.stages == {}
 
 
-@pytest.mark.parametrize("mode, dump", [("both", ("all",)), ("arima", ()), ("lstm", ())])
+@pytest.mark.parametrize("mode, dump", [("both", ("all",)), ("arima", ()), ("lstm", ()), ("all", ("all",))])
 def test_artifacts_name_every_file_written(input_csv, tmp_path, mode, dump):
     cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path), model_mode=mode, **TINY)
     art = run_pipeline(cfg, dump_stages=dump)
     named = set()
-    for value in asdict(art).values():
-        named |= set(value.values()) if isinstance(value, dict) else {value} - {None}
+    for leg_art in art.values() if mode == "all" else [art]:
+        for name, value in asdict(leg_art).items():
+            if name != "reports":
+                named |= set(value.values()) if isinstance(value, dict) else {value} - {None}
     assert {str(p) for p in tmp_path.rglob("*") if p.is_file()} == named
-    assert len(named) == {"both": 15, "arima": 6, "lstm": 6}[mode]
+    assert len(named) == {"both": 15, "arima": 6, "lstm": 6, "all": 33}[mode]
 
 
 def test_predictions_have_context_rows(both_run):
@@ -275,7 +317,7 @@ def test_write_all_removes_files_and_new_directories_on_interrupt(tmp_path):
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
-        write_all([(new_dir / "first.txt", "one\n"), (new_dir / "second.npz", interrupted)], new_dir=new_dir)
+        write_all([(new_dir / "first.txt", "one\n"), (new_dir / "second.npz", interrupted)], new_dirs=[new_dir])
     assert list(tmp_path.iterdir()) == []
 
 
