@@ -34,6 +34,14 @@ import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
+# One BLAS thread per process, unless the user set a count: at the LSTM's
+# shapes a second OpenBLAS thread gains no wall time, doubles the CPU, and
+# runs many times slower when another process competes for the CPUs.
+# OpenBLAS reads these when numpy loads it, so they are set before numpy or
+# any module that imports it; children inherit them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import arima as arima_mod

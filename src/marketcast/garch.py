@@ -31,11 +31,9 @@ from .errors import DataError, ModelFitError, NonConvergenceError
 
 __all__ = [
     "GarchParams",
-    "garch_recursion",
     "garch_state",
     "log_likelihood",
     "fit_garch11",
-    "simulate_garch11",
 ]
 
 MIN_OBS = 200
@@ -94,17 +92,6 @@ def _check_inputs(eps: np.ndarray, sigma2_0: float) -> None:
         raise DataError("residual series contains non-finite values")
     if not (np.isfinite(sigma2_0) and sigma2_0 > 0):
         raise DataError("sigma2_0 must be positive and finite")
-
-
-def garch_recursion(params: GarchParams, residuals, sigma2_0: float) -> np.ndarray:
-    """Variances sigma2_1 .. sigma2_n from residuals eps_0 .. eps_{n-1}.
-
-    Element t of the output is the variance the model implies for the step
-    after residual t; the output has the same length as the input.
-    """
-    eps = np.asarray(residuals, dtype=float)
-    _check_inputs(eps, sigma2_0)
-    return _variances(params.alpha0, params.alpha1, params.beta1, eps, sigma2_0)
 
 
 def garch_state(params: GarchParams, residuals) -> np.ndarray:
@@ -211,18 +198,3 @@ def fit_garch11(residuals) -> GarchParams:
             stacklevel=2,
         )
     return GarchParams(alpha0=alpha0, alpha1=alpha1, beta1=beta1)
-
-
-def simulate_garch11(params: GarchParams, n: int, rng: np.random.Generator, burn: int = 500) -> np.ndarray:
-    """Simulate a GARCH(1,1) residual series with standard normal shocks."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = n + burn
-    z = rng.standard_normal(total)
-    eps = np.empty(total)
-    sig2 = params.long_run_variance
-    for t in range(total):
-        if t > 0:
-            sig2 = params.alpha0 + params.alpha1 * eps[t - 1] ** 2 + params.beta1 * sig2
-        eps[t] = math.sqrt(sig2) * z[t]
-    return eps[burn:]

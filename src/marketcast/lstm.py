@@ -25,13 +25,26 @@ Conventions:
     (3H, batch) block, about 3x faster than scipy's expit there and within
     2 ULP of it; exp overflowing to inf for a large negative a gives the
     exact 0;
+  - one loop over time runs each forward call, stepping the layers
+    bottom-up inside it, and one loop back over time runs `backward`,
+    stepping them top-down. A training forward caches, per layer, only the
+    (W, 4H, batch) gate activations and the (W, H, batch) cell state c,
+    plus the input windows: tanh(c), h = o * tanh(c) and the dropped output
+    h * mask are each one ufunc away from them, so backward recomputes them
+    one step at a time, and it hands the layer below the gradient of its
+    input one step at a time too. At W=216, H=64, batch 32 that cache is
+    35 MB, and one training step peaks at about 35 MiB under tracemalloc;
   - backward writes each step's gate gradients over its cached
-    activations, and the batches of an epoch reuse one set of sequence
-    arrays (`_train_epoch`), so the large buffers are allocated once per
-    epoch (and again for a smaller last batch);
-  - eval runs EVAL_CHUNK windows per forward call. The (W, 4H, chunk) gate
-    buffer is the largest array of an eval forward, so a small chunk keeps
-    eval's working set below a training step's.
+    activations, and the batches of an epoch reuse one set of cache arrays
+    (`_train_epoch`), so they are allocated once per epoch (and again for a
+    smaller last batch);
+  - eval runs the same loop with one (4H, chunk) gate slab and one c per
+    layer, reused at every step, and keeps nothing per step, so predicting
+    needs far less memory than a training step whatever the chunk. It runs
+    EVAL_CHUNK windows per forward call. The chunk does not bound the
+    memory; it stays at 64 because it decides the last bits of the
+    predictions: OpenBLAS picks its kernel by the number of batch columns,
+    so another chunk would move them by a few ULPs.
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -55,7 +68,6 @@ __all__ = [
     "AdamState",
     "TrainingHistory",
     "init_network",
-    "forward",
     "backward",
     "adam_step",
     "train",
@@ -65,9 +77,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 3
-# windows per eval-mode forward call; bounds the sequence buffers' memory
-# (the (W, 4H, EVAL_CHUNK) gate buffer is 28 MB at W=216, H=64) below a
-# training step's forward caches
+# windows per eval-mode forward call; the predictions' last bits depend on it
+# (see the module docstring), their memory does not
 EVAL_CHUNK = 64
 # Adam moment decay rates and denominator guard, the published defaults
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -208,48 +219,6 @@ def _empty(buffers: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarra
     return buf
 
 
-def _layer_forward(layer: LstmLayer, x: np.ndarray, need_cache: bool, buffers: dict | None = None):
-    """One layer over time-major input x (W, D, batch). Returns (h_seq, cache).
-
-    Each step's input projection is one GEMM into a (W, 4H, batch) buffer,
-    and the recurrence overwrites each step's (4H, batch) slab with the gate
-    activations. With `need_cache` the cache keeps those activations, x and
-    the c and tanh(c) sequences for `backward`; without it only h_seq is
-    kept and the cache is None. The sequence arrays come from `buffers`
-    (see `_empty`).
-    """
-    w_steps, d, b = x.shape
-    hs = layer.u.shape[1]
-    gates = np.matmul(layer.w, x, out=_empty(buffers, "gates", (w_steps, 4 * hs, b)))
-    gates += layer.b[:, None]
-    h_seq = _empty(buffers, "h", (w_steps, hs, b))
-    if need_cache:
-        c_seq = _empty(buffers, "c", (w_steps, hs, b))
-        tc_seq = _empty(buffers, "tc", (w_steps, hs, b))
-    h = np.zeros((hs, b))
-    c = np.zeros((hs, b))
-    # exp(-a) overflows to inf for a large negative a, where 1/(1+inf) = 0
-    # is the correct gate value
-    with np.errstate(over="ignore"):
-        for t in range(w_steps):
-            a = gates[t]
-            a += layer.u @ h
-            s = a[: 3 * hs]
-            np.negative(s, out=s)
-            np.exp(s, out=s)
-            s += 1.0
-            np.reciprocal(s, out=s)
-            np.tanh(a[3 * hs :], out=a[3 * hs :])
-            c = a[hs : 2 * hs] * c + a[:hs] * a[3 * hs :]
-            tc = np.tanh(c)
-            h = np.multiply(a[2 * hs : 3 * hs], tc, out=h_seq[t])
-            if need_cache:
-                c_seq[t] = c
-                tc_seq[t] = tc
-    cache = {"x": x, "gates": gates, "c": c_seq, "tc": tc_seq, "h": h_seq} if need_cache else None
-    return h_seq, cache
-
-
 def _forward_batch(
     network: LstmNetwork,
     x: np.ndarray,
@@ -259,113 +228,142 @@ def _forward_batch(
 ):
     """Batched forward over windows x of shape (batch, W, features).
 
-    Returns (predictions (batch,), caches); caches is None unless
-    `need_cache`. With `buffers` (a dict the caller keeps) the sequence
-    arrays of this call, and of the `backward` that consumes its caches,
+    One loop over time steps every layer, bottom-up, through step t before
+    step t + 1. Returns (predictions (batch,), caches); caches is None unless
+    `need_cache`. With it, each layer's step writes its gate activations and
+    c into (W, 4H, batch) and (W, H, batch) arrays, the whole cache
+    `backward` reads; without it, into one (4H, batch) slab and one c reused
+    at every step. With `buffers` (a dict the caller keeps) the cache arrays
     are those of the previous call with the same shapes, so they overwrite
     that call's caches.
     """
-    caches = []
-    layer_input = np.ascontiguousarray(x.transpose(1, 2, 0))
-    for k, (layer, mask) in enumerate(zip(network.layers, masks)):
-        layer_buffers = None if buffers is None else buffers.setdefault(k, {})
-        h_seq, cache = _layer_forward(layer, layer_input, need_cache, layer_buffers)
-        if need_cache:
-            caches.append({**cache, "mask": mask, "buffers": layer_buffers})
-        if mask is None:
-            layer_input = h_seq
-        else:
-            layer_input = np.multiply(h_seq, mask[:, None], out=_empty(layer_buffers, "dropped", h_seq.shape))
-    preds = network.dense_w @ layer_input[-1] + network.dense_b[0]
+    inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
+    w_steps, _, b = inputs.shape
+    hs = network.config.hidden_size
+    n_layers = len(network.layers)
     if need_cache:
-        return preds, {"layers": caches, "dense_in": layer_input[-1]}
-    return preds, None
-
-
-def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Generator | None = None):
-    """Single-window forward pass. Returns (prediction, caches).
-
-    In train mode inverted dropout runs with masks drawn from `rng`; eval
-    mode never touches the RNG and applies no scaling.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[1] != network.config.input_size:
-        raise DataError(
-            f"window shape {window.shape} does not match input size {network.config.input_size}"
-        )
-    if mode == "train":
-        masks = _draw_masks(network.config, rng)
+        gates = [_empty(buffers, f"gates{k}", (w_steps, 4 * hs, b)) for k in range(n_layers)]
+        c_seqs = [_empty(buffers, f"c{k}", (w_steps, hs, b)) for k in range(n_layers)]
+        c_zero = np.zeros((hs, b))
     else:
-        masks = [None] * network.config.num_layers
-    preds, caches = _forward_batch(network, window[None, :, :], masks, need_cache=True)
-    return float(preds[0]), caches
+        slabs = [np.empty((4 * hs, b)) for _ in range(n_layers)]
+        c_states = [np.zeros((hs, b)) for _ in range(n_layers)]
+    h = [np.zeros((hs, b)) for _ in range(n_layers)]
+    dropped = [None if mask is None else np.empty((hs, b)) for mask in masks]
+    tc = np.empty((hs, b))
+    # exp(-a) overflows to inf for a large negative a, where 1/(1+inf) = 0
+    # is the correct gate value
+    with np.errstate(over="ignore"):
+        for t in range(w_steps):
+            inp = inputs[t]
+            for k, (layer, mask) in enumerate(zip(network.layers, masks)):
+                if need_cache:
+                    a, c = gates[k][t], c_seqs[k][t]
+                    c_prev = c_seqs[k][t - 1] if t else c_zero
+                else:
+                    a, c = slabs[k], c_states[k]
+                    c_prev = c
+                np.matmul(layer.w, inp, out=a)
+                a += layer.b[:, None]
+                a += layer.u @ h[k]
+                s = a[: 3 * hs]
+                np.negative(s, out=s)
+                np.exp(s, out=s)
+                s += 1.0
+                np.reciprocal(s, out=s)
+                g = a[3 * hs :]
+                np.tanh(g, out=g)
+                np.multiply(a[hs : 2 * hs], c_prev, out=c)
+                c += a[:hs] * g
+                np.tanh(c, out=tc)
+                np.multiply(a[2 * hs : 3 * hs], tc, out=h[k])
+                inp = h[k] if mask is None else np.multiply(h[k], mask[:, None], out=dropped[k])
+    preds = network.dense_w @ inp + network.dense_b[0]
+    if not need_cache:
+        return preds, None
+    layer_caches = [{"gates": g, "c": c, "mask": mask} for g, c, mask in zip(gates, c_seqs, masks)]
+    return preds, {"x": inputs, "layers": layer_caches, "dense_in": inp}
 
 
 def backward(network: LstmNetwork, caches: dict, dloss_dpred) -> list[np.ndarray]:
     """Gradients for every parameter, ordered like network.parameters().
 
     `dloss_dpred` is the loss gradient with respect to each window's scalar
-    prediction (shape (batch,)). The caches are consumed: each step's gate
-    activations are overwritten with their pre-activation gradients.
+    prediction (shape (batch,)). One loop runs back over time and steps the
+    layers top-down. Each layer carries tanh(c), h and its dropped output one
+    step back, recomputed from gates and c its step has not yet overwritten,
+    and hands the layer below the gradient of its input at that step only.
+    The caches are consumed: each step's gate activations are overwritten
+    with their pre-activation gradients.
     """
     dpred = np.asarray(dloss_dpred, dtype=float)
     layer_caches = caches["layers"]
     if len(layer_caches) != len(network.layers):
         raise DataError("cache does not match network depth")
-    w_steps, hs, b = layer_caches[0]["h"].shape
+    x = caches["x"]
+    w_steps, _, b = x.shape
+    hs = network.config.hidden_size
     if dpred.shape != (b,):
         raise DataError(f"loss gradient shape {dpred.shape} does not match batch {b}")
 
-    grads = [caches["dense_in"] @ dpred, np.array([dpred.sum()])]
-    # gradient w.r.t. the top layer's dropped output (the dense head reads
-    # the last timestep only); each layer's mask turns it, in place, into
-    # the gradient w.r.t. that layer's undropped output
-    dh_seq = _empty(layer_caches[-1]["buffers"], "dh", (w_steps, hs, b))
-    dh_seq[:-1] = 0.0
-    np.multiply.outer(network.dense_w, dpred, out=dh_seq[-1])
-    for layer, cache in zip(reversed(network.layers), reversed(layer_caches)):
-        mask = cache["mask"]
-        if mask is not None:
-            dh_seq *= mask[:, None]
-        x, gates, c_seq, tc_seq, h_seq = cache["x"], cache["gates"], cache["c"], cache["tc"], cache["h"]
-        # the input windows need no gradient
-        d_in = _empty(cache["buffers"], "d_in", x.shape) if layer is not network.layers[0] else None
-        dw = np.zeros_like(layer.w)
-        du = np.zeros_like(layer.u)
-        dw_t = np.empty_like(layer.w)
-        du_t = np.empty_like(layer.u)
-        mult = np.empty((3 * hs, b))
-        dh_rec = np.zeros((hs, b))
-        dc_rec = np.zeros((hs, b))
-        for t in range(w_steps - 1, -1, -1):
-            a = gates[t]
+    layers = network.layers
+    top = len(layers) - 1
+    gates = [cache["gates"] for cache in layer_caches]
+    c_seqs = [cache["c"] for cache in layer_caches]
+    masks = [cache["mask"] for cache in layer_caches]
+    dw = [np.zeros_like(layer.w) for layer in layers]
+    du = [np.zeros_like(layer.u) for layer in layers]
+    dw_t = [np.empty_like(layer.w) for layer in layers]
+    du_t = [np.empty_like(layer.u) for layer in layers]
+    mult = np.empty((3 * hs, b))
+    dh_rec = [np.zeros((hs, b)) for _ in layers]
+    dc_rec = [np.zeros((hs, b)) for _ in layers]
+    # the gradient w.r.t. each layer's undropped output at the step, from
+    # above: the dense head's for the top layer (it reads the last step
+    # only), the layer above's input product for the others
+    d_out = [np.empty((hs, b)) for _ in layers]
+    np.multiply.outer(network.dense_w, dpred, out=d_out[top])
+    if masks[top] is not None:
+        d_out[top] *= masks[top][:, None]
+    # tanh(c_t), h_t and the dropped output the layer above read at step t
+    tc = [np.tanh(c[-1]) for c in c_seqs]
+    h = [np.multiply(g[-1, 2 * hs : 3 * hs], tc_k) for g, tc_k in zip(gates, tc)]
+    out = [h_k if mask is None else h_k * mask[:, None] for h_k, mask in zip(h, masks)]
+    for t in range(w_steps - 1, -1, -1):
+        for k in range(top, -1, -1):
+            layer = layers[k]
+            a = gates[k][t]
             s = a[: 3 * hs]  # the sigmoid gates (i, f, o)
             i, f, o, g = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
-            tc = tc_seq[t]
-            c_prev = c_seq[t - 1] if t else 0.0
-            dh = dh_seq[t] + dh_rec
-            dc = dh * o * (1.0 - tc * tc) + dc_rec
-            dc_rec = dc * f
+            dh = d_out[k] + dh_rec[k]
+            dc = dh * o * (1.0 - tc[k] * tc[k]) + dc_rec[k]
+            dc_rec[k] = dc * f
             dci = dc * i
             # overwrite a with its gradient: each sigmoid gate's multiplier
             # times one s(1 - s) over the block, then the candidate gate
             np.multiply(dc, g, out=mult[:hs])
-            np.multiply(dc, c_prev, out=mult[hs : 2 * hs])
-            np.multiply(dh, tc, out=mult[2 * hs :])
+            np.multiply(dc, c_seqs[k][t - 1] if t else 0.0, out=mult[hs : 2 * hs])
+            np.multiply(dh, tc[k], out=mult[2 * hs :])
             s *= 1.0 - s
             s *= mult
             np.multiply(dci, 1.0 - g * g, out=g)
-            dh_rec = layer.u.T @ a
-            dw += np.matmul(a, x[t].T, out=dw_t)
-            if t:  # h_0 = 0 contributes nothing to dU
-                du += np.matmul(a, h_seq[t - 1].T, out=du_t)
-            if d_in is not None:
-                np.matmul(layer.w.T, a, out=d_in[t])
-        grads[:0] = [dw, du, gates.sum(axis=(0, 2))]
-        dh_seq = d_in
-    return grads
+            dh_rec[k] = layer.u.T @ a
+            dw[k] += np.matmul(a, (out[k - 1] if k else x[t]).T, out=dw_t[k])
+            if k:  # the input windows need no gradient
+                np.matmul(layer.w.T, a, out=d_out[k - 1])
+                if masks[k - 1] is not None:
+                    d_out[k - 1] *= masks[k - 1][:, None]
+            if t:  # step back to t - 1; h_0 = 0 contributes nothing to dU
+                np.tanh(c_seqs[k][t - 1], out=tc[k])
+                np.multiply(gates[k][t - 1, 2 * hs : 3 * hs], tc[k], out=h[k])
+                du[k] += np.matmul(a, h[k].T, out=du_t[k])
+                if masks[k] is not None:
+                    np.multiply(h[k], masks[k][:, None], out=out[k])
+        d_out[top].fill(0.0)
+    grads = []
+    for k, g in enumerate(gates):
+        grads.extend((dw[k], du[k], g.sum(axis=(0, 2))))
+    return grads + [caches["dense_in"] @ dpred, np.array([dpred.sum()])]
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:
@@ -424,11 +422,10 @@ def _train_epoch(
     """One Adam pass over the windows in a fresh random order; returns the
     summed squared error.
 
-    The batches pass their sequence arrays (about 60 MB at W=216, H=64,
+    The batches pass each layer's gates and c (35 MB at W=216, H=64,
     batch 32) on through `buffers`. Allocated afresh, the allocator gives
     those pages back to the OS between batches, and faulting them in again
-    took about a fifth of each batch. They are freed on return, before
-    validation allocates its own.
+    took about a fifth of each batch. They are freed on return.
     """
     params = network.parameters()
     buffers: dict = {}

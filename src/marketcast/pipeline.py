@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -89,6 +89,9 @@ DUMPABLE_STAGES = ("filled", "enriched", "scaler", "features", "windows")
 
 # rows of history shown before the forecast in predictions files and charts
 PREDICTION_CONTEXT_ROWS = 60
+# the largest hidden size whose (4H x H) float64 recurrent weights numpy can
+# address: for one more, their byte count exceeds the largest array size
+MAX_LSTM_HIDDEN = math.isqrt(sys.maxsize // 32)
 
 
 def _is_int(value) -> bool:
@@ -164,6 +167,11 @@ class PipelineConfig:
             raise DataError("corr_threshold must be in [0, 1]")
         if min(self.arima_bounds) < 0:
             raise DataError("arima_bounds must be three non-negative integers")
+        if self.lstm_hidden > MAX_LSTM_HIDDEN:
+            raise DataError(
+                f"lstm_hidden must be at most {MAX_LSTM_HIDDEN}, the largest layer numpy can allocate, "
+                f"got {self.lstm_hidden}"
+            )
         try:
             self.lstm_config(input_size=1)  # LstmConfig holds the LSTM range rules
         except ValueError as exc:
@@ -237,13 +245,13 @@ class RunArtifacts:
 
 
 @contextmanager
-def _stage(name: str):
-    """Prefix a MarketcastError raised inside with `stage <name>: ` and re-raise it."""
+def _stage(name: str, kind: str = "stage"):
+    """Prefix a MarketcastError raised inside with `<kind> <name>: ` and re-raise it."""
     try:
         yield
     except MarketcastError as exc:
         head = exc.args[0] if exc.args else str(exc)
-        exc.args = (f"stage {name}: {head}",) + tuple(exc.args[1:])
+        exc.args = (f"{kind} {name}: {head}",) + tuple(exc.args[1:])
         raise
 
 
@@ -438,7 +446,9 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts | dict[
     files: dict[str, object] = {}
     new_dirs = []
     for name, leg_config in _leg_configs(config).items():
-        runs[name], leg_files = _run_leg(leg_config, prep, dump)
+        # a leg of mode "all" is named in its errors; a one-leg run has no name
+        with _stage(name, kind="leg") if name else nullcontext():
+            runs[name], leg_files = _run_leg(leg_config, prep, dump)
         files.update(leg_files)
         new_dirs.append(Path(leg_config.out_dir) / "stages" if dump else Path(leg_config.out_dir))
     with _stage("output"):

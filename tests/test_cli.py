@@ -165,7 +165,7 @@ def test_failed_last_leg_of_mode_all_writes_nothing(synth_csv, tmp_path, monkeyp
     monkeypatch.setattr(pipeline, "train", fail_second_training)
     argv = ["run", "--mode", "all", "--input", str(synth_csv), "--out-dir", str(tmp_path / "exp")]
     assert cli.main([*argv, *TINY_RUN]) == 3
-    assert "error: stage lstm: non-finite loss" in capsys.readouterr().err
+    assert "error: leg lstm_price_only: stage lstm: non-finite loss" in capsys.readouterr().err
     assert len(calls) == 2 and list(tmp_path.iterdir()) == []
 
 
@@ -626,6 +626,7 @@ MALFORMED = [
     ("config_not_utf8.json", RUN, 2, NOT_UTF8),
     ("config_huge_int.json", RUN, 2, "lstm_lr must be a number, got 1000"),
     ("config_huge_int_digits.json", RUN, 2, "config is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("config_huge_lstm_hidden.json", RUN, 2, "lstm_hidden must be at most 536870911"),
     ("huge_cell.csv", FEATURES, 2, "huge_cell.csv: line 2: field larger than field limit (131072)"),
     ("huge_cell_predictions.csv", EVALUATE, 2, "huge_cell_predictions.csv: line 3: field larger than field limit"),
     ("crlf_line_ends.csv", FEATURES, 0, ""),

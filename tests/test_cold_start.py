@@ -1,5 +1,6 @@
 """Importing marketcast loads no scipy module, and the commands that fit no
-model, or only a pure-AR one, run with scipy unimportable."""
+model, or only a pure-AR one, run with scipy unimportable. Importing the CLI
+sets one BLAS thread unless the environment already names a count."""
 
 import os
 import subprocess
@@ -10,8 +11,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(code: str, cwd) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def run_python(code: str, cwd, env=None) -> subprocess.CompletedProcess:
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                           capture_output=True, text=True, env=env, cwd=cwd)
@@ -75,3 +76,18 @@ def test_commands_without_a_model_fit_run_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == str(codes), proc.stderr
     assert (tmp_path / "chart.svg").is_file()
     assert (tmp_path / "static.csv").is_file() and (tmp_path / "rolling.csv").is_file()
+
+
+def test_cli_import_sets_one_blas_thread_unless_set(tmp_path):
+    code = """
+        import os
+        import marketcast.cli
+        print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+        """
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    unset = run_python(code, tmp_path, env)
+    assert unset.returncode == 0, unset.stderr
+    assert unset.stdout.split() == ["1", "1"]
+    kept = run_python(code, tmp_path, {**env, "OPENBLAS_NUM_THREADS": "3"})
+    assert kept.returncode == 0, kept.stderr
+    assert kept.stdout.split() == ["3", "1"]

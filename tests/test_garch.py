@@ -11,11 +11,11 @@ from marketcast.errors import DataError, ModelFitError
 from marketcast.garch import (
     GarchParams,
     fit_garch11,
-    garch_recursion,
     garch_state,
     log_likelihood,
-    simulate_garch11,
 )
+
+from helpers import garch_recursion, simulate_garch11
 
 
 def recursion_oracle(alpha0, alpha1, beta1, residuals, sigma2_0):
