@@ -27,7 +27,6 @@ a path.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -50,7 +49,7 @@ from . import metrics as metrics_mod
 from . import synth as synth_mod
 from .chart import chart_from_file, format_predictions, read_predictions
 from .errors import DataError, ModelFitError
-from .frame import forward_fill, load_csv, read_text
+from .frame import forward_fill, load_csv, read_json
 from .pipeline import (
     DUMPABLE_STAGES,
     FORECAST_MODES,
@@ -237,9 +236,9 @@ def _cmd_forecast(args) -> int:
     steps = args.steps
     if steps < 1:
         raise DataError("--steps must be >= 1")
-    text = read_text(args.model)
+    payload = read_json(args.model, "malformed model file")
     try:
-        model = arima_mod.model_from_dict(json.loads(text))
+        model = arima_mod.model_from_dict(payload)
     except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"malformed model file: {exc}") from exc
     dates, series = _load_column(args.input, args.column)

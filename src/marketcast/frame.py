@@ -3,9 +3,9 @@
 A :class:`TimeSeriesFrame` is a small immutable table: strictly increasing
 calendar dates plus named float columns, with NaN marking missing cells.
 The functions here cover reading input files (`read_text` reads every one,
-`read_csv_rows` parses the CSV ones), CSV ingestion, forward filling,
-chronological splitting, min-max scaling, correlation-based feature
-selection, and sliding-window construction. All operations are pure: they
+`read_csv_rows` parses the CSV ones and `read_json` the JSON ones), CSV
+ingestion, forward filling, chronological splitting, min-max scaling,
+correlation-based feature selection, and sliding-window construction. All operations are pure: they
 return new frames and never mutate their inputs.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ __all__ = [
     "WindowedDataset",
     "read_text",
     "read_csv_rows",
+    "read_json",
     "load_csv",
     "write_csv",
     "forward_fill",
@@ -195,6 +197,20 @@ def read_csv_rows(path) -> Iterator[tuple[int, list[str]]]:
             yield reader.line_num, row
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def read_json(path, error: str):
+    """The JSON value of a file read through `read_text`.
+
+    Text that does not parse, an integer of more digits than int() takes and
+    nesting deeper than the parser recurses are each a DataError
+    `<error>: <reason>`.
+    """
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{error}: {exc}") from exc
 
 
 def load_csv(path) -> TimeSeriesFrame:

@@ -12,7 +12,7 @@ Conventions:
     and b (4H,) is the bias; the four gates are stacked along the first axis
     in the order (input, forget, output, candidate);
   - the recurrence runs over time-major, feature-major (W, ., batch)
-    buffers: a step's gates are one contiguous (4H, batch) slab and each
+    arrays: a step's gates are one contiguous (4H, batch) slab and each
     gate a contiguous (H, batch) slice of it, so every elementwise ufunc
     runs over flat memory (with the batch axis before the features each
     gate would be a strided view, and the loop bodies take about 1.5x as
@@ -27,24 +27,29 @@ Conventions:
     exact 0;
   - one loop over time runs each forward call, stepping the layers
     bottom-up inside it, and one loop back over time runs `backward`,
-    stepping them top-down. A training forward caches, per layer, only the
-    (W, 4H, batch) gate activations and the (W, H, batch) cell state c,
-    plus the input windows: tanh(c), h = o * tanh(c) and the dropped output
-    h * mask are each one ufunc away from them, so backward recomputes them
-    one step at a time, and it hands the layer below the gradient of its
-    input one step at a time too. At W=216, H=64, batch 32 that cache is
-    35 MB, and one training step peaks at about 35 MiB under tracemalloc;
+    stepping them top-down. There is one storage path: at step t each layer
+    writes its gate activations and cell state c into slot t % T of a
+    (T, 4H, batch) and a (T, H, batch) array;
+  - training passes a cache dict, so T = W, and the dict keeps the gates
+    and c of every layer plus the input windows, the masks and the head's
+    input, all that `backward` reads. tanh(c), h = o * tanh(c) and the
+    dropped output h * mask are each one ufunc away from them, so backward
+    recomputes them one step at a time, and it hands the layer below the
+    gradient of its input one step at a time too. At W=216, H=64, batch 32
+    that cache is 35 MB, and one training step peaks at about 35 MiB under
+    tracemalloc;
   - backward writes each step's gate gradients over its cached
-    activations, and the batches of an epoch reuse one set of cache arrays
-    (`_train_epoch`), so they are allocated once per epoch (and again for a
-    smaller last batch);
-  - eval runs the same loop with one (4H, chunk) gate slab and one c per
-    layer, reused at every step, and keeps nothing per step, so predicting
-    needs far less memory than a training step whatever the chunk. It runs
-    EVAL_CHUNK windows per forward call. The chunk does not bound the
-    memory; it stays at 64 because it decides the last bits of the
-    predictions: OpenBLAS picks its kernel by the number of batch columns,
-    so another chunk would move them by a few ULPs.
+    activations. `train` runs every epoch's batches itself (there is no
+    per-epoch function) and keeps one cache for the whole run: every batch
+    overwrites the same arrays, allocated again only when the batch size
+    changes (a smaller last batch), the old ones freed first;
+  - eval passes no cache, so T = 1: every step reuses one (4H, chunk) slot
+    and one c per layer, and predicting needs far less memory than a
+    training step whatever the chunk. It runs EVAL_CHUNK windows per
+    forward call. The chunk does not bound the memory; it stays at 64
+    because it decides the last bits of the predictions: OpenBLAS picks its
+    kernel by the number of batch columns, so another chunk would move them
+    by a few ULPs.
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -208,61 +213,40 @@ def _draw_masks(config: LstmConfig, rng: np.random.Generator | None) -> list[np.
     return [(rng.random(config.hidden_size) < keep) / keep for _ in range(config.num_layers)]
 
 
-def _empty(buffers: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """np.empty(shape), or the array `buffers` keeps under `name` when it has
-    that shape (a new one is kept otherwise)."""
-    if buffers is None:
-        return np.empty(shape)
-    buf = buffers.get(name)
-    if buf is None or buf.shape != shape:
-        buf = buffers[name] = np.empty(shape)
-    return buf
-
-
-def _forward_batch(
-    network: LstmNetwork,
-    x: np.ndarray,
-    masks: list[np.ndarray | None],
-    need_cache: bool,
-    buffers: dict | None = None,
-):
-    """Batched forward over windows x of shape (batch, W, features).
+def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray | None], cache: dict | None = None):
+    """Batched forward over windows x of shape (batch, W, features); returns
+    the predictions (batch,).
 
     One loop over time steps every layer, bottom-up, through step t before
-    step t + 1. Returns (predictions (batch,), caches); caches is None unless
-    `need_cache`. With it, each layer's step writes its gate activations and
-    c into (W, 4H, batch) and (W, H, batch) arrays, the whole cache
-    `backward` reads; without it, into one (4H, batch) slab and one c reused
-    at every step. With `buffers` (a dict the caller keeps) the cache arrays
-    are those of the previous call with the same shapes, so they overwrite
-    that call's caches.
+    step t + 1. At step t each layer writes its gate activations and c into
+    slot t % T of (T, 4H, batch) and (T, H, batch) arrays. With a `cache`
+    dict, T = W: the dict keeps those arrays, the input windows, the masks and
+    the head's input for `backward`, and the next call of the same shape
+    overwrites them. Without one, T = 1 and every step reuses one slot.
     """
     inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
     w_steps, _, b = inputs.shape
     hs = network.config.hidden_size
-    n_layers = len(network.layers)
-    if need_cache:
-        gates = [_empty(buffers, f"gates{k}", (w_steps, 4 * hs, b)) for k in range(n_layers)]
-        c_seqs = [_empty(buffers, f"c{k}", (w_steps, hs, b)) for k in range(n_layers)]
-        c_zero = np.zeros((hs, b))
-    else:
-        slabs = [np.empty((4 * hs, b)) for _ in range(n_layers)]
-        c_states = [np.zeros((hs, b)) for _ in range(n_layers)]
-    h = [np.zeros((hs, b)) for _ in range(n_layers)]
+    slots = 1 if cache is None else w_steps
+    if cache is None:
+        cache = {}
+    if "gates" not in cache or cache["gates"][0].shape != (slots, 4 * hs, b):
+        cache.clear()  # free the old shape's arrays before allocating the new
+        cache["gates"] = [np.empty((slots, 4 * hs, b)) for _ in network.layers]
+        cache["c"] = [np.empty((slots, hs, b)) for _ in network.layers]
+    gates, c_seqs = cache["gates"], cache["c"]
+    c_zero = np.zeros((hs, b))
+    h = [np.zeros((hs, b)) for _ in network.layers]
     dropped = [None if mask is None else np.empty((hs, b)) for mask in masks]
     tc = np.empty((hs, b))
     # exp(-a) overflows to inf for a large negative a, where 1/(1+inf) = 0
     # is the correct gate value
     with np.errstate(over="ignore"):
         for t in range(w_steps):
+            slot, prev = t % slots, (t - 1) % slots
             inp = inputs[t]
             for k, (layer, mask) in enumerate(zip(network.layers, masks)):
-                if need_cache:
-                    a, c = gates[k][t], c_seqs[k][t]
-                    c_prev = c_seqs[k][t - 1] if t else c_zero
-                else:
-                    a, c = slabs[k], c_states[k]
-                    c_prev = c
+                a, c = gates[k][slot], c_seqs[k][slot]
                 np.matmul(layer.w, inp, out=a)
                 a += layer.b[:, None]
                 a += layer.u @ h[k]
@@ -273,34 +257,31 @@ def _forward_batch(
                 np.reciprocal(s, out=s)
                 g = a[3 * hs :]
                 np.tanh(g, out=g)
-                np.multiply(a[hs : 2 * hs], c_prev, out=c)
+                np.multiply(a[hs : 2 * hs], c_seqs[k][prev] if t else c_zero, out=c)
                 c += a[:hs] * g
                 np.tanh(c, out=tc)
                 np.multiply(a[2 * hs : 3 * hs], tc, out=h[k])
                 inp = h[k] if mask is None else np.multiply(h[k], mask[:, None], out=dropped[k])
-    preds = network.dense_w @ inp + network.dense_b[0]
-    if not need_cache:
-        return preds, None
-    layer_caches = [{"gates": g, "c": c, "mask": mask} for g, c, mask in zip(gates, c_seqs, masks)]
-    return preds, {"x": inputs, "layers": layer_caches, "dense_in": inp}
+    cache.update(x=inputs, masks=masks, dense_in=inp)
+    return network.dense_w @ inp + network.dense_b[0]
 
 
-def backward(network: LstmNetwork, caches: dict, dloss_dpred) -> list[np.ndarray]:
+def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]:
     """Gradients for every parameter, ordered like network.parameters().
 
-    `dloss_dpred` is the loss gradient with respect to each window's scalar
+    `cache` is the dict a training `_forward_batch` filled, and
+    `dloss_dpred` the loss gradient with respect to each window's scalar
     prediction (shape (batch,)). One loop runs back over time and steps the
     layers top-down. Each layer carries tanh(c), h and its dropped output one
     step back, recomputed from gates and c its step has not yet overwritten,
     and hands the layer below the gradient of its input at that step only.
-    The caches are consumed: each step's gate activations are overwritten
-    with their pre-activation gradients.
+    The cache is consumed: each step's gate activations are overwritten with
+    their pre-activation gradients.
     """
     dpred = np.asarray(dloss_dpred, dtype=float)
-    layer_caches = caches["layers"]
-    if len(layer_caches) != len(network.layers):
+    gates, c_seqs, masks, x = cache["gates"], cache["c"], cache["masks"], cache["x"]
+    if len(gates) != len(network.layers):
         raise DataError("cache does not match network depth")
-    x = caches["x"]
     w_steps, _, b = x.shape
     hs = network.config.hidden_size
     if dpred.shape != (b,):
@@ -308,9 +289,6 @@ def backward(network: LstmNetwork, caches: dict, dloss_dpred) -> list[np.ndarray
 
     layers = network.layers
     top = len(layers) - 1
-    gates = [cache["gates"] for cache in layer_caches]
-    c_seqs = [cache["c"] for cache in layer_caches]
-    masks = [cache["mask"] for cache in layer_caches]
     dw = [np.zeros_like(layer.w) for layer in layers]
     du = [np.zeros_like(layer.u) for layer in layers]
     dw_t = [np.empty_like(layer.w) for layer in layers]
@@ -363,7 +341,7 @@ def backward(network: LstmNetwork, caches: dict, dloss_dpred) -> list[np.ndarray
     grads = []
     for k, g in enumerate(gates):
         grads.extend((dw[k], du[k], g.sum(axis=(0, 2))))
-    return grads + [caches["dense_in"] @ dpred, np.array([dpred.sum()])]
+    return grads + [cache["dense_in"] @ dpred, np.array([dpred.sum()])]
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:
@@ -394,7 +372,7 @@ def _predict(network: LstmNetwork, inputs: np.ndarray, epoch: int | None = None)
     preds = np.empty(len(inputs))
     for start in range(0, len(inputs), EVAL_CHUNK):
         stop = start + EVAL_CHUNK
-        preds[start:stop], _ = _forward_batch(network, inputs[start:stop], none_masks, need_cache=False)
+        preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
     if not np.all(np.isfinite(preds)):
         where = "" if epoch is None else f" in epoch {epoch}"
         raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)
@@ -404,49 +382,6 @@ def _predict(network: LstmNetwork, inputs: np.ndarray, epoch: int | None = None)
 def _eval_mse(network: LstmNetwork, inputs: np.ndarray, targets: np.ndarray, epoch: int | None = None) -> float:
     diff = _predict(network, inputs, epoch) - targets
     return float(diff @ diff) / len(inputs)
-
-
-def _clone_params(params: list[np.ndarray]) -> list[np.ndarray]:
-    return [p.copy() for p in params]
-
-
-def _train_epoch(
-    network: LstmNetwork,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    config: LstmConfig,
-    rng: np.random.Generator,
-    state: AdamState,
-    epoch: int,
-) -> float:
-    """One Adam pass over the windows in a fresh random order; returns the
-    summed squared error.
-
-    The batches pass each layer's gates and c (35 MB at W=216, H=64,
-    batch 32) on through `buffers`. Allocated afresh, the allocator gives
-    those pages back to the OS between batches, and faulting them in again
-    took about a fifth of each batch. They are freed on return.
-    """
-    params = network.parameters()
-    buffers: dict = {}
-    n = len(y_train)
-    order = rng.permutation(n)
-    sq_sum = 0.0
-    for start in range(0, n, config.batch_size):
-        idx = order[start : start + config.batch_size]
-        yb = y_train[idx]
-        masks = _draw_masks(config, rng)
-        preds, caches = _forward_batch(network, x_train[idx], masks, need_cache=True, buffers=buffers)
-        diff = preds - yb
-        batch_sq = float(diff @ diff)
-        if not np.isfinite(batch_sq):
-            raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
-        sq_sum += batch_sq
-        grads = backward(network, caches, (2.0 / len(yb)) * diff)
-        # a smaller last batch replaces the kept arrays; the old ones must go
-        del caches
-        adam_step(params, grads, state, config.learning_rate)
-    return sq_sum
 
 
 def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDataset, config: LstmConfig):
@@ -474,6 +409,11 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     _, rng = _rng_streams(config.seed)
     params = network.parameters()
     state = AdamState.for_params(params)
+    # each layer's gates and c (35 MB at W=216, H=64, batch 32), kept for the
+    # whole run: allocated afresh, the allocator gives those pages back to the
+    # OS between batches, and faulting them in again took about a fifth of
+    # each batch
+    cache: dict = {}
     n = len(y_train)
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -483,7 +423,19 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     bad_epochs = 0
 
     for epoch in range(config.max_epochs):
-        train_losses.append(_train_epoch(network, x_train, y_train, config, rng, state, epoch) / n)
+        order = rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            yb = y_train[idx]
+            masks = _draw_masks(config, rng)
+            diff = _forward_batch(network, x_train[idx], masks, cache) - yb
+            batch_sq = float(diff @ diff)
+            if not np.isfinite(batch_sq):
+                raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
+            sq_sum += batch_sq
+            adam_step(params, backward(network, cache, (2.0 / len(yb)) * diff), state, config.learning_rate)
+        train_losses.append(sq_sum / n)
 
         if has_val:
             val_mse = _eval_mse(network, x_val, y_val, epoch)
@@ -493,7 +445,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
             if val_mse < best_val:
                 best_val = val_mse
                 best_epoch = epoch
-                best_params = _clone_params(params)
+                best_params = [p.copy() for p in params]
                 bad_epochs = 0
             else:
                 bad_epochs += 1

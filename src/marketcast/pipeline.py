@@ -57,7 +57,7 @@ from .frame import (
     invert_scaler,
     load_csv,
     make_windows,
-    read_text,
+    read_json,
     select_features,
     split_bounds,
     write_csv,
@@ -89,6 +89,8 @@ DUMPABLE_STAGES = ("filled", "enriched", "scaler", "features", "windows")
 
 # rows of history shown before the forecast in predictions files and charts
 PREDICTION_CONTEXT_ROWS = 60
+# the longest file name, in bytes, that common file systems (ext4, XFS, APFS) take
+NAME_MAX = 255
 # the largest hidden size whose (4H x H) float64 recurrent weights numpy can
 # address: for one more, their byte count exceeds the largest array size
 MAX_LSTM_HIDDEN = math.isqrt(sys.maxsize // 32)
@@ -131,14 +133,14 @@ class PipelineConfig:
     model_mode: str = "both"
     forecast_mode: str = "static"
     arima_bounds: tuple[int, int, int] = arima_mod.DEFAULT_BOUNDS
-    lstm_hidden: int = 64
-    lstm_layers: int = 2
-    lstm_dropout: float = 0.20
-    lstm_lr: float = 0.001
-    lstm_batch: int = 32
-    lstm_epochs: int = 200
-    lstm_patience: int = 10
-    seed: int = 0
+    lstm_hidden: int = LstmConfig.hidden_size
+    lstm_layers: int = LstmConfig.num_layers
+    lstm_dropout: float = LstmConfig.dropout_rate
+    lstm_lr: float = LstmConfig.learning_rate
+    lstm_batch: int = LstmConfig.batch_size
+    lstm_epochs: int = LstmConfig.max_epochs
+    lstm_patience: int = LstmConfig.patience
+    seed: int = LstmConfig.seed
 
     def __post_init__(self):
         """Check every setting, so a bad one fails before any work starts."""
@@ -217,10 +219,7 @@ def load_config(path, overrides: dict | None = None, defaults: dict | None = Non
     before the overrides apply, so a bad value in it fails even when a flag
     replaces it.
     """
-    try:
-        payload = json.loads(read_text(path))
-    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() takes
-        raise DataError(f"config is not valid JSON: {exc}") from exc
+    payload = read_json(path, "config is not valid JSON")
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
     cfg = PipelineConfig.from_dict({**(defaults or {}), **payload})
@@ -273,14 +272,16 @@ def write_all(files, new_dirs=()) -> None:
     resolve to one file are a DataError, raised before anything is touched.
     Each of `new_dirs`, with its missing parents, is created next. A target
     that is a directory is refused. Each file is then written in full to a staging
-    file beside its target, created here under a random hidden name with the
-    target's suffix (np.savez needs it) and the mode the umask gives a new
-    file; only when every file is staged does each staging file replace its
-    target. On any exception, the staging files are removed, then the
-    directories made here, deepest first, and the exception propagates. A
-    failure before the renames leaves every target as it was, so a failed
-    rerun keeps the earlier run's files whole; a directory that existed
-    before is never removed. Any OS failure is a DataError naming the target.
+    file beside its target, created here under a random hidden name that
+    ends with the target's name, less as much of its front as keeps it within
+    NAME_MAX bytes (np.savez needs the suffix), and with the mode the umask
+    gives a new file; only when every file is staged does each staging file
+    replace its target. On any exception, the staging files are removed,
+    then the directories made here, deepest first, and the exception
+    propagates. A failure before the renames leaves every target as it was,
+    so a failed rerun keeps the earlier run's files whole; a directory that
+    existed before is never removed. Any OS failure is a DataError naming
+    the target.
     """
     files = [(Path(path), content) for path, content in files]
     seen: dict[str, Path] = {}
@@ -304,7 +305,12 @@ def write_all(files, new_dirs=()) -> None:
         for path, content in files:
             if path.is_dir():
                 raise DataError(f"cannot write {path}: Is a directory")
-            staging = path.with_name(f".{path.stem}.{os.urandom(6).hex()}{path.suffix}")
+            token, tail = os.urandom(6).hex(), path.name
+            # the staging name is 14 bytes longer than the target's: drop the
+            # name's front, never the suffix np.savez needs, until it fits
+            while len(os.fsencode(f".{token}.{tail}")) > NAME_MAX:
+                tail = tail[1:]
+            staging = path.with_name(f".{token}.{tail}")
             try:
                 # O_EXCL: the name is this call's alone; 0o666 lets the umask set the mode
                 fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

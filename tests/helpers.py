@@ -13,7 +13,8 @@ from marketcast.lstm import LstmNetwork, _draw_masks, _forward_batch
 
 
 def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Generator | None = None):
-    """Single-window forward pass. Returns (prediction, caches).
+    """Single-window forward pass. Returns (prediction, cache), the cache
+    `backward` reads.
 
     In train mode inverted dropout runs with masks drawn from `rng`; eval
     mode never touches the RNG and applies no scaling.
@@ -29,8 +30,9 @@ def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Gen
         masks = _draw_masks(network.config, rng)
     else:
         masks = [None] * network.config.num_layers
-    preds, caches = _forward_batch(network, window[None, :, :], masks, need_cache=True)
-    return float(preds[0]), caches
+    cache: dict = {}
+    preds = _forward_batch(network, window[None, :, :], masks, cache)
+    return float(preds[0]), cache
 
 
 def garch_recursion(params: GarchParams, residuals, sigma2_0: float) -> np.ndarray:

@@ -4,10 +4,13 @@ import os
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketcast import cli, pipeline, synth
 from marketcast.chart import read_predictions
@@ -629,6 +632,8 @@ MALFORMED = [
     ("config_huge_lstm_hidden.json", RUN, 2, "lstm_hidden must be at most 536870911"),
     ("huge_cell.csv", FEATURES, 2, "huge_cell.csv: line 2: field larger than field limit (131072)"),
     ("huge_cell_predictions.csv", EVALUATE, 2, "huge_cell_predictions.csv: line 3: field larger than field limit"),
+    ("config_deeply_nested.json", RUN, 2, "config is not valid JSON: maximum recursion depth exceeded"),
+    ("model_deeply_nested.json", FORECAST, 2, "malformed model file: maximum recursion depth exceeded"),
     ("crlf_line_ends.csv", FEATURES, 0, ""),
 ]
 
@@ -637,6 +642,8 @@ GENERATED = {
     "config_huge_int_digits.json": '{"input_path": "prices.csv", "lstm_lr": 1' + "0" * 5000 + "}\n",
     "huge_cell.csv": "DATE,A\n2020-01-01," + "1" * 140_000 + "\n",
     "huge_cell_predictions.csv": "date,actual,predicted\n2020-01-01,1.0,\n2020-01-02," + "1" * 140_000 + ",2.0\n",
+    "config_deeply_nested.json": "[" * 100_000 + "]" * 100_000 + "\n",
+    "model_deeply_nested.json": "[" * 100_000 + "]" * 100_000 + "\n",
 }
 
 
@@ -662,6 +669,29 @@ def test_malformed_input_corpus(tmp_path_factory, tmp_path, capsys, name, argv, 
     lf_out = tmp_path / "lf.out"
     assert cli.main([arg.format(input=lf, out=lf_out) for arg in argv]) == 0
     assert b"\r" in path.read_bytes() and out.read_bytes() == lf_out.read_bytes()
+
+
+VALID_MODEL = {"order": [1, 1, 0], "phi": [0.2], "theta": [], "intercept": 0.0, "sigma2": 1.0, "n_obs": 100, "aic": 0.0}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(replaced=st.dictionaries(st.sampled_from(sorted(VALID_MODEL)), JSON_VALUES, min_size=1))
+def test_forecast_model_with_arbitrary_fields_exits_0_or_2(tmp_path_factory, replaced):
+    # NaN and the infinities are written as NaN and Infinity, which the reader accepts
+    base = tmp_path_factory.getbasetemp()
+    model = base / "arbitrary_model.json"
+    model.write_text(json.dumps({**VALID_MODEL, **replaced}))
+    argv = [arg.format(input=model, out=base / "arbitrary_model.csv") for arg in FORECAST]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command, flag", [

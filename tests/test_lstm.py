@@ -136,11 +136,11 @@ def test_forward_matches_scalar_oracle():
         c = f * c + i * g
         h = o * math.tanh(c)
     pred_want = net.dense_w[0] * h + net.dense_b[0]
-    pred, caches = forward(net, np.array([[0.3], [-0.7]]))
-    cache = caches["layers"][0]
-    assert cache["c"][-1, 0, 0] == pytest.approx(c, abs=1e-14)
+    pred, cache = forward(net, np.array([[0.3], [-0.7]]))
+    gates, c_seq = cache["gates"][0], cache["c"][0]
+    assert c_seq[-1, 0, 0] == pytest.approx(c, abs=1e-14)
     # h is not cached: h_T = o_T tanh(c_T), o the third gate
-    assert cache["gates"][-1, 2, 0] * np.tanh(cache["c"][-1, 0, 0]) == pytest.approx(h, abs=1e-14)
+    assert gates[-1, 2, 0] * np.tanh(c_seq[-1, 0, 0]) == pytest.approx(h, abs=1e-14)
     assert pred == pytest.approx(pred_want, abs=1e-14)
 
 
@@ -246,21 +246,38 @@ def test_backward_matches_finite_differences(dropout):
 
 
 def test_reused_buffers_give_fresh_gradients(rng):
-    """Batches that share `buffers` (as in an epoch) get the gradients a
-    fresh forward gives, across a change of batch size too."""
+    """Batches that share one cache dict (as in a training run) get the
+    gradients a fresh dict gives, across a change of batch size too."""
     cfg = tiny_config(input_size=2, hidden_size=5, dropout_rate=0.3)
     net = init_network(cfg)
-    buffers: dict = {}
+    cache: dict = {}
     for size in (6, 6, 4, 6):
         x = rng.normal(size=(size, 7, 2))
         masks = lstm._draw_masks(cfg, rng)
         dpred = rng.normal(size=size)
-        preds, caches = lstm._forward_batch(net, x, masks, need_cache=True, buffers=buffers)
-        grads = backward(net, caches, dpred)
-        fresh_preds, fresh_caches = lstm._forward_batch(net, x, masks, need_cache=True)
+        preds = lstm._forward_batch(net, x, masks, cache)
+        grads = backward(net, cache, dpred)
+        fresh_cache: dict = {}
+        fresh_preds = lstm._forward_batch(net, x, masks, fresh_cache)
         assert np.array_equal(preds, fresh_preds)
-        for g, fresh in zip(grads, backward(net, fresh_caches, dpred)):
+        for g, fresh in zip(grads, backward(net, fresh_cache, dpred)):
             assert np.array_equal(g, fresh)
+
+
+def test_cache_arrays_are_reused_for_one_shape(rng):
+    """Two training forwards of one shape write the same gate and c arrays;
+    a new batch size replaces them."""
+    cfg = tiny_config(input_size=2, hidden_size=5)
+    net = init_network(cfg)
+    masks = lstm._draw_masks(cfg, rng)
+    cache: dict = {}
+    lstm._forward_batch(net, rng.normal(size=(6, 7, 2)), masks, cache)
+    gates, c_seqs = list(cache["gates"]), list(cache["c"])
+    assert [g.shape for g in gates] == [(7, 4 * cfg.hidden_size, 6)] * cfg.num_layers
+    lstm._forward_batch(net, rng.normal(size=(6, 7, 2)), masks, cache)
+    assert all(new is old for new, old in zip(cache["gates"] + cache["c"], gates + c_seqs))
+    lstm._forward_batch(net, rng.normal(size=(4, 7, 2)), masks, cache)
+    assert not any(new is old for new, old in zip(cache["gates"] + cache["c"], gates + c_seqs))
 
 
 # ---------------------------------------------------------------- adam
@@ -422,8 +439,9 @@ def test_training_step_caches_only_gates_and_c(rng):
     masks = lstm._draw_masks(cfg, rng)
     tracemalloc.start()
     try:
-        _, caches = lstm._forward_batch(net, x, masks, need_cache=True)
-        grads = backward(net, caches, rng.normal(size=32))
+        cache: dict = {}
+        lstm._forward_batch(net, x, masks, cache)
+        grads = backward(net, cache, rng.normal(size=32))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -433,14 +451,15 @@ def test_training_step_caches_only_gates_and_c(rng):
 
 def test_cached_and_eval_forward_agree(rng):
     """Without masks the training forward and the eval forward run the same
-    arithmetic, one writing into the cache and the other into reused slabs."""
+    arithmetic, one writing W slots of the cache and the other one slot."""
     cfg = tiny_config(input_size=3, hidden_size=6, num_layers=3)
     net = init_network(cfg)
     x = rng.normal(size=(9, 11, 3))
     masks = [None] * cfg.num_layers
-    cached, caches = lstm._forward_batch(net, x, masks, need_cache=True)
-    fresh, none = lstm._forward_batch(net, x, masks, need_cache=False)
-    assert none is None and caches is not None
+    cache: dict = {}
+    cached = lstm._forward_batch(net, x, masks, cache)
+    fresh = lstm._forward_batch(net, x, masks)
+    assert cache["gates"][0].shape[0] == 11
     assert np.array_equal(cached, fresh)
 
 
@@ -462,14 +481,13 @@ def test_saturated_gates_are_exact_and_silent(rng):
     ds = dataset_from_series(rng.normal(size=30), 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, caches = forward(net, ds.inputs[0], mode="eval")
+        _, cache = forward(net, ds.inputs[0], mode="eval")
         preds = predict_series(net, ds)
-        batch, train_caches = lstm._forward_batch(
-            net, ds.inputs[:4], lstm._draw_masks(cfg, np.random.default_rng(0)), need_cache=True
-        )
-        grads = backward(net, train_caches, np.ones(4))
-    for cache in caches["layers"]:
-        assert np.array_equal(cache["gates"][:, : 3 * hs, 0], np.broadcast_to(sign > 0, (8, 3 * hs)))
+        train_cache: dict = {}
+        batch = lstm._forward_batch(net, ds.inputs[:4], lstm._draw_masks(cfg, np.random.default_rng(0)), train_cache)
+        grads = backward(net, train_cache, np.ones(4))
+    for gates in cache["gates"]:
+        assert np.array_equal(gates[:, : 3 * hs, 0], np.broadcast_to(sign > 0, (8, 3 * hs)))
     assert np.all(np.isfinite(preds))
     assert np.all(np.isfinite(batch))
     assert all(np.all(np.isfinite(g)) for g in grads)

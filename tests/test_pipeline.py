@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from marketcast import pipeline, synth
 from marketcast.chart import read_predictions
 from marketcast.errors import DataError, DivergenceError, MarketcastError
+from marketcast.lstm import LstmConfig
 from marketcast.pipeline import (
     DUMPABLE_STAGES,
     PipelineConfig,
@@ -62,6 +63,10 @@ def test_from_dict_requires_input_path():
 def test_from_dict_ignores_annotation_keys():
     cfg = PipelineConfig.from_dict({"input_path": "x.csv", "_window_includes_target": True})
     assert cfg.input_path == "x.csv"
+
+
+def test_pipeline_lstm_defaults_are_lstm_config_defaults():
+    assert PipelineConfig(input_path="p").lstm_config(input_size=1) == LstmConfig(input_size=1)
 
 
 def test_config_dict_round_trip():
@@ -319,6 +324,23 @@ def test_write_all_removes_files_and_new_directories_on_interrupt(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         write_all([(new_dir / "first.txt", "one\n"), (new_dir / "second.npz", interrupted)], new_dirs=[new_dir])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_all_writes_targets_whose_names_fill_the_name_limit(tmp_path):
+    # the staging names would be 14 bytes longer than these 251-byte names
+    text_path = tmp_path / ("t" * 247 + ".txt")
+    npz_path = tmp_path / ("n" * 247 + ".npz")
+    long_suffix_path = tmp_path / ("s." + "x" * 249)
+    write_all([
+        (text_path, "kept\n"),
+        (npz_path, lambda tmp: np.savez(tmp, a=np.arange(3))),
+        (long_suffix_path, "suffix\n"),
+    ])
+    assert text_path.read_text() == "kept\n"
+    assert long_suffix_path.read_text() == "suffix\n"
+    with np.load(npz_path) as data:
+        assert np.array_equal(data["a"], np.arange(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([npz_path.name, text_path.name, long_suffix_path.name])
 
 
 def test_write_all_leaves_an_existing_target_when_a_later_write_fails(tmp_path):
