@@ -35,7 +35,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "forward_fill",
-    "chrono_split",
     "split_bounds",
     "fit_scaler",
     "apply_scaler",
@@ -329,22 +328,12 @@ def forward_fill(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     )
 
 
-def chrono_split(frame: TimeSeriesFrame, spec: SplitSpec) -> list[TimeSeriesFrame]:
-    """Partition a frame into contiguous chronological parts.
+def split_bounds(n: int, spec: SplitSpec) -> list[int]:
+    """Boundary indices (len(fractions)+1 values) of a chronological split.
 
-    The k-th boundary sits at floor(cumulative_fraction_k * length); remainder
+    The k-th boundary sits at floor(cumulative_fraction_k * n); remainder
     rows accrue to the final part.
     """
-    n = len(frame)
-    k = len(spec.fractions)
-    if n < k:
-        raise DataError(f"frame of {n} rows cannot be split {k} ways")
-    bounds = split_bounds(n, spec)
-    return [frame.rows(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def split_bounds(n: int, spec: SplitSpec) -> list[int]:
-    """Boundary indices (len(fractions)+1 values) used by chrono_split."""
     bounds = [0]
     cum = 0.0
     for frac in spec.fractions[:-1]:

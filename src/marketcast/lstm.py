@@ -27,29 +27,39 @@ Conventions:
     exact 0;
   - one loop over time runs each forward call, stepping the layers
     bottom-up inside it, and one loop back over time runs `backward`,
-    stepping them top-down. There is one storage path: at step t each layer
-    writes its gate activations and cell state c into slot t % T of a
-    (T, 4H, batch) and a (T, H, batch) array;
-  - training passes a cache dict, so T = W, and the dict keeps the gates
-    and c of every layer plus the input windows, the masks and the head's
-    input, all that `backward` reads. tanh(c), h = o * tanh(c) and the
-    dropped output h * mask are each one ufunc away from them, so backward
-    recomputes them one step at a time, and it hands the layer below the
-    gradient of its input one step at a time too. At W=216, H=64, batch 32
-    that cache is 35 MB, and one training step peaks at about 35 MiB under
-    tracemalloc;
+    stepping them top-down. At step t each layer writes its gate
+    activations into slot t % T of a (T, 4H, batch) array and its cell
+    state c into slot t % span of a (span, H, batch) ring;
+  - training passes a cache dict, so T = W and span = ceil(sqrt(W))
+    (`math.isqrt(W - 1) + 1`, 15 at W 216): the dict keeps every step's
+    gates but c only in the ring, plus `c_ends`, the c that ends each span
+    (ceil(W / span) slots), and the input windows, the masks and the head's
+    input, all that `backward` reads. After the forward the ring holds the
+    last span. Stepping back into an earlier span, backward first rebuilds
+    that span's c in the ring from its cached gates, starting from the
+    previous span's end (zero for the first span), through `_cell`, which
+    the forward also calls, so the bits match: two ufuncs a step, where
+    caching c at every step cost 6.75 MB. tanh(c), h = o * tanh(c) and the
+    dropped output h * mask are each one ufunc away from gates and c, so
+    backward recomputes them one step at a time, and it hands the layer
+    below the gradient of its input one step at a time too. At W=216,
+    H=64, batch 32 that cache is 29 MB, and one training step peaks at
+    about 29 MiB under tracemalloc;
   - backward writes each step's gate gradients over its cached
     activations. `train` runs every epoch's batches itself (there is no
     per-epoch function) and keeps one cache for the whole run: every batch
     overwrites the same arrays, allocated again only when the batch size
     changes (a smaller last batch), the old ones freed first;
-  - eval passes no cache, so T = 1: every step reuses one (4H, chunk) slot
-    and one c per layer, and predicting needs far less memory than a
-    training step whatever the chunk. It runs EVAL_CHUNK windows per
-    forward call. The chunk does not bound the memory; it stays at 64
-    because it decides the last bits of the predictions: OpenBLAS picks its
-    kernel by the number of batch columns, so another chunk would move them
-    by a few ULPs.
+  - eval passes no cache, so T = span = 1: every step reuses one (4H, batch)
+    slot and one c per layer, and predicting needs far less memory than a
+    training step. Of n windows, the first n - n % EVAL_CHUNK run
+    2 * EVAL_CHUNK per forward call and the rest in one call: half as many
+    trips through the Python loop as EVAL_CHUNK-wide calls, with the same
+    bits. The call widths do not bound the memory; they are tied to
+    EVAL_CHUNK = 64 because they decide the last bits of the predictions:
+    OpenBLAS picks its kernel by the number of batch columns, so a
+    remainder other than n % 64 would move them by a few ULPs (calls of 64
+    and 128 columns measured bit-identical per column).
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -82,8 +92,9 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 3
-# windows per eval-mode forward call; the predictions' last bits depend on it
-# (see the module docstring), their memory does not
+# eval runs n - n % EVAL_CHUNK windows in calls of 2 * EVAL_CHUNK and the rest
+# in one call; the predictions' last bits depend on it (see the module
+# docstring), their memory does not
 EVAL_CHUNK = 64
 # Adam moment decay rates and denominator guard, the published defaults
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -213,29 +224,44 @@ def _draw_masks(config: LstmConfig, rng: np.random.Generator | None) -> list[np.
     return [(rng.random(config.hidden_size) < keep) / keep for _ in range(config.num_layers)]
 
 
+def _cell(a: np.ndarray, hs: int, c_prev, out: np.ndarray) -> None:
+    """c = f * c_prev + i * g from one step's activated gates `a`, into `out`.
+
+    The forward and backward's rebuild both call it, so a rebuilt c has the
+    bits the forward computed.
+    """
+    np.multiply(a[hs : 2 * hs], c_prev, out=out)
+    out += a[:hs] * a[3 * hs :]
+
+
 def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray | None], cache: dict | None = None):
     """Batched forward over windows x of shape (batch, W, features); returns
     the predictions (batch,).
 
     One loop over time steps every layer, bottom-up, through step t before
-    step t + 1. At step t each layer writes its gate activations and c into
-    slot t % T of (T, 4H, batch) and (T, H, batch) arrays. With a `cache`
-    dict, T = W: the dict keeps those arrays, the input windows, the masks and
-    the head's input for `backward`, and the next call of the same shape
-    overwrites them. Without one, T = 1 and every step reuses one slot.
+    step t + 1. With a `cache` dict each layer writes its gate activations
+    at step t into slot t of a (W, 4H, batch) array and c into slot
+    t % span of a (span, H, batch) ring, span = ceil(sqrt(W)), and copies
+    the c that ends each span into `c_ends`. The dict keeps those arrays, the
+    input windows, the masks and the head's input for `backward`, and the next
+    call of the same shape overwrites them. Without one, every step reuses
+    one slot of each.
     """
     inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
     w_steps, _, b = inputs.shape
     hs = network.config.hidden_size
-    slots = 1 if cache is None else w_steps
+    training = cache is not None
+    slots = w_steps if training else 1
+    span = math.isqrt(w_steps - 1) + 1 if training else 1
     if cache is None:
         cache = {}
     if "gates" not in cache or cache["gates"][0].shape != (slots, 4 * hs, b):
         cache.clear()  # free the old shape's arrays before allocating the new
         cache["gates"] = [np.empty((slots, 4 * hs, b)) for _ in network.layers]
-        cache["c"] = [np.empty((slots, hs, b)) for _ in network.layers]
-    gates, c_seqs = cache["gates"], cache["c"]
-    c_zero = np.zeros((hs, b))
+        cache["c"] = [np.empty((span, hs, b)) for _ in network.layers]
+        if training:
+            cache["c_ends"] = [np.empty((-(-w_steps // span), hs, b)) for _ in network.layers]
+    gates, c_seqs, c_ends = cache["gates"], cache["c"], cache.get("c_ends")
     h = [np.zeros((hs, b)) for _ in network.layers]
     dropped = [None if mask is None else np.empty((hs, b)) for mask in masks]
     tc = np.empty((hs, b))
@@ -243,10 +269,11 @@ def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray |
     # is the correct gate value
     with np.errstate(over="ignore"):
         for t in range(w_steps):
-            slot, prev = t % slots, (t - 1) % slots
+            slot = t % slots
+            span_end = training and (t % span == span - 1 or t == w_steps - 1)
             inp = inputs[t]
             for k, (layer, mask) in enumerate(zip(network.layers, masks)):
-                a, c = gates[k][slot], c_seqs[k][slot]
+                a, c = gates[k][slot], c_seqs[k][t % span]
                 np.matmul(layer.w, inp, out=a)
                 a += layer.b[:, None]
                 a += layer.u @ h[k]
@@ -257,8 +284,9 @@ def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray |
                 np.reciprocal(s, out=s)
                 g = a[3 * hs :]
                 np.tanh(g, out=g)
-                np.multiply(a[hs : 2 * hs], c_seqs[k][prev] if t else c_zero, out=c)
-                c += a[:hs] * g
+                _cell(a, hs, c_seqs[k][(t - 1) % span] if t else 0.0, c)
+                if span_end:
+                    c_ends[k][t // span] = c
                 np.tanh(c, out=tc)
                 np.multiply(a[2 * hs : 3 * hs], tc, out=h[k])
                 inp = h[k] if mask is None else np.multiply(h[k], mask[:, None], out=dropped[k])
@@ -275,15 +303,18 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
     layers top-down. Each layer carries tanh(c), h and its dropped output one
     step back, recomputed from gates and c its step has not yet overwritten,
     and hands the layer below the gradient of its input at that step only.
-    The cache is consumed: each step's gate activations are overwritten with
-    their pre-activation gradients.
+    Stepping back into an earlier span, a layer first rebuilds that span's c
+    in the ring from the cached gates and the previous span's end. The cache
+    is consumed: each step's gate activations are overwritten with their
+    pre-activation gradients, and the ring ends holding the first span's c.
     """
     dpred = np.asarray(dloss_dpred, dtype=float)
-    gates, c_seqs, masks, x = cache["gates"], cache["c"], cache["masks"], cache["x"]
+    gates, c_seqs, c_ends, masks, x = cache["gates"], cache["c"], cache["c_ends"], cache["masks"], cache["x"]
     if len(gates) != len(network.layers):
         raise DataError("cache does not match network depth")
     w_steps, _, b = x.shape
     hs = network.config.hidden_size
+    span = len(c_seqs[0])
     if dpred.shape != (b,):
         raise DataError(f"loss gradient shape {dpred.shape} does not match batch {b}")
 
@@ -303,13 +334,22 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
     np.multiply.outer(network.dense_w, dpred, out=d_out[top])
     if masks[top] is not None:
         d_out[top] *= masks[top][:, None]
-    # tanh(c_t), h_t and the dropped output the layer above read at step t
-    tc = [np.tanh(c[-1]) for c in c_seqs]
+    # tanh(c_t), h_t and the dropped output the layer above read at step t;
+    # the forward leaves the last span's c in the ring
+    tc = [np.tanh(c[(w_steps - 1) % span]) for c in c_seqs]
     h = [np.multiply(g[-1, 2 * hs : 3 * hs], tc_k) for g, tc_k in zip(gates, tc)]
     out = [h_k if mask is None else h_k * mask[:, None] for h_k, mask in zip(h, masks)]
     for t in range(w_steps - 1, -1, -1):
+        rebuild = t and t % span == 0
         for k in range(top, -1, -1):
             layer = layers[k]
+            c_seq = c_seqs[k]
+            if rebuild:  # c_{t-1} ends the previous span: recompute its c
+                first = t - span
+                c_prev = c_ends[k][first // span - 1] if first else 0.0
+                for j in range(span):
+                    _cell(gates[k][first + j], hs, c_prev, c_seq[j])
+                    c_prev = c_seq[j]
             a = gates[k][t]
             s = a[: 3 * hs]  # the sigmoid gates (i, f, o)
             i, f, o, g = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
@@ -320,7 +360,7 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
             # overwrite a with its gradient: each sigmoid gate's multiplier
             # times one s(1 - s) over the block, then the candidate gate
             np.multiply(dc, g, out=mult[:hs])
-            np.multiply(dc, c_seqs[k][t - 1] if t else 0.0, out=mult[hs : 2 * hs])
+            np.multiply(dc, c_seq[(t - 1) % span] if t else 0.0, out=mult[hs : 2 * hs])
             np.multiply(dh, tc[k], out=mult[2 * hs :])
             s *= 1.0 - s
             s *= mult
@@ -332,7 +372,7 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
                 if masks[k - 1] is not None:
                     d_out[k - 1] *= masks[k - 1][:, None]
             if t:  # step back to t - 1; h_0 = 0 contributes nothing to dU
-                np.tanh(c_seqs[k][t - 1], out=tc[k])
+                np.tanh(c_seq[(t - 1) % span], out=tc[k])
                 np.multiply(gates[k][t - 1, 2 * hs : 3 * hs], tc[k], out=h[k])
                 du[k] += np.matmul(a, h[k].T, out=du_t[k])
                 if masks[k] is not None:
@@ -363,16 +403,22 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 
 def _predict(network: LstmNetwork, inputs: np.ndarray, epoch: int | None = None) -> np.ndarray:
-    """Eval-mode predictions for windows (n, W, features), EVAL_CHUNK at a time.
+    """Eval-mode predictions for windows (n, W, features).
 
-    Raises DivergenceError (tagged with `epoch`, when given) if any prediction
-    is not finite.
+    The first n - n % EVAL_CHUNK windows run 2 * EVAL_CHUNK per forward call
+    (the last such call may hold only EVAL_CHUNK), the rest in one call. Raises
+    DivergenceError (tagged with `epoch`, when given) if any prediction is not
+    finite.
     """
     none_masks = [None] * network.config.num_layers
-    preds = np.empty(len(inputs))
-    for start in range(0, len(inputs), EVAL_CHUNK):
-        stop = start + EVAL_CHUNK
+    n = len(inputs)
+    full = n - n % EVAL_CHUNK
+    preds = np.empty(n)
+    start = 0
+    while start < n:
+        stop = min(start + 2 * EVAL_CHUNK, full) if start < full else n
         preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
+        start = stop
     if not np.all(np.isfinite(preds)):
         where = "" if epoch is None else f" in epoch {epoch}"
         raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)
@@ -409,7 +455,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     _, rng = _rng_streams(config.seed)
     params = network.parameters()
     state = AdamState.for_params(params)
-    # each layer's gates and c (35 MB at W=216, H=64, batch 32), kept for the
+    # each layer's gates and c (29 MB at W=216, H=64, batch 32), kept for the
     # whole run: allocated afresh, the allocator gives those pages back to the
     # OS between batches, and faulting them in again took about a fifth of
     # each batch

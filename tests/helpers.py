@@ -1,5 +1,6 @@
-"""Functions only the tests call: a single-window LSTM forward, a checked
-GARCH variance recursion, and a GARCH(1,1) series simulator."""
+"""Functions only the tests call: a chronological frame split, a
+single-window LSTM forward, a checked GARCH variance recursion, and a
+GARCH(1,1) series simulator."""
 
 from __future__ import annotations
 
@@ -8,8 +9,23 @@ import math
 import numpy as np
 
 from marketcast.errors import DataError
+from marketcast.frame import SplitSpec, TimeSeriesFrame, split_bounds
 from marketcast.garch import GarchParams, _check_inputs, _variances
 from marketcast.lstm import LstmNetwork, _draw_masks, _forward_batch
+
+
+def chrono_split(frame: TimeSeriesFrame, spec: SplitSpec) -> list[TimeSeriesFrame]:
+    """Partition a frame into contiguous chronological parts.
+
+    The k-th boundary sits at floor(cumulative_fraction_k * length); remainder
+    rows accrue to the final part.
+    """
+    n = len(frame)
+    k = len(spec.fractions)
+    if n < k:
+        raise DataError(f"frame of {n} rows cannot be split {k} ways")
+    bounds = split_bounds(n, spec)
+    return [frame.rows(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Generator | None = None):

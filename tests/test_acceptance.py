@@ -24,7 +24,6 @@ from marketcast.frame import (
     SplitSpec,
     TimeSeriesFrame,
     apply_scaler,
-    chrono_split,
     fit_scaler,
     forward_fill,
     invert_scaler,
@@ -33,7 +32,7 @@ from marketcast.frame import (
 from marketcast.lstm import LstmConfig, backward, init_network, train
 from marketcast.frame import WindowedDataset
 
-from helpers import forward, garch_recursion, simulate_garch11
+from helpers import chrono_split, forward, garch_recursion, simulate_garch11
 
 DATA_CSV = Path(__file__).resolve().parent.parent / "data" / "synthetic_prices.csv"
 

@@ -744,3 +744,124 @@ def test_model_fit_errors_exit_3(tmp_path):
     proc = run_cli("fit-arima", "--input", flat, "--bounds", "1,1,1", "--out", tmp_path / "m.json")
     assert proc.returncode == 3
     assert "error:" in proc.stderr
+
+
+
+# ---------------------------------------------------------------- the flag grammar
+
+# mostly values in range, so most argv reach the command; the rest are out of
+# range, of the wrong type, or read as a flag
+INT_TEXT = st.sampled_from(["1", "2", "3", "1", "2", "0", "-1", "x", "2.5"])
+FLOAT_TEXT = st.sampled_from(["0.1", "0.5", "0.2", "0.01", "0", "1", "-1", "nan", "inf", "x"])
+TRIPLE_TEXT = st.sampled_from(["1,1,1", "1,0,1", "0,1,0", "1,1,0", "0,0,0", "1,1", "a,b,c", "-1,0,0"])
+COLUMN = st.sampled_from(["PX_LAST", "PX_LAST", "PX_LAST", "PX_VOLUME", "NOPE"])
+SCAN_FLAGS = {
+    "--target": COLUMN,
+    "--splits": st.sampled_from(["0.6,0.2,0.2", "0.5,0.25,0.25", "0.6,0.2", "1,0,0", "x,y,z"]),
+    "--threshold": FLOAT_TEXT,
+}
+TRAIN_FLAGS = {
+    "--horizon": INT_TEXT,
+    "--features": st.sampled_from(["with", "without", "both"]),
+    "--seed": INT_TEXT,
+    "--patience": INT_TEXT,
+    "--dropout": FLOAT_TEXT,
+    "--batch": INT_TEXT,
+    "--lr": FLOAT_TEXT,
+    "--dump-stage": st.sampled_from(["all", "windows", "scaler", "nope"]),
+}
+RUN_FLAGS = {
+    **SCAN_FLAGS,
+    **TRAIN_FLAGS,
+    "--mode": st.sampled_from(["arima", "lstm", "both", "all", "nope"]),
+    "--forecast": st.sampled_from(["static", "rolling", "nope"]),
+}
+
+
+def _flags(grammar: dict) -> st.SearchStrategy:
+    """Up to three of the grammar's flags, each with a drawn value, as argv."""
+    return (
+        st.lists(st.sampled_from(sorted(grammar)), max_size=3, unique=True)
+        .flatmap(lambda chosen: st.tuples(*[grammar[flag].map(lambda v, f=flag: [f, v]) for flag in chosen]))
+        .map(lambda pairs: [arg for pair in pairs for arg in pair])
+    )
+
+
+@pytest.fixture(scope="module")
+def grammar_files(tmp_path_factory):
+    """A tiny price CSV (61 rows after the 199 warm-up rows), a predictions
+    file, a model file, a config, and a directory for every output."""
+    base = tmp_path_factory.mktemp("grammar")
+    files = {name: base / name for name in ("prices.csv", "preds.csv", "model.json", "config.json", "missing.csv")}
+    synth.write_csv(synth.generate(3, 260), files["prices.csv"])
+    files["preds.csv"].write_text("date,actual,predicted\n2020-01-01,1.0,\n2020-01-02,2.0,2.5\n2020-01-03,3.0,2.5\n")
+    files["model.json"].write_text(json.dumps(VALID_MODEL))
+    config = {"input_path": str(files["prices.csv"]), "window": 3, "lstm_hidden": 2, "arima_bounds": [1, 1, 1]}
+    files["config.json"].write_text(json.dumps(config))
+    (base / "out").mkdir()
+    return base
+
+
+@st.composite
+def grammar_argv(draw, base):
+    """argv for one subcommand: its required flags, sometimes naming a wrong
+    or missing file, then optional flags. `run` and `train-lstm` train at W <=
+    5, H <= 2 for one epoch and search at most (1,1,1); every output goes under
+    base/out."""
+    out = base / "out"
+    prices = draw(st.sampled_from(["prices.csv"] * 4 + ["preds.csv", "missing.csv"]))
+    prices = str(base / prices)
+    any_file = str(base / draw(st.sampled_from(["preds.csv", "preds.csv", "prices.csv", "model.json", "missing.csv"])))
+    command = draw(st.sampled_from(
+        ["synth", "features", "fit-arima", "forecast", "fit-garch", "train-lstm", "run", "evaluate", "chart"]
+    ))
+    if command == "synth":
+        return [command, "--out", str(out / "synth.csv"), *draw(_flags({
+            "--seed": INT_TEXT, "--days": st.sampled_from(["205", "230", "204", "x"]), "--break-frac": FLOAT_TEXT,
+            "--drift-before": FLOAT_TEXT, "--vol-before": FLOAT_TEXT, "--drift-after": FLOAT_TEXT,
+            "--vol-after": FLOAT_TEXT, "--start-price": FLOAT_TEXT,
+        }))]
+    if command == "features":
+        source = draw(st.sampled_from([["--input", prices], ["--config", str(base / "config.json")], []]))
+        out_flag = draw(st.sampled_from([[], ["--out", str(out / "features.json")]]))
+        return [command, *source, *out_flag, *draw(_flags(SCAN_FLAGS))]
+    if command == "fit-arima":
+        search = draw(st.sampled_from(["--bounds", "--order"]))
+        return [command, "--input", prices, search, draw(TRIPLE_TEXT), "--out", str(out / "model.json"),
+                *draw(_flags({"--column": COLUMN, "--train-frac": FLOAT_TEXT}))]
+    if command == "forecast":
+        model = str(base / draw(st.sampled_from(["model.json", "model.json", "prices.csv", "missing.csv"])))
+        return [command, "--model", model, "--input", prices, "--steps", draw(INT_TEXT),
+                "--out", str(out / "forecast.csv"),
+                *draw(_flags({"--column": COLUMN, "--mode": st.sampled_from(["static", "rolling", "nope"])}))]
+    if command == "fit-garch":
+        return [command, "--input", prices, "--out-params", str(out / "garch.json"), "--out-csv", str(out / "garch.csv"),
+                *draw(_flags({"--column": COLUMN, "--input-kind": st.sampled_from(["returns", "prices", "nope"])}))]
+    if command in ("train-lstm", "run"):
+        source = draw(st.sampled_from([["--input", prices], ["--config", str(base / "config.json")]]))
+        tiny = ["--epochs", "1", "--window", draw(st.sampled_from(["3", "5", "1", "0"])),
+                "--hidden", draw(st.sampled_from(["2", "1", "0"]))]
+        if command == "run":
+            tiny += ["--bounds", draw(TRIPLE_TEXT)]
+        grammar = RUN_FLAGS if command == "run" else {**SCAN_FLAGS, **TRAIN_FLAGS}
+        return [command, *source, "--out-dir", str(out / "run"), *tiny, *draw(_flags(grammar))]
+    if command == "evaluate":
+        return [command, "--input", any_file, *draw(st.sampled_from([[], ["--out", str(out / "report.txt")]]))]
+    return [command, "--input", any_file, "--out", str(out / "chart.svg"), *draw(_flags({"--title": st.text(max_size=4)}))]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_cli_on_argv_from_the_flag_grammar_exits_0_1_2_or_3(grammar_files, data):
+    """cli.main returns 0, 2 or 3, or exits 1 on a usage error, and never
+    lets an exception out."""
+    argv = data.draw(grammar_argv(grammar_files))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            assert exc.code == 1, err.getvalue()
+        else:
+            assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -13,7 +13,6 @@ from marketcast.frame import (
     SplitSpec,
     TimeSeriesFrame,
     apply_scaler,
-    chrono_split,
     correlation_vector,
     fit_scaler,
     forward_fill,
@@ -24,6 +23,8 @@ from marketcast.frame import (
     split_bounds,
     write_csv,
 )
+
+from helpers import chrono_split
 
 
 def frame_of(**columns):

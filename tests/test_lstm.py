@@ -138,9 +138,10 @@ def test_forward_matches_scalar_oracle():
     pred_want = net.dense_w[0] * h + net.dense_b[0]
     pred, cache = forward(net, np.array([[0.3], [-0.7]]))
     gates, c_seq = cache["gates"][0], cache["c"][0]
-    assert c_seq[-1, 0, 0] == pytest.approx(c, abs=1e-14)
+    c_last = c_seq[(2 - 1) % len(c_seq), 0, 0]  # c_T's slot in the ring of span slots
+    assert c_last == pytest.approx(c, abs=1e-14)
     # h is not cached: h_T = o_T tanh(c_T), o the third gate
-    assert gates[-1, 2, 0] * np.tanh(c_seq[-1, 0, 0]) == pytest.approx(h, abs=1e-14)
+    assert gates[-1, 2, 0] * np.tanh(c_last) == pytest.approx(h, abs=1e-14)
     assert pred == pytest.approx(pred_want, abs=1e-14)
 
 
@@ -215,11 +216,12 @@ def loss_on_window(net, window, target, with_dropout):
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.25])
-def test_backward_matches_finite_differences(dropout):
+@pytest.mark.parametrize("w", [1, 2, 6, 7])  # W 7 runs spans of 3, 3 and 1 steps
+def test_backward_matches_finite_differences(w, dropout):
     cfg = tiny_config(input_size=2, hidden_size=3, num_layers=2, dropout_rate=dropout, seed=4)
     net = init_network(cfg)
     rng = np.random.default_rng(1)
-    window = rng.normal(size=(6, 2))
+    window = rng.normal(size=(w, 2))
     target = 0.37
 
     _, pred, caches = loss_on_window(net, window, target, dropout > 0)
@@ -265,19 +267,72 @@ def test_reused_buffers_give_fresh_gradients(rng):
 
 
 def test_cache_arrays_are_reused_for_one_shape(rng):
-    """Two training forwards of one shape write the same gate and c arrays;
-    a new batch size replaces them."""
+    """Two training forwards of one shape write the same gate, c and c_ends
+    arrays; a new batch size replaces them."""
     cfg = tiny_config(input_size=2, hidden_size=5)
     net = init_network(cfg)
     masks = lstm._draw_masks(cfg, rng)
     cache: dict = {}
+
+    def arrays():
+        return cache["gates"] + cache["c"] + cache["c_ends"]
+
     lstm._forward_batch(net, rng.normal(size=(6, 7, 2)), masks, cache)
-    gates, c_seqs = list(cache["gates"]), list(cache["c"])
-    assert [g.shape for g in gates] == [(7, 4 * cfg.hidden_size, 6)] * cfg.num_layers
+    before = arrays()
+    assert [g.shape for g in cache["gates"]] == [(7, 4 * cfg.hidden_size, 6)] * cfg.num_layers
+    # W 7: a ring of 3 slots, and the ends of the spans of 3, 3 and 1 steps
+    assert [c.shape for c in cache["c"]] == [(3, cfg.hidden_size, 6)] * cfg.num_layers
+    assert [c.shape for c in cache["c_ends"]] == [(3, cfg.hidden_size, 6)] * cfg.num_layers
     lstm._forward_batch(net, rng.normal(size=(6, 7, 2)), masks, cache)
-    assert all(new is old for new, old in zip(cache["gates"] + cache["c"], gates + c_seqs))
+    assert all(new is old for new, old in zip(arrays(), before))
     lstm._forward_batch(net, rng.normal(size=(4, 7, 2)), masks, cache)
-    assert not any(new is old for new, old in zip(cache["gates"] + cache["c"], gates + c_seqs))
+    assert not any(new is old for new, old in zip(arrays(), before))
+
+
+@pytest.mark.parametrize("w", [5, 9, 216])
+def test_rebuilt_c_matches_the_recursion_over_cached_gates(rng, monkeypatch, w):
+    """c_ends and every c backward rebuilds equal, bit for bit, c_t = f_t c_{t-1}
+    + i_t g_t stepped over the gates the forward cached."""
+    cfg = tiny_config(input_size=2, hidden_size=4, num_layers=2, dropout_rate=0.2)
+    net = init_network(cfg)
+    hs = cfg.hidden_size
+    cache: dict = {}
+    lstm._forward_batch(net, rng.normal(size=(3, w, 2)), lstm._draw_masks(cfg, rng), cache)
+    span = math.isqrt(w - 1) + 1
+    want = []  # want[k][t]: layer k's c_t
+    for gates in cache["gates"]:
+        c, seq = 0.0, []
+        for a in gates:
+            c = a[hs : 2 * hs] * c + a[:hs] * a[3 * hs :]
+            seq.append(c)
+        want.append(seq)
+    for k in range(cfg.num_layers):
+        assert len(cache["c_ends"][k]) == -(-w // span)
+        for j, c_end in enumerate(cache["c_ends"][k]):
+            assert np.array_equal(c_end, want[k][min((j + 1) * span, w) - 1])
+        last = range((w - 1) // span * span, w)  # the span the forward left in the ring
+        assert all(np.array_equal(cache["c"][k][t % span], want[k][t]) for t in last)
+
+    rebuilt = []
+    cell = lstm._cell
+
+    def recording_cell(a, hs, c_prev, out):
+        cell(a, hs, c_prev, out)
+        rebuilt.append(out.copy())
+
+    monkeypatch.setattr(lstm, "_cell", recording_cell)
+    backward(net, cache, rng.normal(size=3))
+    # stepping back to each span start t > 0, the layers top-down rebuild
+    # the span before it
+    expected = [
+        want[k][t - span + j]
+        for t in range(w - 1, 0, -1)
+        if t % span == 0
+        for k in range(cfg.num_layers - 1, -1, -1)
+        for j in range(span)
+    ]
+    assert len(rebuilt) == len(expected) == (-(-w // span) - 1) * span * cfg.num_layers
+    assert all(np.array_equal(got, c) for got, c in zip(rebuilt, expected))
 
 
 # ---------------------------------------------------------------- adam
@@ -412,8 +467,8 @@ def test_predict_series_independent_of_eval_chunk(rng, monkeypatch, chunk):
 
 
 def test_predict_series_memory_bounded_by_eval_chunk(rng):
-    # eval keeps nothing per step: one (4H, chunk) gate slab per layer is
-    # reused, and the peak measured 0.64 MiB
+    # eval keeps nothing per step: one (4H, 2 * EVAL_CHUNK) gate slab per
+    # layer is reused, and the peak measured 1.28 MiB
     cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, seed=0)
     net = init_network(cfg)
     ds = WindowedDataset(
@@ -429,10 +484,12 @@ def test_predict_series_memory_bounded_by_eval_chunk(rng):
     assert peak < 2 * 2**20
 
 
-def test_training_step_caches_only_gates_and_c(rng):
+def test_training_step_caches_only_gates(rng):
     """One training forward and backward at the paper's shape stays within
-    the gates and c it caches (35 MB) plus small per-step arrays; caching h,
-    tanh(c), the dropped outputs and a d_in sequence as well peaked at 61.6 MiB."""
+    the gates it caches (27 MiB), c at ceil(sqrt(W)) span ends and in a ring
+    of as many slots (0.9 MiB), and small per-step arrays: the peak measured
+    29.1 MiB. Caching c at every step peaked at 34.9 MiB, and caching h,
+    tanh(c), the dropped outputs and a d_in sequence as well at 61.6 MiB."""
     cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, dropout_rate=0.2, seed=0)
     net = init_network(cfg)
     x = rng.normal(size=(32, 216, 1))
@@ -446,7 +503,7 @@ def test_training_step_caches_only_gates_and_c(rng):
     finally:
         tracemalloc.stop()
     assert all(np.all(np.isfinite(g)) for g in grads)
-    assert peak < 40 * 2**20
+    assert peak < 30 * 2**20
 
 
 def test_cached_and_eval_forward_agree(rng):
