@@ -316,12 +316,15 @@ def auto_arima(series, bounds=DEFAULT_BOUNDS) -> ArimaModel:
     candidates: list[ArimaModel] = []
     failures: list[str] = []
     for d in range(d_max + 1):
-        if len(series) <= d:
+        if len(series) <= d:  # and for every deeper d
             failures.append(f"d={d}: series too short to difference")
-            continue
+            break
         w = difference(series, d)
-        for p in range(p_max + 1):
-            for q in range(q_max + 1):
+        # fit_arma needs 10 (p + q + 1) points; (0, d, 0) is always tried, so a
+        # grid that fits nothing still names its first failure
+        k_max = max(len(w) // 10 - 1, 0)
+        for p in range(min(p_max, k_max) + 1):
+            for q in range(min(q_max, k_max - p) + 1):
                 try:
                     with warnings.catch_warnings():
                         # only root warnings, noise for discarded candidates;

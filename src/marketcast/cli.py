@@ -177,6 +177,8 @@ def _cmd_synth(args) -> int:
             f"--days must be at least {min_days}: MOV_AVG_200D's 199 warm-up rows, then 6 for a "
             "60/20/20 split with 2 test rows"
         )
+    if args.days > synth_mod.MAX_DAYS:
+        raise DataError(f"--days must be at most {synth_mod.MAX_DAYS}: later trading days run past the year 9999")
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     frame = synth_mod.generate(args.seed, args.days, regimes)

@@ -50,16 +50,18 @@ Conventions:
     per-epoch function) and keeps one cache for the whole run: every batch
     overwrites the same arrays, allocated again only when the batch size
     changes (a smaller last batch), the old ones freed first;
-  - eval passes no cache, so T = span = 1: every step reuses one (4H, batch)
-    slot and one c per layer, and predicting needs far less memory than a
-    training step. Of n windows, the first n - n % EVAL_CHUNK run
-    2 * EVAL_CHUNK per forward call and the rest in one call: half as many
-    trips through the Python loop as EVAL_CHUNK-wide calls, with the same
-    bits. The call widths do not bound the memory; they are tied to
-    EVAL_CHUNK = 64 because they decide the last bits of the predictions:
-    OpenBLAS picks its kernel by the number of batch columns, so a
-    remainder other than n % 64 would move them by a few ULPs (calls of 64
-    and 128 columns measured bit-identical per column).
+  - `predict_series` is the one eval path: it makes the test predictions and
+    `train`'s validation predictions alike. Eval passes no cache, so
+    T = span = 1: every step reuses one (4H, batch) slot and one c per
+    layer, and predicting needs far less memory than a training step. Of n
+    windows, the first n - n % EVAL_CHUNK run 2 * EVAL_CHUNK per forward
+    call and the rest in one call: half as many trips through the Python
+    loop as EVAL_CHUNK-wide calls, with the same bits. The call widths do
+    not bound the memory; they are tied to EVAL_CHUNK = 64 because they
+    decide the last bits of the predictions: OpenBLAS picks its kernel by
+    the number of batch columns, so a remainder other than n % 64 would
+    move them by a few ULPs (calls of 64 and 128 columns measured
+    bit-identical per column).
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -402,34 +404,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     return state
 
 
-def _predict(network: LstmNetwork, inputs: np.ndarray, epoch: int | None = None) -> np.ndarray:
-    """Eval-mode predictions for windows (n, W, features).
-
-    The first n - n % EVAL_CHUNK windows run 2 * EVAL_CHUNK per forward call
-    (the last such call may hold only EVAL_CHUNK), the rest in one call. Raises
-    DivergenceError (tagged with `epoch`, when given) if any prediction is not
-    finite.
-    """
-    none_masks = [None] * network.config.num_layers
-    n = len(inputs)
-    full = n - n % EVAL_CHUNK
-    preds = np.empty(n)
-    start = 0
-    while start < n:
-        stop = min(start + 2 * EVAL_CHUNK, full) if start < full else n
-        preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
-        start = stop
-    if not np.all(np.isfinite(preds)):
-        where = "" if epoch is None else f" in epoch {epoch}"
-        raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)
-    return preds
-
-
-def _eval_mse(network: LstmNetwork, inputs: np.ndarray, targets: np.ndarray, epoch: int | None = None) -> float:
-    diff = _predict(network, inputs, epoch) - targets
-    return float(diff @ diff) / len(inputs)
-
-
 def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDataset, config: LstmConfig):
     """Mini-batch Adam training with early stopping on validation MSE.
 
@@ -448,9 +422,6 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
             f"training windows have {x_train.shape[2]} features, config expects {config.input_size}"
         )
     has_val = len(val_set.targets) > 0
-    if has_val:
-        x_val = np.asarray(val_set.inputs, dtype=float)
-        y_val = np.asarray(val_set.targets, dtype=float)
 
     _, rng = _rng_streams(config.seed)
     params = network.parameters()
@@ -484,7 +455,8 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         train_losses.append(sq_sum / n)
 
         if has_val:
-            val_mse = _eval_mse(network, x_val, y_val, epoch)
+            diff = predict_series(network, val_set, epoch) - val_set.targets
+            val_mse = float(diff @ diff) / len(diff)
             if not np.isfinite(val_mse):
                 raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
             val_losses.append(val_mse)
@@ -513,17 +485,32 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     return network, history
 
 
-def predict_series(network: LstmNetwork, test_set: WindowedDataset) -> np.ndarray:
+def predict_series(network: LstmNetwork, windows: WindowedDataset, epoch: int | None = None) -> np.ndarray:
     """Eval-mode one-step predictions for every window, aligned with targets.
 
-    Raises DivergenceError if any prediction is not finite.
+    `train` scores validation through it too. The first n - n % EVAL_CHUNK
+    windows run 2 * EVAL_CHUNK per forward call (the last such call may hold
+    only EVAL_CHUNK), the rest in one call. Raises DivergenceError (tagged
+    with `epoch`, when given) if any prediction is not finite.
     """
-    inputs = np.asarray(test_set.inputs, dtype=float)
+    inputs = np.asarray(windows.inputs, dtype=float)
     if inputs.shape[2] != network.config.input_size:
         raise DataError(
             f"windows have {inputs.shape[2]} features, network expects {network.config.input_size}"
         )
-    return _predict(network, inputs)
+    none_masks = [None] * network.config.num_layers
+    n = len(inputs)
+    full = n - n % EVAL_CHUNK
+    preds = np.empty(n)
+    start = 0
+    while start < n:
+        stop = min(start + 2 * EVAL_CHUNK, full) if start < full else n
+        preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
+        start = stop
+    if not np.all(np.isfinite(preds)):
+        where = "" if epoch is None else f" in epoch {epoch}"
+        raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)
+    return preds
 
 
 def save_checkpoint(network: LstmNetwork, path) -> None:

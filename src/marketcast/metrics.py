@@ -53,24 +53,19 @@ def accuracy(mae_value: float, actual_mean: float) -> float:
 
 @dataclass(frozen=True)
 class ForecastReport:
-    """Aligned actual/predicted series with summary metrics.
+    """Summary metrics of a forecast scored against its actuals.
 
     Halves split at floor(n/2); at odd lengths the extra point goes to the
     second half. Each half scores against its own actual mean.
     """
 
     dates: tuple[date, ...]
-    actual: np.ndarray
-    predicted: np.ndarray
+    n_points: int
     mae: float
     rmse: float
     accuracy_pct: float
     accuracy_first_half_pct: float
     accuracy_second_half_pct: float
-
-    @property
-    def n_points(self) -> int:
-        return len(self.actual)
 
 
 def report(dates, actual, predicted) -> ForecastReport:
@@ -85,8 +80,7 @@ def report(dates, actual, predicted) -> ForecastReport:
     mae_all = mae(actual, predicted)
     return ForecastReport(
         dates=dates,
-        actual=actual,
-        predicted=predicted,
+        n_points=actual.size,
         mae=mae_all,
         rmse=rmse(actual, predicted),
         accuracy_pct=accuracy(mae_all, float(actual.mean())),

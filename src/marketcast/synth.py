@@ -25,7 +25,7 @@ import numpy as np
 from .frame import TimeSeriesFrame, write_csv as _write_frame_csv
 from .indicators import TRADING_DAYS_PER_YEAR
 
-__all__ = ["RegimeSpec", "generate", "write_csv", "COLUMN_FORMATS"]
+__all__ = ["RegimeSpec", "generate", "write_csv", "COLUMN_FORMATS", "MAX_DAYS"]
 
 START_DATE = date(2013, 10, 1)
 
@@ -69,6 +69,12 @@ class RegimeSpec:
             raise ValueError("start_price must be positive")
 
 
+# the weekdays in [START_DATE, date.max): _trading_days steps one day past the
+# last date it keeps, so that date must come before date.max
+_weeks, _rest = divmod((date.max - START_DATE).days, 7)
+MAX_DAYS = 5 * _weeks + sum((START_DATE.weekday() + i) % 7 < 5 for i in range(_rest))
+
+
 def _trading_days(n: int) -> list[date]:
     days = []
     d = START_DATE
@@ -80,8 +86,8 @@ def _trading_days(n: int) -> list[date]:
 
 
 def generate(seed: int, n_days: int, regimes: RegimeSpec = RegimeSpec()) -> TimeSeriesFrame:
-    if n_days < 1:
-        raise ValueError("n_days must be >= 1")
+    if not 1 <= n_days <= MAX_DAYS:
+        raise ValueError(f"n_days must be in [1, {MAX_DAYS}]")
     rng = np.random.default_rng(seed)
     dates = _trading_days(n_days)
     break_row = int(math.floor(regimes.break_fraction * n_days))

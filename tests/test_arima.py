@@ -277,8 +277,30 @@ def test_auto_arima_silences_only_root_warnings(monkeypatch):
 
 
 def test_auto_arima_all_candidates_fail():
-    with pytest.raises(ModelFitError):
+    with pytest.raises(ModelFitError, match=r"first failure: \(0,0,0\): need at least 10 observations"):
         auto_arima(np.arange(5.0), bounds=(3, 1, 3))
+    # bounds past what the series can fit or difference name the same failure
+    with pytest.raises(ModelFitError, match=r"first failure: \(0,0,0\): need at least 10 observations"):
+        auto_arima(np.arange(5.0), bounds=(60, 60, 60))
+
+
+def test_auto_arima_reaches_only_candidates_that_can_fit(monkeypatch):
+    fit = arima.fit_arma
+    calls = []
+
+    def counting_fit(w, p, q):
+        calls.append((len(w), p, q))
+        return fit(w, p, q)
+
+    y = np.cumsum(np.random.default_rng(7).standard_normal(45))
+    want = auto_arima(y, bounds=(3, 1, 3))
+    monkeypatch.setattr(arima, "fit_arma", counting_fit)
+    got = auto_arima(y, bounds=(60, 1, 60))
+    # fit_arma needs 10 (p + q + 1) points: p + q <= 3 at d = 0 (45) and d = 1 (44)
+    feasible = [(45 - d, p, q) for d in (0, 1) for p in range(4) for q in range(4 - p)]
+    assert calls == feasible
+    assert got.order == want.order
+    assert model_to_dict(got) == model_to_dict(want)
 
 
 # ---------------------------------------------------------------- forecast

@@ -81,6 +81,17 @@ def test_synth_minimum_is_what_features_needs(tmp_path, capsys):
     assert cli.main(["features", "--input", str(enough)]) == 0
 
 
+def test_synth_rejects_days_past_the_calendar(tmp_path):
+    # the largest count whose last trading day, 9999-12-30, is before date.max
+    assert synth.MAX_DAYS == 2_083_513
+    out = tmp_path / "x.csv"
+    proc = run_cli("synth", "--out", out, "--days", synth.MAX_DAYS + 1)
+    assert proc.returncode == 2
+    assert "--days must be at most 2083513" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_run_writes_and_reports_artifacts(run_dir):
     out, stdout = run_dir
     for name in (

@@ -14,7 +14,6 @@ from marketcast.lstm import (
     EVAL_CHUNK,
     AdamState,
     LstmConfig,
-    _eval_mse,
     _glorot,
     _rng_streams,
     adam_step,
@@ -152,8 +151,8 @@ def test_predict_series_divergence_guard(rng):
     ds = dataset_from_series(rng.normal(size=12), 4)
     with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
         predict_series(net, ds)
-    with pytest.raises(DivergenceError) as info, np.errstate(invalid="ignore"):
-        _eval_mse(net, ds.inputs, ds.targets, epoch=4)
+    with pytest.raises(DivergenceError, match="in epoch 4") as info, np.errstate(invalid="ignore"):
+        predict_series(net, ds, epoch=4)
     assert info.value.epoch == 4
 
 
@@ -415,7 +414,10 @@ def test_early_stopping_restores_best_weights():
     assert len(hist.val_losses) <= 40
     best = min(hist.val_losses)
     assert hist.val_losses[hist.best_epoch] == best
-    assert _eval_mse(net, val_set.inputs, val_set.targets) == pytest.approx(best, rel=1e-9)
+    # train scores validation through predict_series too, so the restored
+    # weights reproduce the best epoch's loss exactly
+    diff = predict_series(net, val_set) - val_set.targets
+    assert float(diff @ diff) / len(diff) == best
     if len(hist.val_losses) < 40:  # stopped early: patience exhausted after the best epoch
         assert len(hist.val_losses) >= hist.best_epoch + cfg.patience
 
@@ -425,6 +427,14 @@ def test_train_divergence_raises():
     cfg = tiny_config(input_size=1, learning_rate=1e200, max_epochs=8, patience=8, seed=0)
     with pytest.raises(DivergenceError), np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        train(init_network(cfg), train_set, val_set, cfg)
+
+
+def test_train_rejects_validation_windows_of_the_wrong_width():
+    train_set, _ = sine_sets()
+    cfg = tiny_config(input_size=1, max_epochs=1, patience=1)
+    val_set = WindowedDataset(inputs=np.zeros((4, 8, 3)), targets=np.zeros(4), window_size=8, horizon=1)
+    with pytest.raises(DataError, match="windows have 3 features, network expects 1"):
         train(init_network(cfg), train_set, val_set, cfg)
 
 
@@ -454,7 +464,7 @@ def test_predict_series_independent_of_eval_chunk(rng, monkeypatch, chunk):
     One hidden unit and one input feature make every product the forward
     pass hands to BLAS a single term, so the batch-size-dependent kernel
     choice (gemv for a batch of one, other kernels for a few) cannot reorder a
-    sum and what is compared is only how _predict splits and reassembles.
+    sum and what is compared is only how predict_series splits and reassembles.
     """
     cfg = tiny_config(input_size=1, hidden_size=1, seed=3)
     net = init_network(cfg)
@@ -467,8 +477,9 @@ def test_predict_series_independent_of_eval_chunk(rng, monkeypatch, chunk):
 
 
 def test_predict_series_memory_bounded_by_eval_chunk(rng):
-    # eval keeps nothing per step: one (4H, 2 * EVAL_CHUNK) gate slab per
-    # layer is reused, and the peak measured 1.28 MiB
+    # eval, validation included, keeps nothing per step: one
+    # (4H, 2 * EVAL_CHUNK) gate slab per layer is reused, and the peak
+    # measured 1.28 MiB
     cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, seed=0)
     net = init_network(cfg)
     ds = WindowedDataset(
