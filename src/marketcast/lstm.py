@@ -417,11 +417,13 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         raise DataError("empty training set")
     x_train = np.asarray(train_set.inputs, dtype=float)
     y_train = np.asarray(train_set.targets, dtype=float)
-    if x_train.shape[2] != config.input_size:
-        raise DataError(
-            f"training windows have {x_train.shape[2]} features, config expects {config.input_size}"
-        )
     has_val = len(val_set.targets) > 0
+    # both widths are checked before any batch runs; an empty validation set is never read
+    for name, windows in (("training", train_set), ("validation", val_set)):
+        if len(windows.targets) and np.shape(windows.inputs)[2] != config.input_size:
+            raise DataError(
+                f"{name} windows have {np.shape(windows.inputs)[2]} features, config expects {config.input_size}"
+            )
 
     _, rng = _rng_streams(config.seed)
     params = network.parameters()

@@ -18,11 +18,12 @@ comparable. Model mode "all" is the paper's comparison: three one-directory
 runs (`_leg_configs`) on one `prepare`, written by one `write_all`. Windows
 are built over the whole frame and partitioned by target row; a window may
 therefore read rows from before its own split, which is ordinary use of past
-data and leaks nothing from the future. The legs only compute their test
-predictions; then the run names every path once, in its `RunArtifacts`,
-builds each file, and `write_all` stages all of them beside their targets and
-renames them into place only once every one is written, so a failed run
-leaves the earlier files as they were.
+data and leaks nothing from the future. Each directory's run has two steps.
+The fit step, `_fit_leg`, returns plain data: the windows, and each model
+leg's fitted model and test predictions. The file step, `_leg_files`, then
+names every path once, in its `RunArtifacts`, and builds each file; `write_all`
+stages all of them beside their targets and renames them into place only once
+every one is written, so a failed run leaves the earlier files as they were.
 
 `write_all` is the one function that puts a file on disk: every command writes
 through it, the one-file commands by way of `atomic_write_text` and
@@ -454,7 +455,7 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts | dict[
     for name, leg_config in _leg_configs(config).items():
         # a leg of mode "all" is named in its errors; a one-leg run has no name
         with _stage(name, kind="leg") if name else nullcontext():
-            runs[name], leg_files = _run_leg(leg_config, prep, dump)
+            runs[name], leg_files = _leg_files(leg_config, prep, dump, _fit_leg(leg_config, prep, dump))
         files.update(leg_files)
         new_dirs.append(Path(leg_config.out_dir) / "stages" if dump else Path(leg_config.out_dir))
     with _stage("output"):
@@ -462,51 +463,60 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts | dict[
     return runs if config.model_mode == "all" else runs[""]
 
 
-def _run_leg(config: PipelineConfig, prep: Prepared, dump: set) -> tuple[RunArtifacts, dict]:
-    """Run the model legs of a one-directory config on `prep`: its artifacts and its files.
+def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
+    """Fit the model legs of a one-directory config on `prep`; the result is plain data.
 
-    The files map each path to its text or write_fn(tmp), in the order it is written.
+    It maps "window_columns" to the columns each window reads, "windows" to the train,
+    val and test windows ({} when nothing reads them), and "legs" to each model leg's
+    (test predictions in price units, ArimaModel or LstmNetwork).
     """
     target = config.target_column
     _, b1, b2, n = prep.bounds
     selected = prep.selected if config.feature_mode == "with_features" else []
     window_columns = [target] + [c for c in selected if c != target]
-    legs = [leg for leg in ("arima", "lstm") if config.model_mode in (leg, "both")]
+    windows: dict = {}
     # only the LSTM and the windows dump read windows; an ARIMA-only run must
     # not fail on a window setting it never reads
-    if "lstm" in legs or "windows" in dump:
+    if config.model_mode in ("lstm", "both") or "windows" in dump:
         with _stage("windows"):
-            windows = make_windows(prep.scaled, window_columns, target, config.window, config.horizon)
+            built = make_windows(prep.scaled, window_columns, target, config.window, config.horizon)
             # target rows increase with the window index, so each split is one slice
-            target_rows = np.arange(len(windows)) + config.window + config.horizon - 1
+            target_rows = np.arange(len(built)) + config.window + config.horizon - 1
             i1, i2 = np.searchsorted(target_rows, (b1, b2))
-            train_ds = windows.subset(slice(0, i1))
-            val_ds = windows.subset(slice(i1, i2))
-            test_ds = windows.subset(slice(i2, None))
-            if len(train_ds) == 0:
+            splits = {"train": slice(0, i1), "val": slice(i1, i2), "test": slice(i2, None)}
+            windows = {split: built.subset(rows) for split, rows in splits.items()}
+            if len(windows["train"]) == 0:
                 raise DataError(
                     f"no training windows: window {config.window} + horizon {config.horizon} "
                     f"reaches past the training split of {b1} rows"
                 )
-            if len(test_ds) != n - b2:
+            if len(windows["test"]) != n - b2:
                 raise DataError("test windows do not cover the test split")
 
-    # each leg's predictions of the test rows, in price units
-    preds: dict[str, np.ndarray] = {}
-    prices = prep.enriched.column(target)
-    if "arima" in legs:
+    legs: dict[str, tuple] = {}
+    if config.model_mode in ("arima", "both"):
         with _stage("arima"):
+            prices = prep.enriched.column(target)
             model = arima_mod.auto_arima(prices[:b2], bounds=config.arima_bounds)
             mode = arima_mod.ForecastMode(config.forecast_mode)
             history = prices[:b2] if mode is arima_mod.ForecastMode.STATIC else prices
-            preds["arima"] = arima_mod.forecast(model, history, n - b2, mode)
-
-    if "lstm" in legs:
+            legs["arima"] = (arima_mod.forecast(model, history, n - b2, mode), model)
+    if config.model_mode in ("lstm", "both"):
         with _stage("lstm"):
             lcfg = config.lstm_config(input_size=len(window_columns))
-            network, _ = train(init_network(lcfg), train_ds, val_ds, lcfg)
-            preds["lstm"] = invert_scaler(predict_series(network, test_ds), target, prep.scaler)
+            network, _ = train(init_network(lcfg), windows["train"], windows["val"], lcfg)
+            legs["lstm"] = (invert_scaler(predict_series(network, windows["test"]), target, prep.scaler), network)
+    return {"window_columns": window_columns, "windows": windows, "legs": legs}
 
+
+def _leg_files(config: PipelineConfig, prep: Prepared, dump: set, fit: dict) -> tuple[RunArtifacts, dict]:
+    """The artifacts and files of a one-directory config, from its `_fit_leg` result.
+
+    The files map each path to its text or write_fn(tmp), in the order it is written.
+    """
+    b2 = prep.bounds[2]
+    prices = prep.enriched.column(config.target_column)
+    legs, windows = fit["legs"], fit["windows"]
     out_dir = Path(config.out_dir)
     stage_dir = out_dir / "stages"
     features_json = json_text(
@@ -514,8 +524,8 @@ def _run_leg(config: PipelineConfig, prep: Prepared, dump: set) -> tuple[RunArti
             "correlations": prep.correlations_json(),
             "threshold": config.corr_threshold,
             "feature_mode": config.feature_mode,
-            "selected": selected,
-            "window_columns": window_columns,
+            "selected": prep.selected if config.feature_mode == "with_features" else [],
+            "window_columns": fit["window_columns"],
         }
     )
     # a dumped stage's file is named after the stage
@@ -524,22 +534,16 @@ def _run_leg(config: PipelineConfig, prep: Prepared, dump: set) -> tuple[RunArti
         "enriched.csv": lambda tmp: write_csv(prep.enriched, tmp),
         "scaler.json": json_text(prep.scaler.to_dict()),
         "features.json": features_json,
-        "windows.npz": lambda tmp: np.savez(
-            tmp,
-            train_inputs=train_ds.inputs,
-            train_targets=train_ds.targets,
-            val_inputs=val_ds.inputs,
-            val_targets=val_ds.targets,
-            test_inputs=test_ds.inputs,
-            test_targets=test_ds.targets,
-        ),
+        "windows.npz": lambda tmp: np.savez(tmp, **{
+            f"{split}_{kind}": getattr(ds, kind) for split, ds in windows.items() for kind in ("inputs", "targets")
+        }),
     }
     artifacts = RunArtifacts(
-        predictions={leg: str(out_dir / f"predictions_{leg}.csv") for leg in preds},
-        metrics={leg: str(out_dir / f"metrics_{leg}.txt") for leg in preds},
-        charts={leg: str(out_dir / f"chart_{leg}.svg") for leg in preds},
-        checkpoint=str(out_dir / "lstm_checkpoint.npz") if "lstm" in preds else None,
-        arima_model=str(out_dir / "arima_model.json") if "arima" in preds else None,
+        predictions={leg: str(out_dir / f"predictions_{leg}.csv") for leg in legs},
+        metrics={leg: str(out_dir / f"metrics_{leg}.txt") for leg in legs},
+        charts={leg: str(out_dir / f"chart_{leg}.svg") for leg in legs},
+        checkpoint=str(out_dir / "lstm_checkpoint.npz") if "lstm" in legs else None,
+        arima_model=str(out_dir / "arima_model.json") if "arima" in legs else None,
         selected_features=str(out_dir / "selected_features.json"),
         resolved_config=str(out_dir / "resolved_config.json"),
         stages={Path(name).stem: str(stage_dir / name) for name in stage_files if Path(name).stem in dump},
@@ -547,7 +551,7 @@ def _run_leg(config: PipelineConfig, prep: Prepared, dump: set) -> tuple[RunArti
     )
 
     files = {path: stage_files[Path(path).name] for path in artifacts.stages.values()}
-    for leg, leg_preds in preds.items():
+    for leg, (leg_preds, _) in legs.items():
         with _stage(leg):
             rows = prediction_rows(prep.enriched.dates, prices, leg_preds)
             files[artifacts.predictions[leg]] = format_predictions(*rows)
@@ -555,9 +559,9 @@ def _run_leg(config: PipelineConfig, prep: Prepared, dump: set) -> tuple[RunArti
             files[artifacts.metrics[leg]] = metrics_mod.format_report(artifacts.reports[leg])
             files[artifacts.charts[leg]] = render_chart(*rows, title=f"{leg} forecast vs actual")
     if artifacts.arima_model:
-        files[artifacts.arima_model] = json_text(arima_mod.model_to_dict(model))
+        files[artifacts.arima_model] = json_text(arima_mod.model_to_dict(legs["arima"][1]))
     if artifacts.checkpoint:
-        files[artifacts.checkpoint] = lambda tmp: save_checkpoint(network, tmp)
+        files[artifacts.checkpoint] = lambda tmp: save_checkpoint(legs["lstm"][1], tmp)
     files[artifacts.selected_features] = features_json
     files[artifacts.resolved_config] = json_text({**asdict(config), "_window_includes_target": True})
     return artifacts, files

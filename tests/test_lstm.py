@@ -430,12 +430,21 @@ def test_train_divergence_raises():
         train(init_network(cfg), train_set, val_set, cfg)
 
 
-def test_train_rejects_validation_windows_of_the_wrong_width():
+def test_train_rejects_validation_windows_of_the_wrong_width(monkeypatch):
+    """The width is checked before the first batch, not after an epoch of training."""
+    batches = []
+
+    def counting_backward(*args, **kwargs):
+        batches.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(lstm, "backward", counting_backward)
     train_set, _ = sine_sets()
     cfg = tiny_config(input_size=1, max_epochs=1, patience=1)
     val_set = WindowedDataset(inputs=np.zeros((4, 8, 3)), targets=np.zeros(4), window_size=8, horizon=1)
-    with pytest.raises(DataError, match="windows have 3 features, network expects 1"):
+    with pytest.raises(DataError, match="validation windows have 3 features, config expects 1"):
         train(init_network(cfg), train_set, val_set, cfg)
+    assert batches == []
 
 
 def test_train_rejects_empty_training_set():

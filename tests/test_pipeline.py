@@ -1,6 +1,7 @@
 import json
+import pickle
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketcast import pipeline, synth
+from marketcast import arima, pipeline, synth
 from marketcast.chart import read_predictions
 from marketcast.errors import DataError, DivergenceError, MarketcastError
 from marketcast.lstm import LstmConfig
@@ -284,6 +285,18 @@ def test_failed_run_keeps_directories_it_did_not_make(input_csv, tmp_path):
     assert list(tmp_path.rglob("*")) == [tmp_path / "out"]
 
 
+def test_window_past_the_training_split_fails_before_any_arima_fit(input_csv, tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        pytest.fail("auto_arima ran before the windows stage failed")
+
+    monkeypatch.setattr(arima, "auto_arima", no_fit)
+    # of the input's 201 rows, 120 train: a 150-row window fits the frame but no training split
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path), **{**TINY, "window": 150})
+    assert cfg.model_mode == "both"
+    with pytest.raises(DataError, match="^stage windows: no training windows"):
+        run_pipeline(cfg)
+
+
 def test_out_dir_under_a_file_is_a_data_error(input_csv, tmp_path):
     (tmp_path / "afile").write_text("")
     cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path / "afile" / "run"), **TINY)
@@ -419,3 +432,64 @@ def test_missing_target_column_fails_with_stage_prefix(tmp_path):
     )
     with pytest.raises(DataError, match="^stage fill:.*NOPE"):
         run_pipeline(cfg)
+
+
+def _callables(value) -> list:
+    """Every callable in `value`, through dicts, lists, tuples and dataclass fields."""
+    if callable(value):
+        return [value]
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (list, tuple)):
+        items = list(value)
+    elif is_dataclass(value):
+        items = [getattr(value, f.name) for f in fields(value)]
+    else:
+        return []
+    return [found for item in items for found in _callables(item)]
+
+
+def _written(content, path: Path):
+    """What a files-map content puts at `path`: its text, or what its write_fn writes.
+
+    An .npz file is compared by its arrays, since np.savez stamps the time into the zip.
+    """
+    if not callable(content):
+        return content
+    content(path)
+    if path.suffix != ".npz":
+        return path.read_bytes()
+    with np.load(path) as data:
+        return {key: (data[key].dtype.str, data[key].shape, data[key].tobytes()) for key in data}
+
+
+@pytest.mark.parametrize(
+    "mode, leg",
+    [
+        ("arima", ""),
+        ("lstm", ""),
+        ("both", ""),
+        ("all", "arima_static"),
+        ("all", "lstm_features"),
+        ("all", "lstm_price_only"),
+    ],
+)
+def test_fit_result_is_plain_data_that_pickles(input_csv, tmp_path, mode, leg):
+    """A leg's fit result can leave its process: no callable, and a pickled copy makes the same files."""
+    cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(tmp_path / "out"), model_mode=mode, **TINY)
+    leg_config = pipeline._leg_configs(cfg)[leg]
+    prep = pipeline.prepare(cfg)
+    dump = set(DUMPABLE_STAGES)
+    fit = pipeline._fit_leg(leg_config, prep, dump)
+    assert set(fit["legs"]) == ({"arima", "lstm"} if mode == "both" else {leg_config.model_mode})
+    assert set(fit["windows"]) == {"train", "val", "test"}
+    assert _callables(fit) == []
+    copy = pickle.loads(pickle.dumps(fit))
+
+    artifacts, files = pipeline._leg_files(leg_config, prep, dump, fit)
+    copy_artifacts, copy_files = pipeline._leg_files(leg_config, prep, dump, copy)
+    assert copy_artifacts == artifacts
+    assert list(copy_files) == list(files)
+    for n, (path, content) in enumerate(files.items()):
+        name = f"{n}_{Path(path).name}"
+        assert _written(copy_files[path], tmp_path / f"copy_{name}") == _written(content, tmp_path / name), path
