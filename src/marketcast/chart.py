@@ -11,6 +11,7 @@ which escapes markup, and a title holding a character outside XML 1.0's
 
 from __future__ import annotations
 
+import math
 import re
 from datetime import date
 from xml.etree import ElementTree as ET
@@ -115,6 +116,12 @@ def render_chart(dates, actual, predicted, title: str = "Actual vs predicted") -
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
+    # y_of divides by the span: one that overflows, or that rounding took to
+    # zero (a constant series past 2**53), would make every y NaN
+    if not 0.0 < hi - lo < math.inf:
+        raise DataError(
+            f"cannot chart values from {values.min():g} to {values.max():g}: a float cannot scale that range"
+        )
 
     def y_of(v: np.ndarray) -> np.ndarray:
         return MARGIN_TOP + (hi - v) / (hi - lo) * plot_h

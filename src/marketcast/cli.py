@@ -181,7 +181,10 @@ def _cmd_synth(args) -> int:
         raise DataError(f"--days must be at most {synth_mod.MAX_DAYS}: later trading days run past the year 9999")
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
-    frame = synth_mod.generate(args.seed, args.days, regimes)
+    try:
+        frame = synth_mod.generate(args.seed, args.days, regimes)
+    except ValueError as exc:  # regimes that leave the float range
+        raise DataError(str(exc)) from exc
     out = _out_path(args.out, "synthetic_prices.csv")
     atomic_write_via(out, lambda tmp: synth_mod.write_csv(frame, tmp))
     print(f"wrote {out} ({args.days} rows, seed {args.seed})")

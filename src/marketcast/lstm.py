@@ -408,16 +408,16 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     """Mini-batch Adam training with early stopping on validation MSE.
 
     Windows are visited in a seeded random permutation each epoch; dropout
-    masks are redrawn per batch. When the validation set is not empty the
-    parameters of the best validation epoch are restored at the end, and
-    training stops after `patience` epochs without improvement. Returns
+    masks are redrawn per batch. With validation windows, training stops
+    once max(patience, 1) epochs (patience 0 acts as 1) have passed since
+    the first epoch with the lowest validation loss, whose parameters are
+    restored at the end; without them every epoch runs. Returns
     (network, TrainingHistory); the network is updated in place.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
     x_train = np.asarray(train_set.inputs, dtype=float)
     y_train = np.asarray(train_set.targets, dtype=float)
-    has_val = len(val_set.targets) > 0
     # both widths are checked before any batch runs; an empty validation set is never read
     for name, windows in (("training", train_set), ("validation", val_set)):
         if len(windows.targets) and np.shape(windows.inputs)[2] != config.input_size:
@@ -436,10 +436,8 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     n = len(y_train)
     train_losses: list[float] = []
     val_losses: list[float] = []
-    best_val = np.inf
     best_epoch = -1
     best_params: list[np.ndarray] | None = None
-    bad_epochs = 0
 
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
@@ -456,29 +454,24 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
             adam_step(params, backward(network, cache, (2.0 / len(yb)) * diff), state, config.learning_rate)
         train_losses.append(sq_sum / n)
 
-        if has_val:
-            diff = predict_series(network, val_set, epoch) - val_set.targets
-            val_mse = float(diff @ diff) / len(diff)
-            if not np.isfinite(val_mse):
-                raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
-            val_losses.append(val_mse)
-            if val_mse < best_val:
-                best_val = val_mse
-                best_epoch = epoch
-                best_params = [p.copy() for p in params]
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= max(config.patience, 1):
-                    break
-        else:
+        if len(val_set.targets) == 0:
             val_losses.append(float("nan"))
+            best_epoch = epoch
+            continue
+        diff = predict_series(network, val_set, epoch) - val_set.targets
+        val_mse = float(diff @ diff) / len(diff)
+        if not np.isfinite(val_mse):
+            raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
+        val_losses.append(val_mse)
+        if best_params is None or val_mse < val_losses[best_epoch]:
+            best_epoch = epoch
+            best_params = [p.copy() for p in params]
+        elif epoch - best_epoch >= max(config.patience, 1):
+            break
 
-    if has_val and best_params is not None:
+    if best_params is not None:
         for p, saved in zip(params, best_params):
             p[...] = saved
-    else:
-        best_epoch = len(train_losses) - 1
     history = TrainingHistory(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),

@@ -1,11 +1,11 @@
 """End-to-end experiment runs: ingest, features, models, reports, charts.
 
 `prepare` runs ingest -> forward-fill -> indicator derivation -> chronological
-split -> train-only scaling -> correlation-based feature selection; it is the
-one preprocessing path, shared with `marketcast features`. A run then uses the
-selected features or the price alone, as its feature_mode says, builds sliding
-windows, when the LSTM or a windows dump reads them, and executes the
-requested model legs:
+split -> scaler fit on the training rows -> correlation-based feature
+selection; it is the one preprocessing path, shared with `marketcast
+features`. A run then uses the selected features or the price alone, as its
+feature_mode says. When the LSTM or a windows dump reads windows, the windows
+stage scales the frame and builds them; then the requested model legs run:
 
   arima: order search on the unscaled close over the train+validation span,
          then a STATIC (fixed-origin) or ROLLING (one-step) forecast of the
@@ -361,7 +361,6 @@ class Prepared:
     enriched: TimeSeriesFrame  # plus indicators, filled again
     bounds: list[int]  # split row bounds [0, train end, validation end, n]
     scaler: ScalerParams  # fitted on the training rows
-    scaled: TimeSeriesFrame
     correlations: dict[str, float]  # of each column with the target, training rows
     selected: list[str]  # features over the threshold, whatever the feature_mode
 
@@ -393,7 +392,6 @@ def prepare(config: PipelineConfig) -> Prepared:
             raise DataError(f"test split has {n - b2} rows; need at least 2")
     with _stage("scale"):
         scaler = fit_scaler(enriched.rows(0, b1))
-        scaled = apply_scaler(enriched, scaler)
     with _stage("features"):
         correlations = correlation_vector(enriched.rows(0, b1), config.target_column)
         selected = select_features(correlations, config.corr_threshold)
@@ -402,7 +400,6 @@ def prepare(config: PipelineConfig) -> Prepared:
         enriched=enriched,
         bounds=bounds,
         scaler=scaler,
-        scaled=scaled,
         correlations=correlations,
         selected=selected,
     )
@@ -472,17 +469,18 @@ def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
     """
     target = config.target_column
     _, b1, b2, n = prep.bounds
-    selected = prep.selected if config.feature_mode == "with_features" else []
-    window_columns = [target] + [c for c in selected if c != target]
+    # correlation_vector leaves the target out, so no feature repeats it
+    window_columns = [target] + (prep.selected if config.feature_mode == "with_features" else [])
     windows: dict = {}
     # only the LSTM and the windows dump read windows; an ARIMA-only run must
     # not fail on a window setting it never reads
     if config.model_mode in ("lstm", "both") or "windows" in dump:
         with _stage("windows"):
-            built = make_windows(prep.scaled, window_columns, target, config.window, config.horizon)
-            # target rows increase with the window index, so each split is one slice
-            target_rows = np.arange(len(built)) + config.window + config.horizon - 1
-            i1, i2 = np.searchsorted(target_rows, (b1, b2))
+            scaled = apply_scaler(prep.enriched, prep.scaler)
+            built = make_windows(scaled, window_columns, target, config.window, config.horizon)
+            # window i targets row i + offset, so each split is one slice
+            offset = config.window + config.horizon - 1
+            i1, i2 = max(b1 - offset, 0), max(b2 - offset, 0)
             splits = {"train": slice(0, i1), "val": slice(i1, i2), "test": slice(i2, None)}
             windows = {split: built.subset(rows) for split, rows in splits.items()}
             if len(windows["train"]) == 0:
@@ -504,7 +502,13 @@ def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
     if config.model_mode in ("lstm", "both"):
         with _stage("lstm"):
             lcfg = config.lstm_config(input_size=len(window_columns))
-            network, _ = train(init_network(lcfg), windows["train"], windows["val"], lcfg)
+            try:
+                network, _ = train(init_network(lcfg), windows["train"], windows["val"], lcfg)
+            except MemoryError as exc:  # numpy refused an allocation before touching it
+                raise DataError(
+                    f"cannot allocate the LSTM for lstm_hidden {config.lstm_hidden}, lstm_layers "
+                    f"{config.lstm_layers}, lstm_batch {config.lstm_batch} and window {config.window}: {exc}"
+                ) from exc
             legs["lstm"] = (invert_scaler(predict_series(network, windows["test"]), target, prep.scaler), network)
     return {"window_columns": window_columns, "windows": windows, "legs": legs}
 
@@ -524,7 +528,7 @@ def _leg_files(config: PipelineConfig, prep: Prepared, dump: set, fit: dict) -> 
             "correlations": prep.correlations_json(),
             "threshold": config.corr_threshold,
             "feature_mode": config.feature_mode,
-            "selected": prep.selected if config.feature_mode == "with_features" else [],
+            "selected": fit["window_columns"][1:],
             "window_columns": fit["window_columns"],
         }
     )

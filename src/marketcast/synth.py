@@ -86,10 +86,18 @@ def _trading_days(n: int) -> list[date]:
 
 
 def generate(seed: int, n_days: int, regimes: RegimeSpec = RegimeSpec()) -> TimeSeriesFrame:
+    """The synthetic frame of `n_days` rows for `seed` and `regimes`.
+
+    Raises ValueError, naming the first such column, when the regimes take a
+    column beyond the float range (MACRO_RATE is checked on its observed days).
+    """
     if not 1 <= n_days <= MAX_DAYS:
         raise ValueError(f"n_days must be in [1, {MAX_DAYS}]")
     rng = np.random.default_rng(seed)
     dates = _trading_days(n_days)
+    month_starts = [
+        i for i, d in enumerate(dates) if i == 0 or (d.year, d.month) != (dates[i - 1].year, dates[i - 1].month)
+    ]
     break_row = int(math.floor(regimes.break_fraction * n_days))
 
     mu = np.where(np.arange(n_days) < break_row, regimes.drift_before, regimes.drift_after)
@@ -105,45 +113,43 @@ def generate(seed: int, n_days: int, regimes: RegimeSpec = RegimeSpec()) -> Time
     z_vol = rng.standard_normal(n_days)
     z_fut = rng.standard_normal(n_days)
     z_noise = rng.standard_normal(n_days)
-    n_months = sum(
-        1 for i, d in enumerate(dates) if i == 0 or (d.year, d.month) != (dates[i - 1].year, dates[i - 1].month)
-    )
-    z_macro = rng.standard_normal(n_months)
+    z_macro = rng.standard_normal(len(month_starts))
 
-    log_ret = mu_d - 0.5 * sig_d**2 + sig_d * z_close
-    log_ret[0] = 0.0
-    close = regimes.start_price * np.exp(np.cumsum(log_ret))
+    # a regime past the float range overflows here; the check below names the column
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_ret = mu_d - 0.5 * sig_d**2 + sig_d * z_close
+        log_ret[0] = 0.0
+        close = regimes.start_price * np.exp(np.cumsum(log_ret))
 
-    prev_close = np.concatenate(([regimes.start_price], close[:-1]))
-    open_ = prev_close * np.exp(0.2 * sig_d * z_open)
-    high = np.maximum(open_, close) * np.exp(np.abs(0.4 * sig_d * z_high))
-    low = np.minimum(open_, close) * np.exp(-np.abs(0.4 * sig_d * z_low))
-    volume = 4.0e9 * np.exp(0.25 * z_vol)
-    index_fut = 0.25 * close * np.exp(0.002 * z_fut)
-    noise_signal = 50.0 + 5.0 * z_noise
+        prev_close = np.concatenate(([regimes.start_price], close[:-1]))
+        open_ = prev_close * np.exp(0.2 * sig_d * z_open)
+        high = np.maximum(open_, close) * np.exp(np.abs(0.4 * sig_d * z_high))
+        low = np.minimum(open_, close) * np.exp(-np.abs(0.4 * sig_d * z_low))
+        volume = 4.0e9 * np.exp(0.25 * z_vol)
+        index_fut = 0.25 * close * np.exp(0.002 * z_fut)
+        noise_signal = 50.0 + 5.0 * z_noise
 
     macro = np.full(n_days, np.nan)
     level = 2.5
-    month_idx = 0
-    for i, d in enumerate(dates):
-        if i == 0 or (d.year, d.month) != (dates[i - 1].year, dates[i - 1].month):
-            level = max(0.05, level + 0.08 * z_macro[month_idx])
-            month_idx += 1
-            macro[i] = level
+    for i, z in zip(month_starts, z_macro):
+        level = max(0.05, level + 0.08 * z)
+        macro[i] = level
 
-    return TimeSeriesFrame(
-        dates=tuple(dates),
-        columns={
-            "PX_OPEN": open_,
-            "PX_HIGH": high,
-            "PX_LOW": low,
-            "PX_LAST": close,
-            "PX_VOLUME": volume,
-            "INDEX_FUT": index_fut,
-            "MACRO_RATE": macro,
-            "NOISE_SIGNAL": noise_signal,
-        },
-    )
+    columns = {
+        "PX_OPEN": open_,
+        "PX_HIGH": high,
+        "PX_LOW": low,
+        "PX_LAST": close,
+        "PX_VOLUME": volume,
+        "INDEX_FUT": index_fut,
+        "MACRO_RATE": macro,
+        "NOISE_SIGNAL": noise_signal,
+    }
+    for name, values in columns.items():
+        observed = values[month_starts] if name == "MACRO_RATE" else values
+        if not np.isfinite(observed).all():
+            raise ValueError(f"the regimes take {name} beyond the float range")
+    return TimeSeriesFrame(dates=tuple(dates), columns=columns)
 
 
 def write_csv(frame: TimeSeriesFrame, path) -> None:

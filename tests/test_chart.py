@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 import xml.etree.ElementTree as ET
 from datetime import date, timedelta
 
@@ -135,6 +137,21 @@ def test_render_chart_points_stay_inside_canvas():
 def test_render_chart_constant_series_ok():
     root = parse_svg(render_chart(days(3), [5.0, 5.0, 5.0], [5.0, 5.0, 5.0]))
     assert len(polylines(root)) == 2
+
+
+@pytest.mark.parametrize(
+    "actual, predicted",
+    [
+        ([1e308, -1e308], [np.nan, 1.0]),  # the span itself overflows
+        ([1.79e308, 0.0], [np.nan, 1.0]),  # the 5% padding overflows
+        ([1e17, 1e17], [np.nan, 1e17]),  # +-1 around a constant series rounds away
+    ],
+)
+def test_render_chart_refuses_a_range_a_float_cannot_scale(actual, predicted):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=re.escape(f"cannot chart values from {min(actual):g} to {max(actual):g}")):
+            render_chart(days(2), actual, predicted)
 
 
 def test_render_chart_validation():

@@ -92,6 +92,15 @@ def test_synth_rejects_days_past_the_calendar(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--drift-before", "1e300"], ["--vol-before", "1e6"]])
+def test_synth_regime_past_the_float_range_exits_2(tmp_path, flag):
+    out = tmp_path / "x.csv"
+    proc = run_cli("synth", "--out", out, "--days", "300", *flag)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the regimes take PX_OPEN beyond the float range\n"
+    assert not out.exists()
+
+
 def test_run_writes_and_reports_artifacts(run_dir):
     out, stdout = run_dir
     for name in (
@@ -275,6 +284,16 @@ def test_chart_title_outside_xml_exits_2(run_dir, tmp_path, capsys, title):
     assert cli.main(argv) == 2
     assert "error: chart title holds " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_chart_of_values_a_float_cannot_scale_exits_2(tmp_path):
+    predictions = tmp_path / "p.csv"
+    predictions.write_text("date,actual,predicted\n2021-01-01,1e308,\n2021-01-04,-1e308,1.0\n")
+    svg = tmp_path / "c.svg"
+    proc = run_cli("chart", "--input", predictions, "--out", svg)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot chart values from -1e+308 to 1e+308: a float cannot scale that range\n"
+    assert not svg.exists()
 
 
 def test_fit_arima_then_forecast(synth_csv, tmp_path):
@@ -552,6 +571,22 @@ def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, 
     out = tmp_path / "out"
     assert cli.main(["run", "--input", str(tmp_path / "x.csv"), "--out-dir", str(out), *flag]) == 2
     assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lstm_numpy_cannot_allocate_exits_2(synth_csv, tmp_path):
+    # the recurrent weights alone would be 3.2e17 bytes, past any address space, so
+    # numpy refuses them before a page is touched; a size that fits the address
+    # space but not RAM is not tested: the OS may kill the process instead
+    out = tmp_path / "out"
+    proc = run_cli("run", "--mode", "lstm", "--hidden", "100000000", "--epochs", "1", "--window", "5",
+                   "--input", synth_csv, "--out-dir", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "error: stage lstm: cannot allocate the LSTM for lstm_hidden 100000000, lstm_layers 2, lstm_batch 32 "
+        "and window 5: "
+    )
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

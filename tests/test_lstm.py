@@ -422,6 +422,35 @@ def test_early_stopping_restores_best_weights():
         assert len(hist.val_losses) >= hist.best_epoch + cfg.patience
 
 
+@pytest.mark.parametrize(
+    "losses, patience, epochs, best_epoch",
+    [
+        ([3, 2, 2, 2, 2, 2], 0, 3, 1),  # a tie is no improvement; patience 0 acts as 1
+        ([3, 2, 2, 2, 2, 2], 1, 3, 1),
+        ([3, 2, 4, 1, 5, 5, 5, 5, 5, 5], 3, 7, 3),
+    ],
+)
+def test_early_stopping_stops_at_the_exact_epoch(monkeypatch, losses, patience, epochs, best_epoch):
+    """Scripted validation losses pin the stop epoch, the best epoch and the restored weights."""
+    snapshots = []
+
+    def scripted(network, windows, epoch=None):
+        snapshots.append([p.copy() for p in network.parameters()])
+        # every prediction is off by sqrt(loss), so the validation MSE is the scripted loss
+        return windows.targets + math.sqrt(losses[epoch])
+
+    monkeypatch.setattr(lstm, "predict_series", scripted)
+    train_set, val_set = sine_sets()
+    cfg = tiny_config(input_size=1, max_epochs=len(losses), patience=patience)
+    net, hist = train(init_network(cfg), train_set, val_set, cfg)
+    assert len(hist.train_losses) == len(hist.val_losses) == len(snapshots) == epochs
+    assert hist.best_epoch == best_epoch
+    for param, saved in zip(net.parameters(), snapshots[best_epoch], strict=True):
+        np.testing.assert_array_equal(param, saved)
+    # the run trained past the best epoch, so restoring it changed the weights
+    assert any(not np.array_equal(a, b) for a, b in zip(snapshots[best_epoch], snapshots[-1]))
+
+
 def test_train_divergence_raises():
     train_set, val_set = sine_sets()
     cfg = tiny_config(input_size=1, learning_rate=1e200, max_epochs=8, patience=8, seed=0)

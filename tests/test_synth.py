@@ -1,4 +1,5 @@
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -86,6 +87,14 @@ def test_validation_errors():
 def test_non_finite_regime_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         RegimeSpec(**{field: value})
+
+
+@pytest.mark.parametrize("over", [{"drift_before": 1e300}, {"vol_before": 1e6}])
+def test_regime_past_the_float_range_rejected(over):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the regimes take PX_OPEN beyond the float range"):
+            generate(seed=0, n_days=300, regimes=RegimeSpec(**over))
 
 
 def test_write_csv_format(tmp_path):
