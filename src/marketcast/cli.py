@@ -30,7 +30,7 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 # One BLAS thread per process, unless the user set a count: at the LSTM's
@@ -105,7 +105,7 @@ def _add_scan_flags(p: argparse.ArgumentParser):
     """Flags of the preprocessing that `features` reports on."""
     p.add_argument("--input", dest="input_path", help="input CSV (required unless --config provides it)")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--target", dest="target_column", help="target column (default PX_LAST)")
+    p.add_argument("--target", dest="target_column", help=f"target column (default {PipelineConfig.target_column})")
     p.add_argument("--splits", help="train,val,test fractions, e.g. 0.6,0.2,0.2")
     p.add_argument("--threshold", dest="corr_threshold", type=float, help="|correlation| cutoff for features")
 
@@ -161,14 +161,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _cmd_synth(args) -> int:
     try:
-        regimes = synth_mod.RegimeSpec(
-            break_fraction=args.break_frac,
-            drift_before=args.drift_before,
-            vol_before=args.vol_before,
-            drift_after=args.drift_after,
-            vol_after=args.vol_after,
-            start_price=args.start_price,
-        )
+        regimes = synth_mod.RegimeSpec(**{f.name: getattr(args, f.name) for f in fields(synth_mod.RegimeSpec)})
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     min_days = 199 + 6  # what every command's preprocessing needs
@@ -272,9 +265,7 @@ def _cmd_fit_garch(args) -> int:
     sigma2 = garch_mod.garch_state(params, residuals)
     params_path = _out_path(args.out_params, "garch_params.json")
     payload = {
-        "alpha0": params.alpha0,
-        "alpha1": params.alpha1,
-        "beta1": params.beta1,
+        **asdict(params),
         "persistence": params.persistence,
         "long_run_variance": params.long_run_variance,
         "log_likelihood": garch_mod.log_likelihood(residuals, params),
@@ -363,9 +354,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--days", type=int, default=2770, help="number of trading-day rows")
-    regime = synth_mod.RegimeSpec  # its field defaults are the flag defaults
-    p.add_argument("--break-frac", type=float, default=regime.break_fraction,
-                   help="regime break position in (0, 1]")
+    regime = synth_mod.RegimeSpec  # its fields are the flags' dests, its defaults their defaults
+    p.add_argument("--break-frac", dest="break_fraction", metavar="BREAK_FRAC", type=float,
+                   default=regime.break_fraction, help="regime break position in (0, 1]")
     p.add_argument("--drift-before", type=float, default=regime.drift_before, help="annual drift before the break")
     p.add_argument("--vol-before", type=float, default=regime.vol_before, help="annual volatility before the break")
     p.add_argument("--drift-after", type=float, default=regime.drift_after, help="annual drift after the break")
@@ -380,7 +371,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit-arima", help="fit an ARIMA model to one CSV column")
     p.add_argument("--input", required=True)
-    p.add_argument("--column", default="PX_LAST")
+    p.add_argument("--column", default=PipelineConfig.target_column)
     p.add_argument("--bounds", default=None, help=f"search bounds p,d,q (default {_BOUNDS_DEFAULT_TEXT})")
     p.add_argument("--order", default=None, help="skip the search and fit this exact p,d,q")
     p.add_argument("--train-frac", type=float, default=1.0, help="fit on the first fraction of rows, in (0, 1]")
@@ -390,7 +381,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("forecast", help="forecast the tail of a series with a stored model")
     p.add_argument("--model", required=True, help="model JSON from fit-arima")
     p.add_argument("--input", required=True)
-    p.add_argument("--column", default="PX_LAST")
+    p.add_argument("--column", default=PipelineConfig.target_column)
     p.add_argument("--steps", type=int, required=True, help="evaluate the last N observations")
     p.add_argument("--mode", choices=FORECAST_MODES, default="static")
     p.add_argument("--out", default=None, help="predictions CSV path")
@@ -398,7 +389,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit-garch", help="fit GARCH(1,1) to a returns column")
     p.add_argument("--input", required=True)
-    p.add_argument("--column", default="PX_LAST")
+    p.add_argument("--column", default=PipelineConfig.target_column)
     p.add_argument("--input-kind", choices=("returns", "prices"), default="prices",
                    help="treat the column as returns, or derive demeaned log returns from prices")
     p.add_argument("--out-params", default=None, help="parameters JSON path")

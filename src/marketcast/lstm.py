@@ -33,18 +33,18 @@ Conventions:
   - training passes a cache dict, so T = W and span = ceil(sqrt(W))
     (`math.isqrt(W - 1) + 1`, 15 at W 216): the dict keeps every step's
     gates but c only in the ring, plus `c_ends`, the c that ends each span
-    (ceil(W / span) slots), and the input windows, the masks and the head's
-    input, all that `backward` reads. After the forward the ring holds the
-    last span. Stepping back into an earlier span, backward first rebuilds
-    that span's c in the ring from its cached gates, starting from the
-    previous span's end (zero for the first span), through `_cell`, which
-    the forward also calls, so the bits match: two ufuncs a step, where
-    caching c at every step cost 6.75 MB. tanh(c), h = o * tanh(c) and the
-    dropped output h * mask are each one ufunc away from gates and c, so
-    backward recomputes them one step at a time, and it hands the layer
-    below the gradient of its input one step at a time too. At W=216,
-    H=64, batch 32 that cache is 29 MB, and one training step peaks at
-    about 29 MiB under tracemalloc;
+    (ceil(W / span) slots), and the input windows and the masks, all that
+    `backward` reads. After the forward the ring holds the last span.
+    Stepping back into an earlier span, backward first rebuilds that span's
+    c in the ring from its cached gates, starting from the previous span's
+    end (zero for the first span), through `_cell`, which the forward also
+    calls, so the bits match: two ufuncs a step, where caching c at every
+    step cost 6.75 MB. tanh(c), h = o * tanh(c) and the dropped output
+    h * mask are each one ufunc away from gates and c, so backward
+    recomputes them one step at a time, h * mask where it is read, and
+    hands the layer below its input's gradient one step at a time. At
+    W=216, H=64, batch 32 that cache is 29 MB, and one training step peaks
+    at about 29 MiB under tracemalloc;
   - backward writes each step's gate gradients over its cached
     activations. `train` runs every epoch's batches itself (there is no
     per-epoch function) and keeps one cache for the whole run: every batch
@@ -245,8 +245,8 @@ def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray |
     at step t into slot t of a (W, 4H, batch) array and c into slot
     t % span of a (span, H, batch) ring, span = ceil(sqrt(W)), and copies
     the c that ends each span into `c_ends`. The dict keeps those arrays, the
-    input windows, the masks and the head's input for `backward`, and the next
-    call of the same shape overwrites them. Without one, every step reuses
+    input windows and the masks for `backward`, and the next call of the
+    same shape overwrites them. Without one, every step reuses
     one slot of each.
     """
     inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
@@ -292,7 +292,7 @@ def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray |
                 np.tanh(c, out=tc)
                 np.multiply(a[2 * hs : 3 * hs], tc, out=h[k])
                 inp = h[k] if mask is None else np.multiply(h[k], mask[:, None], out=dropped[k])
-    cache.update(x=inputs, masks=masks, dense_in=inp)
+    cache.update(x=inputs, masks=masks)
     return network.dense_w @ inp + network.dense_b[0]
 
 
@@ -302,9 +302,10 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
     `cache` is the dict a training `_forward_batch` filled, and
     `dloss_dpred` the loss gradient with respect to each window's scalar
     prediction (shape (batch,)). One loop runs back over time and steps the
-    layers top-down. Each layer carries tanh(c), h and its dropped output one
-    step back, recomputed from gates and c its step has not yet overwritten,
-    and hands the layer below the gradient of its input at that step only.
+    layers top-down, the head's gradient seeding the top layer's carry. Each
+    layer carries tanh(c) and h one step back, recomputed from gates and c
+    its step has not yet overwritten, and hands the layer below the gradient
+    of its input at that step only; the layer above reads h * mask in place.
     Stepping back into an earlier span, a layer first rebuilds that span's c
     in the ring from the cached gates and the previous span's end. The cache
     is consumed: each step's gate activations are overwritten with their
@@ -327,20 +328,19 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
     dw_t = [np.empty_like(layer.w) for layer in layers]
     du_t = [np.empty_like(layer.u) for layer in layers]
     mult = np.empty((3 * hs, b))
+    below = np.empty((hs, b))  # the dropped output of the layer below at the step
+    # the head reads the top layer's last step only: its gradient seeds that layer's recurrent carry
     dh_rec = [np.zeros((hs, b)) for _ in layers]
-    dc_rec = [np.zeros((hs, b)) for _ in layers]
-    # the gradient w.r.t. each layer's undropped output at the step, from
-    # above: the dense head's for the top layer (it reads the last step
-    # only), the layer above's input product for the others
-    d_out = [np.empty((hs, b)) for _ in layers]
-    np.multiply.outer(network.dense_w, dpred, out=d_out[top])
+    np.multiply.outer(network.dense_w, dpred, out=dh_rec[top])
     if masks[top] is not None:
-        d_out[top] *= masks[top][:, None]
-    # tanh(c_t), h_t and the dropped output the layer above read at step t;
-    # the forward leaves the last span's c in the ring
+        dh_rec[top] *= masks[top][:, None]
+    dc_rec = [np.zeros((hs, b)) for _ in layers]
+    # the gradient w.r.t. each layer's undropped output at the step, from the layer above; the top's stays 0
+    d_out = [np.zeros((hs, b)) for _ in layers]
+    # tanh(c_t) and h_t at step t; the forward leaves the last span's c in the ring
     tc = [np.tanh(c[(w_steps - 1) % span]) for c in c_seqs]
     h = [np.multiply(g[-1, 2 * hs : 3 * hs], tc_k) for g, tc_k in zip(gates, tc)]
-    out = [h_k if mask is None else h_k * mask[:, None] for h_k, mask in zip(h, masks)]
+    d_dense_w = (h[top] if masks[top] is None else h[top] * masks[top][:, None]) @ dpred  # the head's input
     for t in range(w_steps - 1, -1, -1):
         rebuild = t and t % span == 0
         for k in range(top, -1, -1):
@@ -368,22 +368,21 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
             s *= mult
             np.multiply(dci, 1.0 - g * g, out=g)
             dh_rec[k] = layer.u.T @ a
-            dw[k] += np.matmul(a, (out[k - 1] if k else x[t]).T, out=dw_t[k])
-            if k:  # the input windows need no gradient
+            inp = x[t]  # layer 0 reads the windows, which need no gradient
+            if k:  # layer k - 1 has not stepped back yet, so h[k - 1] still holds its h_t
+                inp = h[k - 1] if masks[k - 1] is None else np.multiply(h[k - 1], masks[k - 1][:, None], out=below)
                 np.matmul(layer.w.T, a, out=d_out[k - 1])
                 if masks[k - 1] is not None:
                     d_out[k - 1] *= masks[k - 1][:, None]
+            dw[k] += np.matmul(a, inp.T, out=dw_t[k])
             if t:  # step back to t - 1; h_0 = 0 contributes nothing to dU
                 np.tanh(c_seq[(t - 1) % span], out=tc[k])
                 np.multiply(gates[k][t - 1, 2 * hs : 3 * hs], tc[k], out=h[k])
                 du[k] += np.matmul(a, h[k].T, out=du_t[k])
-                if masks[k] is not None:
-                    np.multiply(h[k], masks[k][:, None], out=out[k])
-        d_out[top].fill(0.0)
     grads = []
     for k, g in enumerate(gates):
         grads.extend((dw[k], du[k], g.sum(axis=(0, 2))))
-    return grads + [cache["dense_in"] @ dpred, np.array([dpred.sum()])]
+    return grads + [d_dense_w, np.array([dpred.sum()])]
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:

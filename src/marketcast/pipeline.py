@@ -390,10 +390,11 @@ def prepare(config: PipelineConfig) -> Prepared:
         b1, b2 = bounds[1], bounds[2]
         if min(b1, b2 - b1, n - b2) < 0 or n - b2 < 2:
             raise DataError(f"test split has {n - b2} rows; need at least 2")
+        training = enriched.rows(0, b1)
     with _stage("scale"):
-        scaler = fit_scaler(enriched.rows(0, b1))
+        scaler = fit_scaler(training)
     with _stage("features"):
-        correlations = correlation_vector(enriched.rows(0, b1), config.target_column)
+        correlations = correlation_vector(training, config.target_column)
         selected = select_features(correlations, config.corr_threshold)
     return Prepared(
         filled=filled,
@@ -460,6 +461,26 @@ def run_pipeline(config: PipelineConfig, dump_stages=()) -> RunArtifacts | dict[
     return runs if config.model_mode == "all" else runs[""]
 
 
+def _lstm_min_bytes(lcfg: LstmConfig, window: int, train_windows: int) -> int:
+    """A lower bound of the memory an LSTM training run needs, in bytes.
+
+    float64 parameters in 4 copies (the parameters, Adam's two moments and the
+    gradients), plus every layer's cached gates for one batch of `window` steps.
+    """
+    h = lcfg.hidden_size
+    inputs = [lcfg.input_size] + [h] * (lcfg.num_layers - 1)
+    params = sum(4 * h * (d + h + 1) for d in inputs) + h + 1
+    gates = lcfg.num_layers * window * 4 * h * min(lcfg.batch_size, train_windows)
+    return 8 * (4 * params + gates)
+
+
+def _physical_memory() -> int:
+    """The machine's physical memory in bytes, or 0 where os.sysconf cannot tell."""
+    if not {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
+        return 0
+    return max(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0)  # -1 pages: unknown
+
+
 def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
     """Fit the model legs of a one-directory config on `prep`; the result is plain data.
 
@@ -502,13 +523,21 @@ def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
     if config.model_mode in ("lstm", "both"):
         with _stage("lstm"):
             lcfg = config.lstm_config(input_size=len(window_columns))
+            cannot = (
+                f"cannot allocate the LSTM for lstm_hidden {config.lstm_hidden}, lstm_layers "
+                f"{config.lstm_layers}, lstm_batch {config.lstm_batch} and window {config.window}: "
+            )
+            # numpy allocates past RAM without complaint, and the OS may kill the
+            # process once the pages are touched, so a run that cannot fit is refused first
+            need = _lstm_min_bytes(lcfg, config.window, len(windows["train"]))
+            ram = _physical_memory()
+            if 0 < ram < need:
+                raise DataError(f"{cannot}it needs at least {need / 2**20:,.0f} MiB, and there is "
+                                f"{ram / 2**20:,.0f} MiB of physical memory")
             try:
                 network, _ = train(init_network(lcfg), windows["train"], windows["val"], lcfg)
             except MemoryError as exc:  # numpy refused an allocation before touching it
-                raise DataError(
-                    f"cannot allocate the LSTM for lstm_hidden {config.lstm_hidden}, lstm_layers "
-                    f"{config.lstm_layers}, lstm_batch {config.lstm_batch} and window {config.window}: {exc}"
-                ) from exc
+                raise DataError(f"{cannot}{exc}") from exc
             legs["lstm"] = (invert_scaler(predict_series(network, windows["test"]), target, prep.scaler), network)
     return {"window_columns": window_columns, "windows": windows, "legs": legs}
 

@@ -575,9 +575,8 @@ def test_out_of_range_flags_exit_2_before_ingest(tmp_path, monkeypatch, capsys, 
 
 
 def test_lstm_numpy_cannot_allocate_exits_2(synth_csv, tmp_path):
-    # the recurrent weights alone would be 3.2e17 bytes, past any address space, so
-    # numpy refuses them before a page is touched; a size that fits the address
-    # space but not RAM is not tested: the OS may kill the process instead
+    # the recurrent weights alone would be 3.2e17 bytes, past any address space and
+    # any machine's memory, so the run is refused before numpy allocates a page
     out = tmp_path / "out"
     proc = run_cli("run", "--mode", "lstm", "--hidden", "100000000", "--epochs", "1", "--window", "5",
                    "--input", synth_csv, "--out-dir", out)
@@ -587,6 +586,38 @@ def test_lstm_numpy_cannot_allocate_exits_2(synth_csv, tmp_path):
         "and window 5: "
     )
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+# a run at the default LSTM sizes and window 20, and the error it exits 2 with when it cannot allocate
+SMALL_LSTM_RUN = ["run", "--mode", "lstm", "--window", "20", "--epochs", "1"]
+LSTM_ALLOC_PREFIX = (
+    "error: stage lstm: cannot allocate the LSTM for lstm_hidden 64, lstm_layers 2, lstm_batch 32 and window 20: "
+)
+
+
+def test_lstm_numpy_memory_error_exits_2(synth_csv, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(pipeline, "init_network", refuse)
+    out = tmp_path / "out"
+    assert cli.main([*SMALL_LSTM_RUN, "--input", str(synth_csv), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == LSTM_ALLOC_PREFIX + "Unable to allocate\n"
+    assert not out.exists()
+
+
+def test_lstm_past_physical_memory_exits_2(synth_csv, tmp_path, monkeypatch, capsys):
+    # on a faked 1 MiB machine the run needs more (its gates alone are 2.6 MB) and is
+    # refused before the network is allocated
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(pipeline.os, "sysconf", lambda name: pages[name])
+    monkeypatch.setattr(pipeline, "init_network", lambda *a: pytest.fail("allocated past the memory check"))
+    out = tmp_path / "out"
+    assert cli.main([*SMALL_LSTM_RUN, "--input", str(synth_csv), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(LSTM_ALLOC_PREFIX) and err.endswith(", and there is 1 MiB of physical memory\n")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

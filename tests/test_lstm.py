@@ -214,10 +214,14 @@ def loss_on_window(net, window, target, with_dropout):
     return (pred - target) ** 2, pred, caches
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.25])
-@pytest.mark.parametrize("w", [1, 2, 6, 7])  # W 7 runs spans of 3, 3 and 1 steps
-def test_backward_matches_finite_differences(w, dropout):
-    cfg = tiny_config(input_size=2, hidden_size=3, num_layers=2, dropout_rate=dropout, seed=4)
+# W 7 runs spans of 3, 3 and 1 steps. At 3 layers the middle one reads a dropped
+# input and hands a masked gradient down; two-layer cases keep the bare W-dropout id
+@pytest.mark.parametrize("w, dropout, num_layers", [
+    pytest.param(w, dropout, layers, id=f"{w}-{dropout}" + ("" if layers == 2 else f"-depth{layers}"))
+    for layers in (1, 2, 3) for w in (1, 2, 6, 7) for dropout in (0.0, 0.25)
+])
+def test_backward_matches_finite_differences(w, dropout, num_layers):
+    cfg = tiny_config(input_size=2, hidden_size=3, num_layers=num_layers, dropout_rate=dropout, seed=4)
     net = init_network(cfg)
     rng = np.random.default_rng(1)
     window = rng.normal(size=(w, 2))
