@@ -25,11 +25,19 @@ Conventions:
     (3H, batch) block, about 3x faster than scipy's expit there and within
     2 ULP of it; exp overflowing to inf for a large negative a gives the
     exact 0;
-  - one loop over time runs each forward call, stepping the layers
-    bottom-up inside it, and one loop back over time runs `backward`,
-    stepping them top-down. At step t each layer writes its gate
-    activations into slot t % T of a (T, 4H, batch) array and its cell
-    state c into slot t % span of a (span, H, batch) ring;
+  - each layer is a pair of steppers, generators that advance one step
+    per `next`: `_forward_steps` and `_backward_steps` hold the one copy of
+    the layer math. A layer reads its input at step t from inputs[t] and
+    writes its output (h_t, or h_t * mask) to outs[t]; backward reads the
+    gradient of that output from d_outs[t] and writes its input's gradient
+    to d_ins[t]. At step t each layer writes its gate activations into slot
+    t % T of a (T, 4H, batch) array and its cell state c into slot
+    t % span of a (span, H, batch) ring;
+  - in-process (`_forward_batch`, `backward`) the steppers run
+    round-robin, one step each: bottom-up through step t before step t + 1
+    forward, top-down back over time. The layers hand each other one step
+    at a time through `_seq`, one (H, batch) buffer seen as a sequence of W
+    steps, so no inter-layer sequence is ever allocated;
   - training passes a cache dict, so T = W and span = ceil(sqrt(W))
     (`math.isqrt(W - 1) + 1`, 15 at W 216): the dict keeps every step's
     gates but c only in the ring, plus `c_ends`, the c that ends each span
@@ -41,15 +49,29 @@ Conventions:
     calls, so the bits match: two ufuncs a step, where caching c at every
     step cost 6.75 MB. tanh(c), h = o * tanh(c) and the dropped output
     h * mask are each one ufunc away from gates and c, so backward
-    recomputes them one step at a time, h * mask where it is read, and
-    hands the layer below its input's gradient one step at a time. At
-    W=216, H=64, batch 32 that cache is 29 MB, and one training step peaks
-    at about 29 MiB under tracemalloc;
+    recomputes them one step at a time. At W=216, H=64, batch 32 that cache
+    is 29 MB, and one training step peaks at about 29 MiB under
+    tracemalloc;
+  - `train` runs its batches on min(layers, CPUs) training workers
+    (`_cpu_count`: the CPUs in this process's affinity, x86-64 Linux only),
+    and in-process, starting nothing, when that is one. Each worker is a
+    fresh interpreter at one BLAS thread that owns a contiguous group of
+    layers (the top group also the head), their parameters, Adam state and
+    cache, and drives the same steppers. Between two workers the lower
+    one's top layer writes its outputs into a (W, H, batch) sequence in
+    shared memory, and the upper one writes their gradients into another;
+    a counter beside each says how many steps are in, raised once per span
+    of steps. So layer k runs step t while layer k + 1 runs an earlier span,
+    forward and back. Each layer's arithmetic stays in one process in the
+    in-process order, so the bits are the same. The parent draws the
+    permutation and masks, computes the loss and its gradient, checks for
+    divergence, copies the parameters back after each epoch and validates
+    in-process. `_lstm_workers` holds both sides, and is imported only
+    when workers start;
   - backward writes each step's gate gradients over its cached
-    activations. `train` runs every epoch's batches itself (there is no
-    per-epoch function) and keeps one cache for the whole run: every batch
-    overwrites the same arrays, allocated again only when the batch size
-    changes (a smaller last batch), the old ones freed first;
+    activations. `train` (or each worker) keeps one cache for the whole
+    run: every batch overwrites the same arrays, allocated again only when
+    the batch size changes (a smaller last batch), the old ones freed first;
   - `predict_series` is the one eval path: it makes the test predictions and
     `train`'s validation predictions alike. Eval passes no cache, so
     T = span = 1: every step reuses one (4H, batch) slot and one c per
@@ -71,7 +93,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import os
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -181,6 +205,10 @@ class TrainingHistory:
     train_losses: tuple[float, ...]
     val_losses: tuple[float, ...]
     best_epoch: int
+    # the peak RSS in KiB each training worker reported as it exited, () when
+    # `train` ran in-process; it measures the run, not the training, so
+    # histories compare equal without it
+    worker_peaks_kib: tuple[int, ...] = field(default=(), compare=False)
 
 
 def _rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -236,14 +264,156 @@ def _cell(a: np.ndarray, hs: int, c_prev, out: np.ndarray) -> None:
     out += a[:hs] * a[3 * hs :]
 
 
+def _seq(buf: np.ndarray, steps: int) -> np.ndarray:
+    """`buf` seen as a sequence of `steps` steps that all are `buf` itself.
+
+    Two layers in one process hand each other one step at a time through such
+    a sequence; a worker hands the next one a real (W, H, batch) sequence in
+    shared memory. The layer steppers index both alike.
+    """
+    return np.lib.stride_tricks.as_strided(buf, (steps,) + buf.shape, (0,) + buf.strides)
+
+
+def _cache_arrays(cache: dict, num_layers: int, w_steps: int, hs: int, b: int, training: bool) -> None:
+    """Put each layer's gate slots and c ring (and, training, c_ends) in `cache`,
+    keeping the arrays already there when their shape still fits."""
+    slots = w_steps if training else 1
+    span = math.isqrt(w_steps - 1) + 1 if training else 1
+    if "gates" in cache and cache["gates"][0].shape == (slots, 4 * hs, b):
+        return
+    cache.clear()  # free the old shape's arrays before allocating the new
+    cache["gates"] = [np.empty((slots, 4 * hs, b)) for _ in range(num_layers)]
+    cache["c"] = [np.empty((span, hs, b)) for _ in range(num_layers)]
+    cache["c_ends"] = [np.empty((-(-w_steps // span), hs, b)) if training else None for _ in range(num_layers)]
+
+
+def _forward_steps(layer: LstmLayer, hs: int, gates, c_ring, c_ends, mask, inputs, outs):
+    """One layer's forward over a batch, one step per `next`.
+
+    Step t reads the layer's input at inputs[t], writes its gate activations
+    into slot t % len(gates) and c into slot t % span of the ring (and, with
+    `c_ends`, the c that ends each span there), and its output to outs[t]: h_t,
+    or h_t * mask with a mask. The caller holds np.errstate(over="ignore"):
+    exp(-a) overflows to inf for a large negative a, where 1/(1+inf) = 0 is the
+    correct gate value.
+    """
+    w_steps, _, b = outs.shape
+    slots, span = len(gates), len(c_ring)
+    h = np.zeros((hs, b))
+    tc = np.empty((hs, b))
+    for t in range(w_steps):
+        a, c = gates[t % slots], c_ring[t % span]
+        np.matmul(layer.w, inputs[t], out=a)
+        a += layer.b[:, None]
+        a += layer.u @ h
+        s = a[: 3 * hs]
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+        g = a[3 * hs :]
+        np.tanh(g, out=g)
+        _cell(a, hs, c_ring[(t - 1) % span] if t else 0.0, c)
+        if c_ends is not None and (t % span == span - 1 or t == w_steps - 1):
+            c_ends[t // span] = c
+        np.tanh(c, out=tc)
+        if mask is None:  # h_t is the output: the next step reads it there
+            h = np.multiply(a[2 * hs : 3 * hs], tc, out=outs[t])
+        else:
+            np.multiply(a[2 * hs : 3 * hs], tc, out=h)
+            np.multiply(h, mask[:, None], out=outs[t])
+        yield
+
+
+def _backward_steps(layer: LstmLayer, hs: int, gates, c_ring, c_ends, mask, inputs, outs, d_outs, d_ins,
+                    mask_below, dh_rec, dw, du):
+    """One layer's backward over a batch a training forward cached: a first
+    `next` sets up at the last step, then one step per `next` back from it.
+
+    It carries tanh(c) and h one step back, recomputed from gates and c its
+    step has not yet overwritten, and with `outs` hands the layer above its
+    output h_t (or h_t * mask) at outs[t] before that layer steps back from t.
+    Step t reads the gradient of the layer's undropped output at d_outs[t]
+    (all zero for the top layer: the head's gradient seeds its carry
+    `dh_rec`), writes the gradient of its input to d_ins[t] (with the mask of
+    the layer below applied), and adds into `dw` and `du`. Stepping back into
+    an earlier span, it first rebuilds that span's c in the ring from the
+    cached gates and the previous span's end. Each step's gate activations
+    are overwritten with their pre-activation gradients, and the ring ends
+    holding the first span's c.
+    """
+    w_steps, _, b = gates.shape
+    span = len(c_ring)
+    mult = np.empty((3 * hs, b))
+    dw_t, du_t = np.empty_like(dw), np.empty_like(du)
+    dc_rec = np.zeros((hs, b))
+    # tanh(c_t) and h_t at step t; the forward leaves the last span's c in the ring
+    tc = np.tanh(c_ring[(w_steps - 1) % span])
+    own_h = outs is None or mask is not None
+    h = np.empty((hs, b)) if own_h else outs[w_steps - 1]
+    np.multiply(gates[-1, 2 * hs : 3 * hs], tc, out=h)
+    if outs is not None and mask is not None:
+        np.multiply(h, mask[:, None], out=outs[w_steps - 1])
+    yield
+    for t in range(w_steps - 1, -1, -1):
+        if t and t % span == 0:  # c_{t-1} ends the previous span: recompute its c
+            first = t - span
+            c_prev = c_ends[first // span - 1] if first else 0.0
+            for j in range(span):
+                _cell(gates[first + j], hs, c_prev, c_ring[j])
+                c_prev = c_ring[j]
+        a = gates[t]
+        s = a[: 3 * hs]  # the sigmoid gates (i, f, o)
+        i, f, o, g = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
+        dh = d_outs[t] + dh_rec
+        dc = dh * o * (1.0 - tc * tc) + dc_rec
+        dc_rec = dc * f
+        dci = dc * i
+        # overwrite a with its gradient: each sigmoid gate's multiplier
+        # times one s(1 - s) over the block, then the candidate gate
+        np.multiply(dc, g, out=mult[:hs])
+        np.multiply(dc, c_ring[(t - 1) % span] if t else 0.0, out=mult[hs : 2 * hs])
+        np.multiply(dh, tc, out=mult[2 * hs :])
+        s *= 1.0 - s
+        s *= mult
+        np.multiply(dci, 1.0 - g * g, out=g)
+        dh_rec = layer.u.T @ a
+        if d_ins is not None:
+            np.matmul(layer.w.T, a, out=d_ins[t])
+            if mask_below is not None:
+                d_ins[t] *= mask_below[:, None]
+        dw += np.matmul(a, inputs[t].T, out=dw_t)
+        if t:  # step back to t - 1; h_0 = 0 contributes nothing to dU
+            np.tanh(c_ring[(t - 1) % span], out=tc)
+            if not own_h:
+                h = outs[t - 1]
+            np.multiply(gates[t - 1, 2 * hs : 3 * hs], tc, out=h)
+            if outs is not None and mask is not None:
+                np.multiply(h, mask[:, None], out=outs[t - 1])
+            du += np.matmul(a, h.T, out=du_t)
+        yield
+
+
+def _head_backward(dense_w: np.ndarray, gates, c_ring, mask, dpred: np.ndarray, hs: int):
+    """The dense head's gradients (dense_w, dense_b) and the top layer's seed
+    for its recurrent carry: the head reads that layer's last step only."""
+    w_steps = len(gates)
+    head_in = gates[-1, 2 * hs : 3 * hs] * np.tanh(c_ring[(w_steps - 1) % len(c_ring)])
+    dh_top = np.multiply.outer(dense_w, dpred)
+    if mask is not None:
+        head_in *= mask[:, None]
+        dh_top *= mask[:, None]
+    return dh_top, head_in @ dpred, np.array([dpred.sum()])
+
+
 def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray | None], cache: dict | None = None):
     """Batched forward over windows x of shape (batch, W, features); returns
     the predictions (batch,).
 
-    One loop over time steps every layer, bottom-up, through step t before
-    step t + 1. With a `cache` dict each layer writes its gate activations
-    at step t into slot t of a (W, 4H, batch) array and c into slot
-    t % span of a (span, H, batch) ring, span = ceil(sqrt(W)), and copies
+    The layers' steppers run round-robin: every layer, bottom-up, through
+    step t before step t + 1. With a `cache` dict each layer writes its gate
+    activations at step t into slot t of a (W, 4H, batch) array and c into
+    slot t % span of a (span, H, batch) ring, span = ceil(sqrt(W)), and copies
     the c that ends each span into `c_ends`. The dict keeps those arrays, the
     input windows and the masks for `backward`, and the next call of the
     same shape overwrites them. Without one, every step reuses
@@ -253,47 +423,21 @@ def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray |
     w_steps, _, b = inputs.shape
     hs = network.config.hidden_size
     training = cache is not None
-    slots = w_steps if training else 1
-    span = math.isqrt(w_steps - 1) + 1 if training else 1
     if cache is None:
         cache = {}
-    if "gates" not in cache or cache["gates"][0].shape != (slots, 4 * hs, b):
-        cache.clear()  # free the old shape's arrays before allocating the new
-        cache["gates"] = [np.empty((slots, 4 * hs, b)) for _ in network.layers]
-        cache["c"] = [np.empty((span, hs, b)) for _ in network.layers]
-        if training:
-            cache["c_ends"] = [np.empty((-(-w_steps // span), hs, b)) for _ in network.layers]
-    gates, c_seqs, c_ends = cache["gates"], cache["c"], cache.get("c_ends")
-    h = [np.zeros((hs, b)) for _ in network.layers]
-    dropped = [None if mask is None else np.empty((hs, b)) for mask in masks]
-    tc = np.empty((hs, b))
-    # exp(-a) overflows to inf for a large negative a, where 1/(1+inf) = 0
-    # is the correct gate value
+    _cache_arrays(cache, len(network.layers), w_steps, hs, b, training)
+    outs = [_seq(np.empty((hs, b)), w_steps) for _ in network.layers]
+    steppers = [
+        _forward_steps(layer, hs, cache["gates"][k], cache["c"][k], cache["c_ends"][k], mask,
+                       inputs if k == 0 else outs[k - 1], outs[k])
+        for k, (layer, mask) in enumerate(zip(network.layers, masks))
+    ]
     with np.errstate(over="ignore"):
-        for t in range(w_steps):
-            slot = t % slots
-            span_end = training and (t % span == span - 1 or t == w_steps - 1)
-            inp = inputs[t]
-            for k, (layer, mask) in enumerate(zip(network.layers, masks)):
-                a, c = gates[k][slot], c_seqs[k][t % span]
-                np.matmul(layer.w, inp, out=a)
-                a += layer.b[:, None]
-                a += layer.u @ h[k]
-                s = a[: 3 * hs]
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                s += 1.0
-                np.reciprocal(s, out=s)
-                g = a[3 * hs :]
-                np.tanh(g, out=g)
-                _cell(a, hs, c_seqs[k][(t - 1) % span] if t else 0.0, c)
-                if span_end:
-                    c_ends[k][t // span] = c
-                np.tanh(c, out=tc)
-                np.multiply(a[2 * hs : 3 * hs], tc, out=h[k])
-                inp = h[k] if mask is None else np.multiply(h[k], mask[:, None], out=dropped[k])
+        for _ in range(w_steps):
+            for stepper in steppers:
+                next(stepper)
     cache.update(x=inputs, masks=masks)
-    return network.dense_w @ inp + network.dense_b[0]
+    return network.dense_w @ outs[-1][w_steps - 1] + network.dense_b[0]
 
 
 def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]:
@@ -301,15 +445,13 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
 
     `cache` is the dict a training `_forward_batch` filled, and
     `dloss_dpred` the loss gradient with respect to each window's scalar
-    prediction (shape (batch,)). One loop runs back over time and steps the
-    layers top-down, the head's gradient seeding the top layer's carry. Each
-    layer carries tanh(c) and h one step back, recomputed from gates and c
-    its step has not yet overwritten, and hands the layer below the gradient
-    of its input at that step only; the layer above reads h * mask in place.
-    Stepping back into an earlier span, a layer first rebuilds that span's c
-    in the ring from the cached gates and the previous span's end. The cache
-    is consumed: each step's gate activations are overwritten with their
-    pre-activation gradients, and the ring ends holding the first span's c.
+    prediction (shape (batch,)). The layers' backward steppers run
+    round-robin back over time, top-down inside each step, the head's
+    gradient seeding the top layer's carry; each hands the layer below the
+    gradient of its input at that step only, and the layer above its output
+    there. The cache is consumed: each step's gate activations are
+    overwritten with their pre-activation gradients, and the ring ends holding
+    the first span's c.
     """
     dpred = np.asarray(dloss_dpred, dtype=float)
     gates, c_seqs, c_ends, masks, x = cache["gates"], cache["c"], cache["c_ends"], cache["masks"], cache["x"]
@@ -317,72 +459,34 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
         raise DataError("cache does not match network depth")
     w_steps, _, b = x.shape
     hs = network.config.hidden_size
-    span = len(c_seqs[0])
     if dpred.shape != (b,):
         raise DataError(f"loss gradient shape {dpred.shape} does not match batch {b}")
 
     layers = network.layers
     top = len(layers) - 1
+    dh_top, d_dense_w, d_dense_b = _head_backward(network.dense_w, gates[top], c_seqs[top], masks[top], dpred, hs)
     dw = [np.zeros_like(layer.w) for layer in layers]
     du = [np.zeros_like(layer.u) for layer in layers]
-    dw_t = [np.empty_like(layer.w) for layer in layers]
-    du_t = [np.empty_like(layer.u) for layer in layers]
-    mult = np.empty((3 * hs, b))
-    below = np.empty((hs, b))  # the dropped output of the layer below at the step
-    # the head reads the top layer's last step only: its gradient seeds that layer's recurrent carry
-    dh_rec = [np.zeros((hs, b)) for _ in layers]
-    np.multiply.outer(network.dense_w, dpred, out=dh_rec[top])
-    if masks[top] is not None:
-        dh_rec[top] *= masks[top][:, None]
-    dc_rec = [np.zeros((hs, b)) for _ in layers]
-    # the gradient w.r.t. each layer's undropped output at the step, from the layer above; the top's stays 0
-    d_out = [np.zeros((hs, b)) for _ in layers]
-    # tanh(c_t) and h_t at step t; the forward leaves the last span's c in the ring
-    tc = [np.tanh(c[(w_steps - 1) % span]) for c in c_seqs]
-    h = [np.multiply(g[-1, 2 * hs : 3 * hs], tc_k) for g, tc_k in zip(gates, tc)]
-    d_dense_w = (h[top] if masks[top] is None else h[top] * masks[top][:, None]) @ dpred  # the head's input
-    for t in range(w_steps - 1, -1, -1):
-        rebuild = t and t % span == 0
-        for k in range(top, -1, -1):
-            layer = layers[k]
-            c_seq = c_seqs[k]
-            if rebuild:  # c_{t-1} ends the previous span: recompute its c
-                first = t - span
-                c_prev = c_ends[k][first // span - 1] if first else 0.0
-                for j in range(span):
-                    _cell(gates[k][first + j], hs, c_prev, c_seq[j])
-                    c_prev = c_seq[j]
-            a = gates[k][t]
-            s = a[: 3 * hs]  # the sigmoid gates (i, f, o)
-            i, f, o, g = a[:hs], a[hs : 2 * hs], a[2 * hs : 3 * hs], a[3 * hs :]
-            dh = d_out[k] + dh_rec[k]
-            dc = dh * o * (1.0 - tc[k] * tc[k]) + dc_rec[k]
-            dc_rec[k] = dc * f
-            dci = dc * i
-            # overwrite a with its gradient: each sigmoid gate's multiplier
-            # times one s(1 - s) over the block, then the candidate gate
-            np.multiply(dc, g, out=mult[:hs])
-            np.multiply(dc, c_seq[(t - 1) % span] if t else 0.0, out=mult[hs : 2 * hs])
-            np.multiply(dh, tc[k], out=mult[2 * hs :])
-            s *= 1.0 - s
-            s *= mult
-            np.multiply(dci, 1.0 - g * g, out=g)
-            dh_rec[k] = layer.u.T @ a
-            inp = x[t]  # layer 0 reads the windows, which need no gradient
-            if k:  # layer k - 1 has not stepped back yet, so h[k - 1] still holds its h_t
-                inp = h[k - 1] if masks[k - 1] is None else np.multiply(h[k - 1], masks[k - 1][:, None], out=below)
-                np.matmul(layer.w.T, a, out=d_out[k - 1])
-                if masks[k - 1] is not None:
-                    d_out[k - 1] *= masks[k - 1][:, None]
-            dw[k] += np.matmul(a, inp.T, out=dw_t[k])
-            if t:  # step back to t - 1; h_0 = 0 contributes nothing to dU
-                np.tanh(c_seq[(t - 1) % span], out=tc[k])
-                np.multiply(gates[k][t - 1, 2 * hs : 3 * hs], tc[k], out=h[k])
-                du[k] += np.matmul(a, h[k].T, out=du_t[k])
+    # layer k hands layer k + 1 its output at the step in outs[k] and takes
+    # the gradient of that output from it in d_outs[k]; the top's stays 0
+    outs = [_seq(np.empty((hs, b)), w_steps) for _ in range(top)] + [None]
+    d_outs = [_seq(np.zeros((hs, b)), w_steps) for _ in layers]
+    steppers = [
+        _backward_steps(layer, hs, gates[k], c_seqs[k], c_ends[k], masks[k],
+                        x if k == 0 else outs[k - 1], outs[k], d_outs[k],
+                        d_outs[k - 1] if k else None, masks[k - 1] if k else None,
+                        dh_top if k == top else np.zeros((hs, b)), dw[k], du[k])
+        for k, layer in enumerate(layers)
+    ]
+    for stepper in steppers:
+        next(stepper)
+    for _ in range(w_steps):
+        for stepper in reversed(steppers):
+            next(stepper)
     grads = []
     for k, g in enumerate(gates):
         grads.extend((dw[k], du[k], g.sum(axis=(0, 2))))
-    return grads + [d_dense_w, np.array([dpred.sum()])]
+    return grads + [d_dense_w, d_dense_b]
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:
@@ -412,6 +516,11 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     the first epoch with the lowest validation loss, whose parameters are
     restored at the end; without them every epoch runs. Returns
     (network, TrainingHistory); the network is updated in place.
+
+    With more than one CPU the batches run in worker processes, one per CPU
+    up to one per layer (see the module docstring), with the same bits; this
+    process keeps the RNG, the losses, validation and early stopping, and
+    ends its workers before it returns or raises.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
@@ -438,35 +547,54 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     best_epoch = -1
     best_params: list[np.ndarray] | None = None
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            yb = y_train[idx]
-            masks = _draw_masks(config, rng)
-            diff = _forward_batch(network, x_train[idx], masks, cache) - yb
-            batch_sq = float(diff @ diff)
-            if not np.isfinite(batch_sq):
-                raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
-            sq_sum += batch_sq
-            adam_step(params, backward(network, cache, (2.0 / len(yb)) * diff), state, config.learning_rate)
-        train_losses.append(sq_sum / n)
+    worker_peaks_kib: tuple[int, ...] = ()
+    workers = min(config.num_layers, _cpu_count())
+    if workers > 1:
+        from ._lstm_workers import Team
 
-        if len(val_set.targets) == 0:
-            val_losses.append(float("nan"))
-            best_epoch = epoch
-            continue
-        diff = predict_series(network, val_set, epoch) - val_set.targets
-        val_mse = float(diff @ diff) / len(diff)
-        if not np.isfinite(val_mse):
-            raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
-        val_losses.append(val_mse)
-        if best_params is None or val_mse < val_losses[best_epoch]:
-            best_epoch = epoch
-            best_params = [p.copy() for p in params]
-        elif epoch - best_epoch >= max(config.patience, 1):
-            break
+        team_run = Team.started(network, x_train.shape[1], min(config.batch_size, n), workers)
+    else:
+        team_run = nullcontext()
+    with team_run as team:
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(n)
+            sq_sum = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                yb = y_train[idx]
+                masks = _draw_masks(config, rng)
+                if team is None:
+                    diff = _forward_batch(network, x_train[idx], masks, cache) - yb
+                else:
+                    diff = team.forward(x_train[idx], masks) - yb
+                batch_sq = float(diff @ diff)
+                if not np.isfinite(batch_sq):
+                    raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
+                sq_sum += batch_sq
+                if team is None:
+                    adam_step(params, backward(network, cache, (2.0 / len(yb)) * diff), state, config.learning_rate)
+                else:
+                    team.backward((2.0 / len(yb)) * diff)
+            train_losses.append(sq_sum / n)
+            if team is not None:
+                team.pull(params)
+
+            if len(val_set.targets) == 0:
+                val_losses.append(float("nan"))
+                best_epoch = epoch
+                continue
+            diff = predict_series(network, val_set, epoch) - val_set.targets
+            val_mse = float(diff @ diff) / len(diff)
+            if not np.isfinite(val_mse):
+                raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
+            val_losses.append(val_mse)
+            if best_params is None or val_mse < val_losses[best_epoch]:
+                best_epoch = epoch
+                best_params = [p.copy() for p in params]
+            elif epoch - best_epoch >= max(config.patience, 1):
+                break
+        if team is not None:
+            worker_peaks_kib = team.stop()
 
     if best_params is not None:
         for p, saved in zip(params, best_params):
@@ -475,8 +603,21 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         best_epoch=best_epoch,
+        worker_peaks_kib=worker_peaks_kib,
     )
     return network, history
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or 1 (train in-process) off x86-64 Linux.
+
+    The workers hand each other steps through counters in shared memory,
+    read with no memory barrier: that needs x86-64, where a process sees
+    another's stores in the order they were made.
+    """
+    if not hasattr(os, "sched_getaffinity") or os.uname().machine != "x86_64":
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def predict_series(network: LstmNetwork, windows: WindowedDataset, epoch: int | None = None) -> np.ndarray:

@@ -12,6 +12,8 @@ stage scales the frame and builds them; then the requested model legs run:
          test span;
   lstm:  windowed training in scaled space with early stopping on the
          validation split, one-step test predictions mapped back to prices.
+         `train` may run the batches on worker processes, one per layer
+         (see `lstm`); they have exited by the time it returns or raises.
 
 Both legs score the same test rows, so their metrics files are directly
 comparable. Model mode "all" is the paper's comparison: three one-directory

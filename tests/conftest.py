@@ -15,3 +15,19 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def worker_procs(monkeypatch):
+    """Every subprocess.Popen started while the test runs, LSTM training workers included."""
+    import subprocess
+
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started

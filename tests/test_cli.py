@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketcast import cli, pipeline, synth
+from marketcast import _lstm_workers, cli, lstm, pipeline, synth
 from marketcast.chart import read_predictions
 from marketcast.errors import DataError, DivergenceError
 
@@ -605,6 +605,24 @@ def test_lstm_numpy_memory_error_exits_2(synth_csv, tmp_path, monkeypatch, capsy
     assert cli.main([*SMALL_LSTM_RUN, "--input", str(synth_csv), "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == LSTM_ALLOC_PREFIX + "Unable to allocate\n"
     assert not out.exists()
+
+
+def test_lstm_worker_memory_error_exits_2(synth_csv, tmp_path, monkeypatch, capsys, worker_procs):
+    """numpy refusing an allocation in a training worker is the same exit 2
+    as in-process: the worker sends its MemoryError back to train."""
+    refusing_numpy = (
+        "import numpy\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise MemoryError('Unable to allocate')\n"
+        "numpy.empty = refuse\n"
+    )
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_lstm_workers, "_WORKER_CODE", refusing_numpy + _lstm_workers._WORKER_CODE)
+    out = tmp_path / "out"
+    assert cli.main([*SMALL_LSTM_RUN, "--input", str(synth_csv), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == LSTM_ALLOC_PREFIX + "Unable to allocate\n"
+    assert not out.exists()
+    assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
 
 
 def test_lstm_past_physical_memory_exits_2(synth_csv, tmp_path, monkeypatch, capsys):

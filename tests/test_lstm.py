@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -8,7 +12,7 @@ import numpy as np
 import pytest
 
 from marketcast import lstm
-from marketcast.errors import DataError, DivergenceError
+from marketcast.errors import DataError, DivergenceError, ModelFitError
 from marketcast.frame import WindowedDataset
 from marketcast.lstm import (
     EVAL_CHUNK,
@@ -518,10 +522,11 @@ def test_predict_series_independent_of_eval_chunk(rng, monkeypatch, chunk):
     assert np.array_equal(predict_series(net, ds), whole)
 
 
-def test_predict_series_memory_bounded_by_eval_chunk(rng):
+def test_predict_series_memory_bounded_by_eval_chunk(rng, monkeypatch):
     # eval, validation included, keeps nothing per step: one
     # (4H, 2 * EVAL_CHUNK) gate slab per layer is reused, and the peak
     # measured 1.28 MiB
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: 1)
     cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, seed=0)
     net = init_network(cfg)
     ds = WindowedDataset(
@@ -537,12 +542,15 @@ def test_predict_series_memory_bounded_by_eval_chunk(rng):
     assert peak < 2 * 2**20
 
 
-def test_training_step_caches_only_gates(rng):
+def test_training_step_caches_only_gates(rng, monkeypatch):
     """One training forward and backward at the paper's shape stays within
     the gates it caches (27 MiB), c at ceil(sqrt(W)) span ends and in a ring
     of as many slots (0.9 MiB), and small per-step arrays: the peak measured
     29.1 MiB. Caching c at every step peaked at 34.9 MiB, and caching h,
-    tanh(c), the dropped outputs and a d_in sequence as well at 61.6 MiB."""
+    tanh(c), the dropped outputs and a d_in sequence as well at 61.6 MiB.
+    In-process, the layers hand each other one step at a time, so no
+    inter-layer sequence is allocated."""
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: 1)
     cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, dropout_rate=0.2, seed=0)
     net = init_network(cfg)
     x = rng.normal(size=(32, 216, 1))
@@ -646,3 +654,107 @@ def test_checkpoint_version_2_rejected(tmp_path):
     np.savez(tmp_path / "v2.npz", meta=np.array(json.dumps(meta)), **arrays)
     with pytest.raises(DataError, match="unsupported checkpoint version 2"):
         load_checkpoint(tmp_path / "v2.npz")
+
+
+# ---------------------------------------------------------------- training workers
+
+
+def paper_shape_sets(n=100, w=216, features=1, n_val=40):
+    """n training windows (at batch 32 the last batch is smaller), n_val
+    validation windows and 30 test windows of a random walk."""
+    rng = np.random.default_rng(11)
+    series = np.cumsum(rng.normal(size=(n + n_val + 30 + w, features)), axis=0) / 10
+    inputs = np.stack([series[i : i + w] for i in range(n + n_val + 30)])
+    full = WindowedDataset(inputs=inputs, targets=series[w : w + len(inputs), 0], window_size=w, horizon=1)
+    idx = np.arange(len(full))
+    return full.subset(idx < n), full.subset((idx >= n) & (idx < n + n_val)), full.subset(idx >= n + n_val)
+
+
+def train_with_workers(monkeypatch, workers, cfg, train_set, val_set):
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
+    net, hist = train(init_network(cfg), train_set, val_set, cfg)
+    assert len(hist.worker_peaks_kib) == (workers if workers > 1 else 0)
+    return net, hist
+
+
+WORKER_CASES = {
+    "paper-shape": (dict(input_size=1, hidden_size=64, num_layers=2, dropout_rate=0.2, max_epochs=2, patience=2),
+                    dict()),
+    "3-layers-on-2-workers": (dict(input_size=3, hidden_size=6, num_layers=3, dropout_rate=0.2, batch_size=8,
+                                   max_epochs=3, patience=3), dict(n=30, w=20, features=3, n_val=12)),
+    # as many workers as layers, more than the CPUs of a 2-CPU runner: the
+    # handoffs must hold when a worker waits for one that is not running
+    "3-layers-on-3-workers": (dict(input_size=1, hidden_size=6, num_layers=3, dropout_rate=0.2, batch_size=8,
+                                   max_epochs=3, patience=3), dict(n=30, w=20, n_val=12)),
+    "dropout-0": (dict(input_size=1, hidden_size=8, num_layers=2, dropout_rate=0.0, batch_size=8, max_epochs=3,
+                       patience=3), dict(n=30, w=20)),
+    "patience-stop": (dict(input_size=1, hidden_size=6, num_layers=2, dropout_rate=0.2, batch_size=8,
+                           learning_rate=0.3, max_epochs=40, patience=2, seed=2), dict(n=30, w=9, n_val=12)),
+    "empty-validation": (dict(input_size=1, hidden_size=8, num_layers=2, dropout_rate=0.2, batch_size=8,
+                              max_epochs=2, patience=0), dict(n=30, w=20, n_val=0)),
+}
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_training_workers_are_bit_identical_to_in_process(monkeypatch, worker_procs, case):
+    """Workers train the parameters, history and predictions that in-process
+    training does, bit for bit, and have exited when train returns."""
+    config, data = WORKER_CASES[case]
+    cfg = LstmConfig(**config)
+    train_set, val_set, test_set = paper_shape_sets(**data)
+    workers = 3 if case.endswith("3-workers") else 2
+    runs = [train_with_workers(monkeypatch, count, cfg, train_set, val_set) for count in (1, workers)]
+    assert len(worker_procs) == workers and all(proc.poll() is not None for proc in worker_procs)
+    (net_a, hist_a), (net_b, hist_b) = runs
+    for pa, pb in zip(net_a.parameters(), net_b.parameters(), strict=True):
+        assert np.array_equal(pa, pb)
+    assert hist_a.train_losses == hist_b.train_losses
+    assert np.array_equal(hist_a.val_losses, hist_b.val_losses, equal_nan=True)
+    assert hist_a.best_epoch == hist_b.best_epoch
+    if case == "patience-stop":
+        assert len(hist_a.train_losses) < cfg.max_epochs
+    if len(val_set):
+        assert np.array_equal(predict_series(net_a, val_set), predict_series(net_b, val_set))
+    assert np.array_equal(predict_series(net_a, test_set), predict_series(net_b, test_set))
+
+
+def test_a_worker_divergence_raises_what_in_process_raises(monkeypatch, worker_procs):
+    train_set, val_set = sine_sets()
+    cfg = tiny_config(input_size=1, learning_rate=1e200, max_epochs=8, patience=8, seed=0)
+    raised = []
+    for workers in (1, 2):
+        monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            train(init_network(cfg), train_set, val_set, cfg)
+        raised.append((str(info.value), info.value.epoch))
+    assert raised[0] == raised[1]
+    assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_a_killed_worker_fails_the_run_without_hanging(monkeypatch, worker_procs, victim):
+    """SIGKILL to either worker mid-run: the other may be waiting on it for a
+    step, and train still raises at once, naming the exit status."""
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: 2)
+    train_set, _, _ = paper_shape_sets(n=64, w=40)
+    cfg = LstmConfig(input_size=1, hidden_size=16, num_layers=2, batch_size=8, max_epochs=500, patience=0)
+
+    def kill():
+        started = time.monotonic()
+        while len(worker_procs) < 2 and time.monotonic() - started < 10:
+            time.sleep(0.01)
+        time.sleep(1.0)
+        os.kill(worker_procs[victim].pid, signal.SIGKILL)
+
+    killer = threading.Thread(target=kill, daemon=True)
+    killer.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ModelFitError, match=f"LSTM training worker {victim} exited with status -9"):
+            train(init_network(cfg), train_set, empty_dataset(40), cfg)
+    finally:
+        killer.join(timeout=30)
+    assert not killer.is_alive()
+    assert time.perf_counter() - start < 30
+    assert all(proc.poll() is not None for proc in worker_procs)
