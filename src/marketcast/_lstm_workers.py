@@ -1,10 +1,12 @@
-"""The processes behind `lstm.train`'s layer workers (see `lstm`'s docstring).
+"""The processes behind `lstm`'s layer workers (see `lstm`'s docstring).
 
 `Team` is the parent's side: it starts the workers, hands them each batch
-and collects their replies. `_Group` and `_worker` are a worker's side: it
-drives `lstm`'s layer steppers for its group of layers and hands the workers
-beside it one span of steps at a time. `lstm` imports this module only when
-it starts workers, so importing the CLI compiles none of it.
+and each eval call, and collects their replies. `_Group` and `_worker` are a
+worker's side: for a batch it drives `lstm`'s layer steppers for its group of
+layers and hands the workers beside it one span of steps at a time; for an
+eval call it runs the whole network's eval forward on the windows it was
+sent. `lstm` imports this module only when it starts workers, so importing
+the CLI compiles none of it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .lstm import (
     LstmNetwork,
     _backward_steps,
     _cache_arrays,
+    _forward_batch,
     _forward_steps,
     _head_backward,
     _seq,
@@ -46,29 +49,33 @@ _WORKER_CODE = "import sys; from marketcast._lstm_workers import _worker; _worke
 
 
 class Team:
-    """The parent's side of the training workers.
+    """The parent's side of the layer workers.
 
     Worker j steps layers bounds[j] .. bounds[j + 1] - 1, and the last one
     also the head, over every batch. They share one mapping: the parameters,
     each batch's windows, masks, predictions and loss gradient, and between
     workers j and j + 1 the (W, H, batch) sequences handed up (the dropped
     outputs) and down (their gradients), with a counter of the steps written
-    into each. Commands and replies go through a socket per worker.
+    into each. Eval is data-parallel instead: each worker runs whole eval
+    calls over all the layers, on the windows it is sent. Commands, eval
+    windows and replies go through a socket per worker.
     """
 
     def __init__(self):
         self.procs: list = []
         self.conns: list = []
+        self.peaks_kib: tuple[int, ...] = ()  # each worker's peak RSS, reported as it exits
 
     @classmethod
     @contextmanager
     def started(cls, network: LstmNetwork, w_steps: int, b_max: int, count: int):
-        """Start `count` workers and end them on the way out, killing any
-        still running after an error."""
+        """Start `count` workers and end them on the way out: stopped after
+        the block, killed if any is still running after an error."""
         team = cls()
         try:
             team._start(network, w_steps, b_max, count)
             yield team
+            team.stop()
         finally:
             for proc in team.procs:
                 if proc.poll() is None:
@@ -116,33 +123,42 @@ class Team:
     def _exited(self, j: int) -> ModelFitError:
         return ModelFitError(f"LSTM training worker {j} exited with status {self.procs[j].wait()}")
 
-    def _send(self, j: int, kind: str, value=None) -> None:
+    def _send(self, j: int, kind: str, value=None, data: np.ndarray | None = None) -> None:
+        """Send worker j a command, and then `data`'s bytes (C-contiguous) if given."""
         try:
             self.conns[j].send((kind, value))
+            if data is not None:
+                self.conns[j].send_bytes(data)
         except OSError:  # the worker has closed its end
             raise self._exited(j) from None
 
+    def _reply(self, watched) -> tuple[int, object]:
+        """Wait for the next reply of a worker in `watched` and return (its
+        index, its result), after warning again what it caught. An error a
+        worker sends is raised here, and one that exits becomes a
+        ModelFitError naming its exit status, so a worker waiting on a dead
+        one cannot hang the run."""
+        conn = wait([self.conns[j] for j in watched])[0]
+        j = self.conns.index(conn)
+        try:
+            kind, value = conn.recv()
+        except (EOFError, OSError):  # closed, or reset with data unread
+            raise self._exited(j) from None
+        if kind == "error":
+            raise value
+        caught, result = value
+        for category, message in caught:
+            warnings.warn(message, category, stacklevel=4)
+        return j, result
+
     def _await(self, expected: set[int]) -> list:
-        """Wait for a reply from each worker in `expected` and return them in
-        worker order. Every worker is watched meanwhile: an error one sends is
-        raised here, and one that exits becomes a ModelFitError naming its
-        exit status, so a worker waiting on a dead one cannot hang the run."""
+        """Wait for a reply from each worker in `expected` and return their
+        results in worker order. Every worker that has not yet replied is
+        watched meanwhile."""
         replies: dict[int, object] = {}
         while not expected <= replies.keys():
-            for conn in wait([c for j, c in enumerate(self.conns) if j not in replies]):
-                j = self.conns.index(conn)
-                try:
-                    kind, value = conn.recv()
-                except (EOFError, OSError):  # closed, or reset with data unread
-                    raise self._exited(j) from None
-                if kind == "error":
-                    raise value
-                if kind == "exit":
-                    replies[j] = value
-                    continue
-                for category, message in value:
-                    warnings.warn(message, category, stacklevel=3)
-                replies[j] = None
+            j, result = self._reply([j for j in range(len(self.conns)) if j not in replies])
+            replies[j] = result
         return [replies[j] for j in sorted(expected)]
 
     def forward(self, x: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray:
@@ -164,19 +180,47 @@ class Team:
         self._send(len(self.conns) - 1, "back")
         self._await(set(range(len(self.conns))))
 
+    def predict(self, x: np.ndarray, calls: list[tuple[int, int]]) -> np.ndarray:
+        """Eval predictions for the windows x (n, W, features) from the
+        workers' parameters, one eval forward per (start, stop) of `calls`,
+        each sent to the next worker to be free: on a quiet machine worker j
+        runs calls j, j + count, ... Returns them in window order."""
+        queue = iter(calls)
+        running: dict[int, tuple[int, int]] = {}
+        preds = np.empty(len(x))
+
+        def deal(j: int) -> None:
+            call = next(queue, None)
+            if call is not None:
+                running[j] = call
+                chunk = np.ascontiguousarray(x[slice(*call)])
+                self._send(j, "eval", (chunk.shape, np.geterr()), chunk)
+
+        for j in range(len(self.conns)):
+            deal(j)
+        while running:
+            j, out = self._reply(range(len(self.conns)))
+            preds[slice(*running.pop(j))] = out
+            deal(j)
+        return preds
+
     def pull(self, params: list[np.ndarray]) -> None:
         """Copy the workers' parameters into `params`, ordered like network.parameters()."""
         for i, p in enumerate(params):
             p[...] = self.views[f"p{i}"]
 
-    def stop(self) -> tuple[int, ...]:
-        """Tell every worker to exit; returns their peak RSS in KiB."""
+    def push(self, params: list[np.ndarray]) -> None:
+        """Copy `params`, ordered like network.parameters(), into the workers' parameters."""
+        for i, p in enumerate(params):
+            self.views[f"p{i}"][...] = p
+
+    def stop(self) -> None:
+        """Tell every worker to exit, and keep the peak RSS each reports, in KiB."""
         for j in range(len(self.conns)):
             self._send(j, "stop")
-        peaks = tuple(self._await(set(range(len(self.conns)))))
+        self.peaks_kib = tuple(self._await(set(range(len(self.conns)))))
         for proc in self.procs:
             proc.wait()
-        return peaks
 
 
 def _layout(fields: list[tuple[str, str, tuple]]) -> tuple[dict, int]:
@@ -198,7 +242,8 @@ def _views(buf, layout: dict) -> dict[str, np.ndarray]:
 
 class _Group:
     """A worker's side: its layers' steppers over each batch, handing the
-    workers beside it one span of steps at a time."""
+    workers beside it one span of steps at a time, and the whole network's
+    eval forward over the windows of an eval call."""
 
     def __init__(self, init: dict, views: dict, parent: int):
         config = init["config"]
@@ -209,7 +254,9 @@ class _Group:
         self.lo, self.hi = bounds[self.j], bounds[self.j + 1]
         self.top = self.hi == config.num_layers
         p = [views[f"p{i}"] for i in range(3 * config.num_layers + 2)]
-        self.layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(self.lo, self.hi)]
+        layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(config.num_layers)]
+        self.network = LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
+        self.layers = layers[self.lo : self.hi]
         self.params = p[3 * self.lo : 3 * self.hi] + (p[-2:] if self.top else [])
         self.state = AdamState.for_params(self.params)
         self.steps = views["steps"][:, 0]
@@ -263,7 +310,7 @@ class _Group:
         if top:
             dense_w, dense_b = self.params[-2:]
             self.views["preds"][:b] = dense_w @ outs[-1][w_steps - 1] + dense_b[0]
-            conn.send(("preds", _relayed(caught)))
+            conn.send(("preds", (_relayed(caught), None)))
             caught.clear()
             conn.recv()  # the parent's go: the loss gradient is in place
             dpred = self.views["dpred"][:b]
@@ -298,7 +345,12 @@ class _Group:
         if top:
             grads += [d_dense_w, d_dense_b]
         adam_step(self.params, grads, self.state, config.learning_rate)
-        conn.send(("done", _relayed(caught)))
+        conn.send(("done", (_relayed(caught), None)))
+
+    def predict(self, shape: tuple, data: bytes) -> np.ndarray:
+        """The eval forward of one call over the windows `data` holds, (batch, W, features)."""
+        x = np.frombuffer(data).reshape(shape)
+        return _forward_batch(self.network, x, [None] * self.config.num_layers)
 
 
 def _relayed(caught: list) -> list:
@@ -307,9 +359,9 @@ def _relayed(caught: list) -> list:
 
 
 def _worker(sock_fd: int, shared_fd: int) -> None:
-    """A training worker's main (see `_WORKER_CODE`): runs each batch the
-    parent sends over the socket until told to stop or the socket closes.
-    An error goes back to the parent, which raises it."""
+    """A layer worker's main (see `_WORKER_CODE`): runs each batch and eval
+    call the parent sends over the socket until told to stop or the socket
+    closes. An error goes back to the parent, which raises it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt and ends its workers
     parent = os.getppid()
     shared = mmap.mmap(shared_fd, 0)
@@ -321,12 +373,16 @@ def _worker(sock_fd: int, shared_fd: int) -> None:
             while True:
                 kind, value = conn.recv()
                 if kind == "stop":
-                    conn.send(("exit", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+                    conn.send(("exit", ([], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)))
                     return
-                b, errstate = value
+                arg, errstate = value
                 with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
                     warnings.simplefilter("always")
-                    group.batch(b, conn, caught)
+                    if kind == "batch":
+                        group.batch(arg, conn, caught)
+                    else:
+                        preds = group.predict(arg, conn.recv_bytes())
+                        conn.send(("eval", (_relayed(caught), preds)))
         except EOFError:  # the parent closed the socket
             return
         except Exception as exc:

@@ -52,7 +52,7 @@ Conventions:
     recomputes them one step at a time. At W=216, H=64, batch 32 that cache
     is 29 MB, and one training step peaks at about 29 MiB under
     tracemalloc;
-  - `train` runs its batches on min(layers, CPUs) training workers
+  - `train` runs its batches on min(layers, CPUs) layer workers
     (`_cpu_count`: the CPUs in this process's affinity, x86-64 Linux only),
     and in-process, starting nothing, when that is one. Each worker is a
     fresh interpreter at one BLAS thread that owns a contiguous group of
@@ -65,9 +65,10 @@ Conventions:
     forward and back. Each layer's arithmetic stays in one process in the
     in-process order, so the bits are the same. The parent draws the
     permutation and masks, computes the loss and its gradient, checks for
-    divergence, copies the parameters back after each epoch and validates
-    in-process. `_lstm_workers` holds both sides, and is imported only
-    when workers start;
+    divergence and copies the parameters back after each epoch for the
+    best-weights snapshot; the workers also make the predictions (see
+    `predict_series` below). `layer_workers` decides whether workers start,
+    and `_lstm_workers` holds both sides, imported only when they do;
   - backward writes each step's gate gradients over its cached
     activations. `train` (or each worker) keeps one cache for the whole
     run: every batch overwrites the same arrays, allocated again only when
@@ -83,7 +84,15 @@ Conventions:
     decide the last bits of the predictions: OpenBLAS picks its kernel by
     the number of batch columns, so a remainder other than n % 64 would
     move them by a few ULPs (calls of 64 and 128 columns measured
-    bit-identical per column).
+    bit-identical per column). Given the layer workers (`team`), it deals
+    those calls out whole, each to the next worker to be free, and
+    each worker runs the same eval forward over all the layers on the
+    parameters in shared memory, on windows sent over its socket. A call's
+    arithmetic is the same in any process, and so are the predictions' bits;
+    the parent puts them back in order and checks them. `train` validates
+    on its workers this way, and the pipeline keeps them for the test
+    predictions, after `train` has put the restored best weights back in
+    shared memory.
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -95,7 +104,7 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,6 +120,7 @@ __all__ = [
     "init_network",
     "backward",
     "adam_step",
+    "layer_workers",
     "train",
     "predict_series",
     "save_checkpoint",
@@ -205,10 +215,6 @@ class TrainingHistory:
     train_losses: tuple[float, ...]
     val_losses: tuple[float, ...]
     best_epoch: int
-    # the peak RSS in KiB each training worker reported as it exited, () when
-    # `train` ran in-process; it measures the run, not the training, so
-    # histories compare equal without it
-    worker_peaks_kib: tuple[int, ...] = field(default=(), compare=False)
 
 
 def _rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -507,7 +513,8 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     return state
 
 
-def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDataset, config: LstmConfig):
+def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDataset, config: LstmConfig,
+          *, team=None):
     """Mini-batch Adam training with early stopping on validation MSE.
 
     Windows are visited in a seeded random permutation each epoch; dropout
@@ -517,10 +524,12 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     restored at the end; without them every epoch runs. Returns
     (network, TrainingHistory); the network is updated in place.
 
-    With more than one CPU the batches run in worker processes, one per CPU
-    up to one per layer (see the module docstring), with the same bits; this
-    process keeps the RNG, the losses, validation and early stopping, and
-    ends its workers before it returns or raises.
+    `team` is the `layer_workers` of `network` and `train_set`, which the
+    caller keeps for more predictions; without one, `train` opens its own
+    and ends it before it returns or raises. With workers the batches and
+    the validation predictions run on them (see the module docstring), with
+    the same bits; this process keeps the RNG, the losses, early stopping
+    and the restore, which it copies back into the workers' parameters.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
@@ -547,15 +556,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     best_epoch = -1
     best_params: list[np.ndarray] | None = None
 
-    worker_peaks_kib: tuple[int, ...] = ()
-    workers = min(config.num_layers, _cpu_count())
-    if workers > 1:
-        from ._lstm_workers import Team
-
-        team_run = Team.started(network, x_train.shape[1], min(config.batch_size, n), workers)
-    else:
-        team_run = nullcontext()
-    with team_run as team:
+    with layer_workers(network, train_set) if team is None else nullcontext(team) as team:
         for epoch in range(config.max_epochs):
             order = rng.permutation(n)
             sq_sum = 0.0
@@ -583,7 +584,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
                 val_losses.append(float("nan"))
                 best_epoch = epoch
                 continue
-            diff = predict_series(network, val_set, epoch) - val_set.targets
+            diff = predict_series(network, val_set, epoch, team=team) - val_set.targets
             val_mse = float(diff @ diff) / len(diff)
             if not np.isfinite(val_mse):
                 raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
@@ -593,23 +594,37 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
                 best_params = [p.copy() for p in params]
             elif epoch - best_epoch >= max(config.patience, 1):
                 break
-        if team is not None:
-            worker_peaks_kib = team.stop()
 
-    if best_params is not None:
-        for p, saved in zip(params, best_params):
-            p[...] = saved
+        if best_params is not None:
+            for p, saved in zip(params, best_params):
+                p[...] = saved
+            if team is not None:
+                team.push(params)
     history = TrainingHistory(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
         best_epoch=best_epoch,
-        worker_peaks_kib=worker_peaks_kib,
     )
     return network, history
 
 
+def layer_workers(network: LstmNetwork, train_set: WindowedDataset):
+    """A context manager: the layer workers that train `network` on batches of
+    `train_set`'s windows and make its predictions, min(layers, CPUs) of
+    them, or None (run in-process, starting nothing) when that is one. They
+    start from `network`'s parameters, and have exited on the way out."""
+    config = network.config
+    workers = min(config.num_layers, _cpu_count())
+    if workers <= 1:
+        return nullcontext()
+    from ._lstm_workers import Team
+
+    w_steps = np.shape(train_set.inputs)[1]
+    return Team.started(network, w_steps, min(config.batch_size, len(train_set.targets)), workers)
+
+
 def _cpu_count() -> int:
-    """The CPUs this process may run on, or 1 (train in-process) off x86-64 Linux.
+    """The CPUs this process may run on, or 1 (run in-process) off x86-64 Linux.
 
     The workers hand each other steps through counters in shared memory,
     read with no memory barrier: that needs x86-64, where a process sees
@@ -620,28 +635,38 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def predict_series(network: LstmNetwork, windows: WindowedDataset, epoch: int | None = None) -> np.ndarray:
+def _eval_calls(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) windows of each eval forward call over n windows:
+    2 * EVAL_CHUNK per call up to n - n % EVAL_CHUNK (the last such call may
+    hold only EVAL_CHUNK), then the rest in one call."""
+    full = n - n % EVAL_CHUNK
+    calls = [(start, min(start + 2 * EVAL_CHUNK, full)) for start in range(0, full, 2 * EVAL_CHUNK)]
+    return calls + [(full, n)] if full < n else calls
+
+
+def predict_series(network: LstmNetwork, windows: WindowedDataset, epoch: int | None = None,
+                   *, team=None) -> np.ndarray:
     """Eval-mode one-step predictions for every window, aligned with targets.
 
-    `train` scores validation through it too. The first n - n % EVAL_CHUNK
-    windows run 2 * EVAL_CHUNK per forward call (the last such call may hold
-    only EVAL_CHUNK), the rest in one call. Raises DivergenceError (tagged
-    with `epoch`, when given) if any prediction is not finite.
+    `train` scores validation through it too. The windows run in the forward
+    calls of `_eval_calls`, in this process or, given the `layer_workers`
+    of `network` as `team`, on them, with the same bits (see the module
+    docstring). Raises DivergenceError (tagged with `epoch`, when given) if
+    any prediction is not finite.
     """
     inputs = np.asarray(windows.inputs, dtype=float)
     if inputs.shape[2] != network.config.input_size:
         raise DataError(
             f"windows have {inputs.shape[2]} features, network expects {network.config.input_size}"
         )
-    none_masks = [None] * network.config.num_layers
-    n = len(inputs)
-    full = n - n % EVAL_CHUNK
-    preds = np.empty(n)
-    start = 0
-    while start < n:
-        stop = min(start + 2 * EVAL_CHUNK, full) if start < full else n
-        preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
-        start = stop
+    calls = _eval_calls(len(inputs))
+    if team is None:
+        none_masks = [None] * network.config.num_layers
+        preds = np.empty(len(inputs))
+        for start, stop in calls:
+            preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
+    else:
+        preds = team.predict(inputs, calls)
     if not np.all(np.isfinite(preds)):
         where = "" if epoch is None else f" in epoch {epoch}"
         raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)

@@ -12,8 +12,10 @@ stage scales the frame and builds them; then the requested model legs run:
          test span;
   lstm:  windowed training in scaled space with early stopping on the
          validation split, one-step test predictions mapped back to prices.
-         `train` may run the batches on worker processes, one per layer
-         (see `lstm`); they have exited by the time it returns or raises.
+         The batches, the validation and the test predictions may run on
+         worker processes, one per layer (see `lstm`), which `_fit_leg`
+         keeps from training to the test predictions; they have exited by
+         the time it returns or raises.
 
 Both legs score the same test rows, so their metrics files are directly
 comparable. Model mode "all" is the paper's comparison: three one-directory
@@ -66,7 +68,7 @@ from .frame import (
     write_csv,
 )
 from .indicators import derive_indicators
-from .lstm import LstmConfig, init_network, predict_series, save_checkpoint, train
+from .lstm import LstmConfig, init_network, layer_workers, predict_series, save_checkpoint, train
 
 __all__ = [
     "PipelineConfig",
@@ -537,10 +539,14 @@ def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
                 raise DataError(f"{cannot}it needs at least {need / 2**20:,.0f} MiB, and there is "
                                 f"{ram / 2**20:,.0f} MiB of physical memory")
             try:
-                network, _ = train(init_network(lcfg), windows["train"], windows["val"], lcfg)
+                network = init_network(lcfg)
+                # one team of layer workers trains, validates and makes the test predictions
+                with layer_workers(network, windows["train"]) as team:
+                    network, _ = train(network, windows["train"], windows["val"], lcfg, team=team)
+                    preds = predict_series(network, windows["test"], team=team)
             except MemoryError as exc:  # numpy refused an allocation before touching it
                 raise DataError(f"{cannot}{exc}") from exc
-            legs["lstm"] = (invert_scaler(predict_series(network, windows["test"]), target, prep.scaler), network)
+            legs["lstm"] = (invert_scaler(preds, target, prep.scaler), network)
     return {"window_columns": window_columns, "windows": windows, "legs": legs}
 
 

@@ -625,6 +625,37 @@ def test_lstm_worker_memory_error_exits_2(synth_csv, tmp_path, monkeypatch, caps
     assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
 
 
+def test_lstm_worker_memory_error_in_the_test_predictions_exits_2(synth_csv, tmp_path, monkeypatch, capsys,
+                                                                 worker_procs):
+    """A worker refusing an allocation for the test predictions, after
+    training and validating on it, is the same exit 2 as in-process."""
+    trained = tmp_path / "trained"
+    refusing_eval = (
+        "import os, marketcast._lstm_workers as workers\n"
+        "forward = workers._forward_batch\n"
+        "def refuse(*args):\n"
+        f"    if os.path.exists({str(trained)!r}):\n"
+        "        raise MemoryError('Unable to allocate')\n"
+        "    return forward(*args)\n"
+        "workers._forward_batch = refuse\n"
+    )
+    train = pipeline.train
+
+    def train_then_mark(*args, **kwargs):
+        result = train(*args, **kwargs)
+        trained.touch()
+        return result
+
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_lstm_workers, "_WORKER_CODE", refusing_eval + _lstm_workers._WORKER_CODE)
+    monkeypatch.setattr(pipeline, "train", train_then_mark)
+    out = tmp_path / "out"
+    assert cli.main([*SMALL_LSTM_RUN, "--input", str(synth_csv), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == LSTM_ALLOC_PREFIX + "Unable to allocate\n"
+    assert trained.exists() and not out.exists()
+    assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
+
+
 def test_lstm_past_physical_memory_exits_2(synth_csv, tmp_path, monkeypatch, capsys):
     # on a faked 1 MiB machine the run needs more (its gates alone are 2.6 MB) and is
     # refused before the network is allocated

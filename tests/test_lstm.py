@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from marketcast import lstm
+from marketcast import _lstm_workers, lstm
 from marketcast.errors import DataError, DivergenceError, ModelFitError
 from marketcast.frame import WindowedDataset
 from marketcast.lstm import (
@@ -23,6 +23,7 @@ from marketcast.lstm import (
     adam_step,
     backward,
     init_network,
+    layer_workers,
     load_checkpoint,
     predict_series,
     save_checkpoint,
@@ -442,7 +443,7 @@ def test_early_stopping_stops_at_the_exact_epoch(monkeypatch, losses, patience, 
     """Scripted validation losses pin the stop epoch, the best epoch and the restored weights."""
     snapshots = []
 
-    def scripted(network, windows, epoch=None):
+    def scripted(network, windows, epoch=None, team=None):
         snapshots.append([p.copy() for p in network.parameters()])
         # every prediction is off by sqrt(loss), so the validation MSE is the scripted loss
         return windows.targets + math.sqrt(losses[epoch])
@@ -670,11 +671,19 @@ def paper_shape_sets(n=100, w=216, features=1, n_val=40):
     return full.subset(idx < n), full.subset((idx >= n) & (idx < n + n_val)), full.subset(idx >= n + n_val)
 
 
-def train_with_workers(monkeypatch, workers, cfg, train_set, val_set):
+def train_with_workers(monkeypatch, workers, cfg, train_set, val_set, test_set):
+    """Train on `workers` layer workers (in-process for 1) and make the
+    validation and test predictions on them too, as the pipeline does;
+    returns the network, its history and those predictions."""
     monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
-    net, hist = train(init_network(cfg), train_set, val_set, cfg)
-    assert len(hist.worker_peaks_kib) == (workers if workers > 1 else 0)
-    return net, hist
+    net = init_network(cfg)
+    with layer_workers(net, train_set) as team:
+        net, hist = train(net, train_set, val_set, cfg, team=team)
+        preds = [predict_series(net, windows, team=team) for windows in (val_set, test_set)]
+    assert (team is None) == (workers == 1)
+    if team is not None:
+        assert len(team.peaks_kib) == workers
+    return net, hist, preds
 
 
 WORKER_CASES = {
@@ -697,25 +706,26 @@ WORKER_CASES = {
 
 @pytest.mark.parametrize("case", WORKER_CASES)
 def test_training_workers_are_bit_identical_to_in_process(monkeypatch, worker_procs, case):
-    """Workers train the parameters, history and predictions that in-process
-    training does, bit for bit, and have exited when train returns."""
+    """Workers train the parameters and history that in-process training
+    does, and make its validation and test predictions, bit for bit; they
+    have exited when the team closes."""
     config, data = WORKER_CASES[case]
     cfg = LstmConfig(**config)
     train_set, val_set, test_set = paper_shape_sets(**data)
     workers = 3 if case.endswith("3-workers") else 2
-    runs = [train_with_workers(monkeypatch, count, cfg, train_set, val_set) for count in (1, workers)]
+    runs = [train_with_workers(monkeypatch, count, cfg, train_set, val_set, test_set) for count in (1, workers)]
     assert len(worker_procs) == workers and all(proc.poll() is not None for proc in worker_procs)
-    (net_a, hist_a), (net_b, hist_b) = runs
+    (net_a, hist_a, preds_a), (net_b, hist_b, preds_b) = runs
     for pa, pb in zip(net_a.parameters(), net_b.parameters(), strict=True):
         assert np.array_equal(pa, pb)
     assert hist_a.train_losses == hist_b.train_losses
     assert np.array_equal(hist_a.val_losses, hist_b.val_losses, equal_nan=True)
     assert hist_a.best_epoch == hist_b.best_epoch
     if case == "patience-stop":
-        assert len(hist_a.train_losses) < cfg.max_epochs
-    if len(val_set):
-        assert np.array_equal(predict_series(net_a, val_set), predict_series(net_b, val_set))
-    assert np.array_equal(predict_series(net_a, test_set), predict_series(net_b, test_set))
+        # the restored weights are not the last epoch's: the team predicts from them
+        assert hist_a.best_epoch < len(hist_a.train_losses) - 1 < cfg.max_epochs - 1
+    for a, b in zip(preds_a, preds_b, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_a_worker_divergence_raises_what_in_process_raises(monkeypatch, worker_procs):
@@ -729,6 +739,47 @@ def test_a_worker_divergence_raises_what_in_process_raises(monkeypatch, worker_p
             train(init_network(cfg), train_set, val_set, cfg)
         raised.append((str(info.value), info.value.epoch))
     assert raised[0] == raised[1]
+    assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
+
+
+def test_a_non_finite_prediction_on_a_worker_raises_what_in_process_raises(monkeypatch, worker_procs):
+    """A NaN in validation window 150, which worker 1 predicts (the first
+    call dealt to it is windows 128 to 191), fails training with the
+    DivergenceError that in-process validation raises."""
+    train_set, val_set, _ = paper_shape_sets(n=30, w=20, n_val=200)
+    inputs = np.array(val_set.inputs)
+    inputs[150, 3, 0] = np.nan
+    val_set = WindowedDataset(inputs=inputs, targets=val_set.targets, window_size=20, horizon=1)
+    cfg = LstmConfig(input_size=1, hidden_size=6, num_layers=2, batch_size=8, max_epochs=2, patience=2)
+    raised = []
+    for workers in (1, 2):
+        monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
+        with pytest.raises(DivergenceError) as info:
+            train(init_network(cfg), train_set, val_set, cfg)
+        raised.append((str(info.value), info.value.epoch))
+    assert raised[0] == raised[1] == ("non-finite LSTM prediction in epoch 0", 0)
+    assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_a_worker_killed_during_eval_fails_the_run_without_hanging(monkeypatch, worker_procs, victim):
+    """SIGKILL to either worker once the first validation call is sent to
+    worker 0: train raises at once, naming the exit status."""
+    monkeypatch.setattr(lstm, "_cpu_count", lambda: 2)
+    send = _lstm_workers.Team._send
+
+    def send_then_kill(team, j, kind, value=None, data=None):
+        send(team, j, kind, value, data)
+        if kind == "eval" and team.procs[victim].poll() is None:
+            os.kill(team.procs[victim].pid, signal.SIGKILL)
+
+    monkeypatch.setattr(_lstm_workers.Team, "_send", send_then_kill)
+    train_set, val_set, _ = paper_shape_sets(n=30, w=20, n_val=300)
+    cfg = LstmConfig(input_size=1, hidden_size=6, num_layers=2, batch_size=8, max_epochs=2, patience=2)
+    start = time.perf_counter()
+    with pytest.raises(ModelFitError, match=f"LSTM training worker {victim} exited with status -9"):
+        train(init_network(cfg), train_set, val_set, cfg)
+    assert time.perf_counter() - start < 30
     assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketcast import arima, pipeline, synth
+from marketcast import arima, lstm, pipeline, synth
 from marketcast.chart import read_predictions
 from marketcast.errors import DataError, DivergenceError, MarketcastError
 from marketcast.lstm import LstmConfig
@@ -303,6 +303,35 @@ def test_out_dir_under_a_file_is_a_data_error(input_csv, tmp_path):
     with pytest.raises(DataError, match="^stage output: cannot create"):
         run_pipeline(cfg)
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_layer_workers_write_what_in_process_writes_across_a_restore(input_csv, tmp_path, monkeypatch, worker_procs):
+    """A run that stops on patience after its best epoch writes the same
+    predictions and metrics on one CPU (in-process) as on two (layer
+    workers): the restored best weights reach the workers before the test
+    predictions."""
+    histories = []
+    train = pipeline.train
+
+    def recording(*args, **kwargs):
+        network, history = train(*args, **kwargs)
+        histories.append(history)
+        return network, history
+
+    monkeypatch.setattr(pipeline, "train", recording)
+    written = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(lstm, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        cfg = PipelineConfig(input_path=str(input_csv), out_dir=str(out), model_mode="lstm",
+                             feature_mode="price_only", window=30, lstm_hidden=8, lstm_batch=16, lstm_lr=0.01,
+                             lstm_epochs=8, lstm_patience=1, seed=0)
+        run_pipeline(cfg)
+        written.append({name: (out / name).read_bytes() for name in ("predictions_lstm.csv", "metrics_lstm.txt")})
+    assert histories[0] == histories[1]
+    assert histories[0].best_epoch < len(histories[0].train_losses) - 1
+    assert written[0] == written[1]
+    assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
 
 
 def test_failed_lstm_leg_leaves_nothing_after_arima_ran(input_csv, tmp_path, monkeypatch):
