@@ -1,12 +1,13 @@
 """The processes behind `lstm`'s layer workers (see `lstm`'s docstring).
 
 `Team` is the parent's side: it starts the workers, hands them each batch
-and each eval call, and collects their replies. `_Group` and `_worker` are a
-worker's side: for a batch it drives `lstm`'s layer steppers for its group of
-layers and hands the workers beside it one span of steps at a time; for an
-eval call it runs the whole network's eval forward on the windows it was
-sent. `lstm` imports this module only when it starts workers, so importing
-the CLI compiles none of it.
+and each eval call, and collects their replies. `_worker` is a worker's
+command loop. For a batch it drives `lstm._LayerGroup` over its own layers,
+linked to the workers beside it by `_Link`s: a sequence each way in shared
+memory, and a counter of the steps written into each. For an eval call it
+drives a group over every layer on the windows it was sent. `lstm` imports
+this module only when it starts workers, so importing the CLI compiles
+none of it.
 """
 
 from __future__ import annotations
@@ -28,18 +29,7 @@ from multiprocessing.connection import Connection, wait
 import numpy as np
 
 from .errors import ModelFitError
-from .lstm import (
-    AdamState,
-    LstmLayer,
-    LstmNetwork,
-    _backward_steps,
-    _cache_arrays,
-    _forward_batch,
-    _forward_steps,
-    _head_backward,
-    _seq,
-    adam_step,
-)
+from .lstm import LstmLayer, LstmNetwork, _LayerGroup
 
 # a worker waiting for a step of the worker beside it spins this long, then
 # polls at this interval (a span of steps takes milliseconds)
@@ -55,10 +45,10 @@ class Team:
     also the head, over every batch. They share one mapping: the parameters,
     each batch's windows, masks, predictions and loss gradient, and between
     workers j and j + 1 the (W, H, batch) sequences handed up (the dropped
-    outputs) and down (their gradients), with a counter of the steps written
-    into each. Eval is data-parallel instead: each worker runs whole eval
-    calls over all the layers, on the windows it is sent. Commands, eval
-    windows and replies go through a socket per worker.
+    outputs) and down (their gradients), with a counter of the batch's steps
+    written into each. Eval is data-parallel instead: each worker runs whole
+    eval calls over all the layers, on the windows it is sent. Commands,
+    eval windows and replies go through a socket per worker.
     """
 
     def __init__(self):
@@ -121,7 +111,7 @@ class Team:
             os.close(fd)
 
     def _exited(self, j: int) -> ModelFitError:
-        return ModelFitError(f"LSTM training worker {j} exited with status {self.procs[j].wait()}")
+        return ModelFitError(f"LSTM layer worker {j} exited with status {self.procs[j].wait()}")
 
     def _send(self, j: int, kind: str, value=None, data: np.ndarray | None = None) -> None:
         """Send worker j a command, and then `data`'s bytes (C-contiguous) if given."""
@@ -161,13 +151,16 @@ class Team:
             replies[j] = result
         return [replies[j] for j in sorted(expected)]
 
-    def forward(self, x: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray:
-        """Hand the workers one batch of windows (batch, W, features) and its
-        masks; returns the predictions once the top worker has made them."""
-        b = len(x)
-        np.copyto(self.views["x"][: self.w_steps * self.d * b].reshape(self.w_steps, self.d, b), x.transpose(1, 2, 0))
+    def forward(self, inputs: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray:
+        """Hand the workers one batch, the windows' (W, features, batch)
+        sequence and its masks; returns the predictions once the top worker
+        has made them. Every worker is idle, so the step counters start
+        again from zero."""
+        b = inputs.shape[2]
+        np.copyto(self.views["x"][: self.w_steps * self.d * b].reshape(self.w_steps, self.d, b), inputs)
         if masks[0] is not None:
             self.views["masks"][...] = masks
+        self.views["steps"][...] = 0
         for j in range(len(self.conns)):
             self._send(j, "batch", (b, np.geterr()))
         self._await({len(self.conns) - 1})
@@ -240,38 +233,38 @@ def _views(buf, layout: dict) -> dict[str, np.ndarray]:
     }
 
 
-class _Group:
-    """A worker's side: its layers' steppers over each batch, handing the
-    workers beside it one span of steps at a time, and the whole network's
-    eval forward over the windows of an eval call."""
+class _Link:
+    """Workers j and j + 1's hand-off as one of them sees it: the (W, H,
+    batch) sequences handed up (the lower one's top layer's dropped outputs)
+    and down (their gradients), and the counters of the steps written into
+    each. The lower worker posts up and waits for down, the upper one the
+    other way round."""
 
-    def __init__(self, init: dict, views: dict, parent: int):
-        config = init["config"]
-        self.config, self.views, self.parent = config, views, parent
-        self.w_steps, self.hs = init["w_steps"], config.hidden_size
-        self.span = math.isqrt(self.w_steps - 1) + 1
-        self.j, bounds = init["index"], init["bounds"]
-        self.lo, self.hi = bounds[self.j], bounds[self.j + 1]
-        self.top = self.hi == config.num_layers
-        p = [views[f"p{i}"] for i in range(3 * config.num_layers + 2)]
-        layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(config.num_layers)]
-        self.network = LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
-        self.layers = layers[self.lo : self.hi]
-        self.params = p[3 * self.lo : 3 * self.hi] + (p[-2:] if self.top else [])
-        self.state = AdamState.for_params(self.params)
+    def __init__(self, views: dict, j: int, w_steps: int, hs: int, upper: bool, parent: int):
+        self.bufs, self.seq_shape, self.parent = (views[f"up{j}"], views[f"down{j}"]), (w_steps, hs), parent
         self.steps = views["steps"][:, 0]
-        self.cache: dict = {}
-        self.batches = 0
+        # one 64-byte line per counter: up{j}'s steps at row 2j, down{j}'s at 2j + 1
+        self.wait_row, self.post_row = (2 * j, 2 * j + 1) if upper else (2 * j + 1, 2 * j)
 
-    def _seq(self, name: str, rows: int, b: int) -> np.ndarray:
-        return self.views[name][: self.w_steps * rows * b].reshape(self.w_steps, rows, b)
+    def _seq(self, buf: np.ndarray, b: int) -> np.ndarray:
+        return buf[: math.prod(self.seq_shape) * b].reshape(*self.seq_shape, b)
 
-    def _await(self, row: int, count: int) -> None:
-        """Wait until counter `row` reaches `count`, spinning and yielding the
-        CPU for up to SPIN_S, then polling every POLL_S: a long wait, or one
-        on a busy machine, leaves the CPU to others. Exit if the parent is gone."""
+    def up(self, b: int) -> np.ndarray:
+        return self._seq(self.bufs[0], b)
+
+    def down(self, b: int) -> np.ndarray:
+        return self._seq(self.bufs[1], b)
+
+    def post(self, count: int) -> None:
+        self.steps[self.post_row] = count
+
+    def wait(self, count: int) -> None:
+        """Wait until the other side has posted `count` steps, spinning and
+        yielding the CPU for up to SPIN_S, then polling every POLL_S: a long
+        wait, or one on a busy machine, leaves the CPU to others. Exit if the
+        parent is gone."""
         spin_until = time.perf_counter() + SPIN_S
-        while self.steps[row] < count:
+        while self.steps[self.wait_row] < count:
             if os.getppid() != self.parent:
                 os._exit(1)
             if time.perf_counter() < spin_until:
@@ -279,78 +272,38 @@ class _Group:
             else:
                 time.sleep(POLL_S)
 
-    def batch(self, b: int, conn, caught: list) -> None:
-        """Forward, backward and the Adam step of this worker's layers on one batch."""
-        config, hs, w_steps, span, j, top = self.config, self.hs, self.w_steps, self.span, self.j, self.top
-        base = self.batches * w_steps  # the counters only grow: a batch's steps count from base
-        self.batches += 1
-        ks = range(self.lo, self.hi)
-        _cache_arrays(self.cache, len(ks), w_steps, hs, b, training=True)
-        gates, rings, ends = self.cache["gates"], self.cache["c"], self.cache["c_ends"]
-        masks = list(self.views["masks"]) if config.dropout_rate else [None] * config.num_layers
-        below = self._seq("x", config.input_size, b) if j == 0 else self._seq(f"up{j - 1}", hs, b)
-        outs = [_seq(np.empty((hs, b)), w_steps) for _ in ks]
-        if not top:
-            outs[-1] = self._seq(f"up{j}", hs, b)
-        inputs = [below] + outs[:-1]
 
-        steppers = [
-            _forward_steps(layer, hs, gates[i], rings[i], ends[i], masks[k], inputs[i], outs[i])
-            for i, (k, layer) in enumerate(zip(ks, self.layers))
-        ]
-        with np.errstate(over="ignore"):
-            for t in range(w_steps):
-                if j and t % span == 0:
-                    self._await(2 * (j - 1), base + min(t + span, w_steps))
-                for stepper in steppers:
-                    next(stepper)
-                if not top and (t % span == span - 1 or t == w_steps - 1):
-                    self.steps[2 * j] = base + t + 1
+def _groups(init: dict, views: dict, parent: int) -> tuple[_LayerGroup, _LayerGroup]:
+    """A worker's group over its own layers, linked to the workers beside it,
+    and its group over every layer for eval, both on the shared parameters."""
+    config, w_steps, j, bounds = init["config"], init["w_steps"], init["index"], init["bounds"]
+    p = [views[f"p{i}"] for i in range(3 * config.num_layers + 2)]
+    layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(config.num_layers)]
+    network = LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
+    hs = config.hidden_size
+    below = _Link(views, j - 1, w_steps, hs, True, parent) if j else None
+    above = _Link(views, j, w_steps, hs, False, parent) if bounds[j + 1] < config.num_layers else None
+    return _LayerGroup(network, bounds[j], bounds[j + 1], below, above), _LayerGroup(network)
 
-        if top:
-            dense_w, dense_b = self.params[-2:]
-            self.views["preds"][:b] = dense_w @ outs[-1][w_steps - 1] + dense_b[0]
-            conn.send(("preds", (_relayed(caught), None)))
-            caught.clear()
-            conn.recv()  # the parent's go: the loss gradient is in place
-            dpred = self.views["dpred"][:b]
-            dh_top, d_dense_w, d_dense_b = _head_backward(dense_w, gates[-1], rings[-1], masks[-1], dpred, hs)
-        dw = [np.zeros_like(layer.w) for layer in self.layers]
-        du = [np.zeros_like(layer.u) for layer in self.layers]
-        d_outs = [_seq(np.zeros((hs, b)), w_steps) for _ in ks]
-        if not top:
-            d_outs[-1] = self._seq(f"down{j}", hs, b)
-        d_ins = [self._seq(f"down{j - 1}", hs, b) if j else None] + d_outs[:-1]
-        # the worker above reads the top layer's outputs where the forward left them
-        back_outs = outs[:-1] + [None]
-        steppers = [
-            _backward_steps(layer, hs, gates[i], rings[i], ends[i], masks[k], inputs[i], back_outs[i],
-                            d_outs[i], d_ins[i], masks[k - 1] if k else None,
-                            dh_top if top and k == self.hi - 1 else np.zeros((hs, b)), dw[i], du[i])
-            for i, (k, layer) in enumerate(zip(ks, self.layers))
-        ]
-        for stepper in steppers:
-            next(stepper)
-        for t in range(w_steps - 1, -1, -1):
-            if not top and (t == w_steps - 1 or t % span == span - 1):
-                self._await(2 * j + 1, base + w_steps - t + t % span)
-            for stepper in reversed(steppers):
-                next(stepper)
-            if j and t % span == 0:
-                self.steps[2 * j - 1] = base + w_steps - t
 
-        grads = []
-        for i in range(len(ks)):
-            grads.extend((dw[i], du[i], gates[i].sum(axis=(0, 2))))
-        if top:
-            grads += [d_dense_w, d_dense_b]
-        adam_step(self.params, grads, self.state, config.learning_rate)
-        conn.send(("done", (_relayed(caught), None)))
-
-    def predict(self, shape: tuple, data: bytes) -> np.ndarray:
-        """The eval forward of one call over the windows `data` holds, (batch, W, features)."""
-        x = np.frombuffer(data).reshape(shape)
-        return _forward_batch(self.network, x, [None] * self.config.num_layers)
+def _batch(group: _LayerGroup, views: dict, w_steps: int, b: int, conn, caught: list) -> None:
+    """One batch of b windows on the worker's group: forward, then backward
+    and the Adam step. The top worker hands the parent the predictions in
+    between, and waits for its go."""
+    config = group.network.config
+    d = config.input_size
+    inputs = group.below.up(b) if group.below else views["x"][: w_steps * d * b].reshape(w_steps, d, b)
+    masks = list(views["masks"]) if config.dropout_rate else [None] * config.num_layers
+    preds = group.forward(inputs, masks)
+    dpred = None
+    if preds is not None:
+        views["preds"][:b] = preds
+        conn.send(("preds", (_relayed(caught), None)))
+        caught.clear()
+        conn.recv()  # the parent's go: the loss gradient is in place
+        dpred = views["dpred"][:b]
+    group.backward(dpred)
+    conn.send(("done", (_relayed(caught), None)))
 
 
 def _relayed(caught: list) -> list:
@@ -369,7 +322,8 @@ def _worker(sock_fd: int, shared_fd: int) -> None:
     with Connection(sock_fd) as conn:
         try:
             _, init = conn.recv()
-            group = _Group(init, _views(shared, init["layout"]), parent)
+            views = _views(shared, init["layout"])
+            group, whole = _groups(init, views, parent)
             while True:
                 kind, value = conn.recv()
                 if kind == "stop":
@@ -379,13 +333,13 @@ def _worker(sock_fd: int, shared_fd: int) -> None:
                 with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
                     warnings.simplefilter("always")
                     if kind == "batch":
-                        group.batch(arg, conn, caught)
+                        _batch(group, views, init["w_steps"], arg, conn, caught)
                     else:
-                        preds = group.predict(arg, conn.recv_bytes())
-                        conn.send(("eval", (_relayed(caught), preds)))
+                        x = np.frombuffer(conn.recv_bytes()).reshape(arg)
+                        conn.send(("eval", (_relayed(caught), whole.predict(x, [(0, len(x))]))))
         except EOFError:  # the parent closed the socket
             return
         except Exception as exc:
-            exc.add_note(f"raised in an LSTM training worker:\n{traceback.format_exc()}")
+            exc.add_note(f"raised in an LSTM layer worker:\n{traceback.format_exc()}")
             with suppress(OSError):
                 conn.send(("error", exc))

@@ -33,16 +33,18 @@ Conventions:
     to d_ins[t]. At step t each layer writes its gate activations into slot
     t % T of a (T, 4H, batch) array and its cell state c into slot
     t % span of a (span, H, batch) ring;
-  - in-process (`_forward_batch`, `backward`) the steppers run
-    round-robin, one step each: bottom-up through step t before step t + 1
-    forward, top-down back over time. The layers hand each other one step
-    at a time through `_seq`, one (H, batch) buffer seen as a sequence of W
-    steps, so no inter-layer sequence is ever allocated;
-  - training passes a cache dict, so T = W and span = ceil(sqrt(W))
-    (`math.isqrt(W - 1) + 1`, 15 at W 216): the dict keeps every step's
-    gates but c only in the ring, plus `c_ends`, the c that ends each span
-    (ceil(W / span) slots), and the input windows and the masks, all that
-    `backward` reads. After the forward the ring holds the last span.
+  - `_LayerGroup` is the one driver of the steppers: over a group of
+    consecutive layers they run round-robin, one step each: bottom-up
+    through step t before step t + 1 forward, top-down back over time.
+    Inside a group the layers hand each other one step at a time through
+    `_seq`, one (H, batch) buffer seen as a sequence of W steps, so no
+    inter-layer sequence is ever allocated;
+  - a training forward fills its group's cache, so T = W and
+    span = ceil(sqrt(W)) (`math.isqrt(W - 1) + 1`, 15 at W 216): the dict
+    keeps every step's gates but c only in the ring, plus `c_ends`, the c
+    that ends each span (ceil(W / span) slots), and the batch's inputs,
+    masks and outputs, all that the backward reads. After the forward the
+    ring holds the last span.
     Stepping back into an earlier span, backward first rebuilds that span's
     c in the ring from its cached gates, starting from the previous span's
     end (zero for the first span), through `_cell`, which the forward also
@@ -52,27 +54,29 @@ Conventions:
     recomputes them one step at a time. At W=216, H=64, batch 32 that cache
     is 29 MB, and one training step peaks at about 29 MiB under
     tracemalloc;
-  - `train` runs its batches on min(layers, CPUs) layer workers
-    (`_cpu_count`: the CPUs in this process's affinity, x86-64 Linux only),
-    and in-process, starting nothing, when that is one. Each worker is a
-    fresh interpreter at one BLAS thread that owns a contiguous group of
-    layers (the top group also the head), their parameters, Adam state and
-    cache, and drives the same steppers. Between two workers the lower
-    one's top layer writes its outputs into a (W, H, batch) sequence in
-    shared memory, and the upper one writes their gradients into another;
-    a counter beside each says how many steps are in, raised once per span
-    of steps. So layer k runs step t while layer k + 1 runs an earlier span,
-    forward and back. Each layer's arithmetic stays in one process in the
-    in-process order, so the bits are the same. The parent draws the
+  - `train` and `predict_series` drive a team (`layer_workers`):
+    min(layers, CPUs) layer workers (`_cpu_count`: the CPUs in this
+    process's affinity, x86-64 Linux only), or, when that is one, one group
+    over every layer in this process, which starts nothing and trains the
+    network's own arrays. Each worker is a fresh interpreter at one BLAS
+    thread that drives a group over its own layers (the top one also the
+    head) on their parameters in shared memory, with its own Adam state and
+    cache. Between two workers the lower one's top layer writes its
+    outputs into a (W, H, batch) sequence in shared memory, and the upper
+    one writes their gradients into another; a counter beside each says
+    how many of the batch's steps are in, raised once per span of steps.
+    So layer k runs step t while layer k + 1 runs an earlier span, forward
+    and back. Each layer's arithmetic stays in one process in the
+    one group's order, so the bits are the same. The parent draws the
     permutation and masks, computes the loss and its gradient, checks for
     divergence and copies the parameters back after each epoch for the
     best-weights snapshot; the workers also make the predictions (see
-    `predict_series` below). `layer_workers` decides whether workers start,
-    and `_lstm_workers` holds both sides, imported only when they do;
+    `predict_series` below). `_lstm_workers` holds the processes, imported
+    only when they start;
   - backward writes each step's gate gradients over its cached
-    activations. `train` (or each worker) keeps one cache for the whole
-    run: every batch overwrites the same arrays, allocated again only when
-    the batch size changes (a smaller last batch), the old ones freed first;
+    activations. Each group keeps one cache for the whole run: every batch
+    overwrites the same arrays, allocated again only when the batch size
+    changes (a smaller last batch), the old ones freed first;
   - `predict_series` is the one eval path: it makes the test predictions and
     `train`'s validation predictions alike. Eval passes no cache, so
     T = span = 1: every step reuses one (4H, batch) slot and one c per
@@ -84,15 +88,14 @@ Conventions:
     decide the last bits of the predictions: OpenBLAS picks its kernel by
     the number of batch columns, so a remainder other than n % 64 would
     move them by a few ULPs (calls of 64 and 128 columns measured
-    bit-identical per column). Given the layer workers (`team`), it deals
-    those calls out whole, each to the next worker to be free, and
-    each worker runs the same eval forward over all the layers on the
-    parameters in shared memory, on windows sent over its socket. A call's
-    arithmetic is the same in any process, and so are the predictions' bits;
-    the parent puts them back in order and checks them. `train` validates
-    on its workers this way, and the pipeline keeps them for the test
-    predictions, after `train` has put the restored best weights back in
-    shared memory.
+    bit-identical per column). The layer workers deal those calls out
+    whole, each to the next worker to be free, and each worker runs them on
+    a group over every layer, on the parameters in shared memory and
+    windows sent over its socket. A call's arithmetic is the same in any
+    process, and so are the predictions' bits; the parent puts them back in
+    order and checks them. `train` validates on its team this way, and the
+    pipeline keeps the team for the test predictions, after `train` has
+    pushed the restored best weights into it.
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -105,6 +108,7 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -412,87 +416,146 @@ def _head_backward(dense_w: np.ndarray, gates, c_ring, mask, dpred: np.ndarray, 
     return dh_top, head_in @ dpred, np.array([dpred.sum()])
 
 
-def _forward_batch(network: LstmNetwork, x: np.ndarray, masks: list[np.ndarray | None], cache: dict | None = None):
-    """Batched forward over windows x of shape (batch, W, features); returns
-    the predictions (batch,).
+class _LayerGroup:
+    """Layers lo .. hi - 1 of `network`, and its head when no group is above
+    them: the one driver of the layer steppers (see the module docstring),
+    with the methods `train` and `predict_series` call on a `Team`.
 
-    The layers' steppers run round-robin: every layer, bottom-up, through
-    step t before step t + 1. With a `cache` dict each layer writes its gate
-    activations at step t into slot t of a (W, 4H, batch) array and c into
-    slot t % span of a (span, H, batch) ring, span = ceil(sqrt(W)), and copies
-    the c that ends each span into `c_ends`. The dict keeps those arrays, the
-    input windows and the masks for `backward`, and the next call of the
-    same shape overwrites them. Without one, every step reuses
-    one slot of each.
+    A layer worker's group is linked to the workers beside it by `below` and
+    `above` (None at the bottom and the top; see `_lstm_workers`): through a
+    link it reads its input from the group below (`up`) and hands down that
+    input's gradients (`down`), posting its own steps and waiting for the
+    other side's once per span.
     """
-    inputs = np.ascontiguousarray(x.transpose(1, 2, 0))
-    w_steps, _, b = inputs.shape
-    hs = network.config.hidden_size
-    training = cache is not None
-    if cache is None:
-        cache = {}
-    _cache_arrays(cache, len(network.layers), w_steps, hs, b, training)
-    outs = [_seq(np.empty((hs, b)), w_steps) for _ in network.layers]
-    steppers = [
-        _forward_steps(layer, hs, cache["gates"][k], cache["c"][k], cache["c_ends"][k], mask,
-                       inputs if k == 0 else outs[k - 1], outs[k])
-        for k, (layer, mask) in enumerate(zip(network.layers, masks))
-    ]
-    with np.errstate(over="ignore"):
-        for _ in range(w_steps):
-            for stepper in steppers:
+
+    def __init__(self, network: LstmNetwork, lo: int = 0, hi: int | None = None, below=None, above=None):
+        self.network, self.lo, self.below, self.above = network, lo, below, above
+        self.layers, self.hs = network.layers[lo:hi], network.config.hidden_size
+        params = network.parameters()
+        self.params = params[3 * lo : 3 * (lo + len(self.layers))] + ([] if above else params[-2:])
+        # each layer's gates and c (29 MB at W=216, H=64, batch 32) and the
+        # batch `backward` reads, kept across batches: allocated afresh, the
+        # allocator gives those pages back to the OS between batches, and
+        # faulting them in again took about a fifth of each batch
+        self.cache: dict = {}
+
+    @cached_property
+    def state(self) -> AdamState:
+        return AdamState.for_params(self.params)
+
+    def _forward(self, inputs: np.ndarray, masks: list, cache: dict, training: bool) -> list[np.ndarray]:
+        """The forward steppers over the (W, features, batch) sequence
+        `inputs`, into `cache`'s arrays; returns each layer's outputs."""
+        w_steps, _, b = inputs.shape
+        hs, below, above = self.hs, self.below, self.above
+        _cache_arrays(cache, len(self.layers), w_steps, hs, b, training)
+        span = len(cache["c"][0])
+        outs = [_seq(np.empty((hs, b)), w_steps) for _ in self.layers]
+        if above:
+            outs[-1] = above.up(b)
+        ins = [inputs] + outs[:-1]
+        steppers = [
+            _forward_steps(layer, hs, cache["gates"][i], cache["c"][i], cache["c_ends"][i], masks[self.lo + i],
+                           ins[i], outs[i])
+            for i, layer in enumerate(self.layers)
+        ]
+        with np.errstate(over="ignore"):
+            for t in range(w_steps):
+                if below and t % span == 0:
+                    below.wait(min(t + span, w_steps))
+                for stepper in steppers:
+                    next(stepper)
+                if above and (t % span == span - 1 or t == w_steps - 1):
+                    above.post(t + 1)
+        return outs
+
+    def _head(self, outs: list[np.ndarray]) -> np.ndarray:
+        return self.network.dense_w @ outs[-1][-1] + self.network.dense_b[0]
+
+    def forward(self, inputs: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray | None:
+        """The training forward over one batch, the bottom layer reading the
+        (W, features, batch) sequence `inputs`, `masks` one per layer of the
+        network; returns the predictions (batch,), or None below the top."""
+        inputs = np.ascontiguousarray(inputs)
+        outs = self._forward(inputs, masks, self.cache, training=True)
+        self.cache.update(x=inputs, masks=masks, outs=outs)
+        return None if self.above else self._head(outs)
+
+    def gradients(self, dpred: np.ndarray | None = None) -> list[np.ndarray]:
+        """Gradients of `params`, in their order, over the batch the last
+        `forward` cached, which they consume; `dpred` is the loss gradient by
+        each prediction (batch,) at the top, None below it. The head's
+        gradient seeds the top layer's carry."""
+        hs, below, above, lo = self.hs, self.below, self.above, self.lo
+        cache = self.cache
+        gates, rings, ends, inputs, masks, outs = (cache[k] for k in ("gates", "c", "c_ends", "x", "masks", "outs"))
+        w_steps, _, b = inputs.shape
+        span = len(rings[0])
+        carries = [np.zeros((hs, b)) for _ in self.layers]
+        head = []
+        if not above:
+            carries[-1], *head = _head_backward(self.network.dense_w, gates[-1], rings[-1], masks[-1], dpred, hs)
+        dw = [np.zeros_like(layer.w) for layer in self.layers]
+        du = [np.zeros_like(layer.u) for layer in self.layers]
+        # layer i takes the gradient of its output from d_outs[i], which the
+        # layer above writes (the group above, for the top one's); the group
+        # above reads the top layer's outputs where the forward left them
+        d_outs = [_seq(np.zeros((hs, b)), w_steps) for _ in self.layers]
+        if above:
+            d_outs[-1] = above.down(b)
+        d_ins = [below.down(b) if below else None] + d_outs[:-1]
+        ins, back_outs = [inputs] + outs[:-1], outs[:-1] + [None]
+        steppers = [
+            _backward_steps(layer, hs, gates[i], rings[i], ends[i], masks[lo + i], ins[i], back_outs[i],
+                            d_outs[i], d_ins[i], masks[lo + i - 1] if lo + i else None, carries[i], dw[i], du[i])
+            for i, layer in enumerate(self.layers)
+        ]
+        for stepper in steppers:
+            next(stepper)
+        for t in range(w_steps - 1, -1, -1):
+            if above and (t == w_steps - 1 or t % span == span - 1):
+                above.wait(w_steps - t + t % span)
+            for stepper in reversed(steppers):
                 next(stepper)
-    cache.update(x=inputs, masks=masks)
-    return network.dense_w @ outs[-1][w_steps - 1] + network.dense_b[0]
+            if below and t % span == 0:
+                below.post(w_steps - t)
+        grads = []
+        for i, g in enumerate(gates):
+            grads.extend((dw[i], du[i], g.sum(axis=(0, 2))))
+        return grads + head
+
+    def backward(self, dpred: np.ndarray | None = None) -> None:
+        """`gradients`, then one Adam step of `params`."""
+        adam_step(self.params, self.gradients(dpred), self.state, self.network.config.learning_rate)
+
+    def predict(self, x: np.ndarray, calls: list[tuple[int, int]]) -> np.ndarray:
+        """Eval predictions for the windows x (n, W, features) from a group
+        over every layer, one forward per (start, stop) of `calls`."""
+        preds = np.empty(len(x))
+        none_masks = [None] * len(self.network.layers)
+        for start, stop in calls:
+            inputs = np.ascontiguousarray(x[start:stop].transpose(1, 2, 0))
+            preds[start:stop] = self._head(self._forward(inputs, none_masks, {}, training=False))
+        return preds
+
+    def pull(self, params: list[np.ndarray]) -> None:
+        """Nothing to copy, to or from `params`: they are the arrays the group trains."""
+
+    push = pull
 
 
 def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]:
-    """Gradients for every parameter, ordered like network.parameters().
-
-    `cache` is the dict a training `_forward_batch` filled, and
-    `dloss_dpred` the loss gradient with respect to each window's scalar
-    prediction (shape (batch,)). The layers' backward steppers run
-    round-robin back over time, top-down inside each step, the head's
-    gradient seeding the top layer's carry; each hands the layer below the
-    gradient of its input at that step only, and the layer above its output
-    there. The cache is consumed: each step's gate activations are
-    overwritten with their pre-activation gradients, and the ring ends holding
-    the first span's c.
-    """
+    """Gradients for every parameter, ordered like network.parameters(), of
+    the group over every layer whose `forward` filled `cache`; `dloss_dpred`
+    is the loss gradient by each window's prediction (shape (batch,))."""
     dpred = np.asarray(dloss_dpred, dtype=float)
-    gates, c_seqs, c_ends, masks, x = cache["gates"], cache["c"], cache["c_ends"], cache["masks"], cache["x"]
-    if len(gates) != len(network.layers):
+    if len(cache["gates"]) != len(network.layers):
         raise DataError("cache does not match network depth")
-    w_steps, _, b = x.shape
-    hs = network.config.hidden_size
-    if dpred.shape != (b,):
-        raise DataError(f"loss gradient shape {dpred.shape} does not match batch {b}")
-
-    layers = network.layers
-    top = len(layers) - 1
-    dh_top, d_dense_w, d_dense_b = _head_backward(network.dense_w, gates[top], c_seqs[top], masks[top], dpred, hs)
-    dw = [np.zeros_like(layer.w) for layer in layers]
-    du = [np.zeros_like(layer.u) for layer in layers]
-    # layer k hands layer k + 1 its output at the step in outs[k] and takes
-    # the gradient of that output from it in d_outs[k]; the top's stays 0
-    outs = [_seq(np.empty((hs, b)), w_steps) for _ in range(top)] + [None]
-    d_outs = [_seq(np.zeros((hs, b)), w_steps) for _ in layers]
-    steppers = [
-        _backward_steps(layer, hs, gates[k], c_seqs[k], c_ends[k], masks[k],
-                        x if k == 0 else outs[k - 1], outs[k], d_outs[k],
-                        d_outs[k - 1] if k else None, masks[k - 1] if k else None,
-                        dh_top if k == top else np.zeros((hs, b)), dw[k], du[k])
-        for k, layer in enumerate(layers)
-    ]
-    for stepper in steppers:
-        next(stepper)
-    for _ in range(w_steps):
-        for stepper in reversed(steppers):
-            next(stepper)
-    grads = []
-    for k, g in enumerate(gates):
-        grads.extend((dw[k], du[k], g.sum(axis=(0, 2))))
-    return grads + [d_dense_w, d_dense_b]
+    if dpred.shape != (cache["x"].shape[2],):
+        raise DataError(f"loss gradient shape {dpred.shape} does not match batch {cache['x'].shape[2]}")
+    group = _LayerGroup(network)
+    group.cache = cache
+    return group.gradients(dpred)
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:
@@ -526,10 +589,10 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
 
     `team` is the `layer_workers` of `network` and `train_set`, which the
     caller keeps for more predictions; without one, `train` opens its own
-    and ends it before it returns or raises. With workers the batches and
-    the validation predictions run on them (see the module docstring), with
-    the same bits; this process keeps the RNG, the losses, early stopping
-    and the restore, which it copies back into the workers' parameters.
+    and ends it before it returns or raises. The batches and the validation
+    predictions run on the team (see the module docstring); this process
+    keeps the RNG, the losses, early stopping and the restore, which it
+    copies back into the team's parameters.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
@@ -544,41 +607,27 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
 
     _, rng = _rng_streams(config.seed)
     params = network.parameters()
-    state = AdamState.for_params(params)
-    # each layer's gates and c (29 MB at W=216, H=64, batch 32), kept for the
-    # whole run: allocated afresh, the allocator gives those pages back to the
-    # OS between batches, and faulting them in again took about a fifth of
-    # each batch
-    cache: dict = {}
     n = len(y_train)
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_epoch = -1
     best_params: list[np.ndarray] | None = None
 
-    with layer_workers(network, train_set) if team is None else nullcontext(team) as team:
+    with nullcontext(team) if team else layer_workers(network, train_set) as team:
         for epoch in range(config.max_epochs):
             order = rng.permutation(n)
             sq_sum = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 yb = y_train[idx]
-                masks = _draw_masks(config, rng)
-                if team is None:
-                    diff = _forward_batch(network, x_train[idx], masks, cache) - yb
-                else:
-                    diff = team.forward(x_train[idx], masks) - yb
+                diff = team.forward(x_train[idx].transpose(1, 2, 0), _draw_masks(config, rng)) - yb
                 batch_sq = float(diff @ diff)
                 if not np.isfinite(batch_sq):
                     raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
                 sq_sum += batch_sq
-                if team is None:
-                    adam_step(params, backward(network, cache, (2.0 / len(yb)) * diff), state, config.learning_rate)
-                else:
-                    team.backward((2.0 / len(yb)) * diff)
+                team.backward((2.0 / len(yb)) * diff)
             train_losses.append(sq_sum / n)
-            if team is not None:
-                team.pull(params)
+            team.pull(params)
 
             if len(val_set.targets) == 0:
                 val_losses.append(float("nan"))
@@ -598,8 +647,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         if best_params is not None:
             for p, saved in zip(params, best_params):
                 p[...] = saved
-            if team is not None:
-                team.push(params)
+            team.push(params)
     history = TrainingHistory(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
@@ -609,14 +657,15 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
 
 
 def layer_workers(network: LstmNetwork, train_set: WindowedDataset):
-    """A context manager: the layer workers that train `network` on batches of
-    `train_set`'s windows and make its predictions, min(layers, CPUs) of
-    them, or None (run in-process, starting nothing) when that is one. They
-    start from `network`'s parameters, and have exited on the way out."""
+    """A context manager: the team that trains `network` on batches of
+    `train_set`'s windows and makes its predictions. That is min(layers, CPUs)
+    layer workers, which start from `network`'s parameters and have exited on
+    the way out, or, when that is one, a `_LayerGroup` over every layer in
+    this process, which starts nothing."""
     config = network.config
     workers = min(config.num_layers, _cpu_count())
     if workers <= 1:
-        return nullcontext()
+        return nullcontext(_LayerGroup(network))
     from ._lstm_workers import Team
 
     w_steps = np.shape(train_set.inputs)[1]
@@ -624,7 +673,7 @@ def layer_workers(network: LstmNetwork, train_set: WindowedDataset):
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on, or 1 (run in-process) off x86-64 Linux.
+    """The CPUs this process may run on, or 1 (one group in this process) off x86-64 Linux.
 
     The workers hand each other steps through counters in shared memory,
     read with no memory barrier: that needs x86-64, where a process sees
@@ -649,24 +698,17 @@ def predict_series(network: LstmNetwork, windows: WindowedDataset, epoch: int | 
     """Eval-mode one-step predictions for every window, aligned with targets.
 
     `train` scores validation through it too. The windows run in the forward
-    calls of `_eval_calls`, in this process or, given the `layer_workers`
-    of `network` as `team`, on them, with the same bits (see the module
-    docstring). Raises DivergenceError (tagged with `epoch`, when given) if
-    any prediction is not finite.
+    calls of `_eval_calls` on `team`, the `layer_workers` of `network`, or
+    without one on a `_LayerGroup` over every layer in this process, with the
+    same bits (see the module docstring). Raises DivergenceError (tagged with
+    `epoch`, when given) if any prediction is not finite.
     """
     inputs = np.asarray(windows.inputs, dtype=float)
     if inputs.shape[2] != network.config.input_size:
         raise DataError(
             f"windows have {inputs.shape[2]} features, network expects {network.config.input_size}"
         )
-    calls = _eval_calls(len(inputs))
-    if team is None:
-        none_masks = [None] * network.config.num_layers
-        preds = np.empty(len(inputs))
-        for start, stop in calls:
-            preds[start:stop] = _forward_batch(network, inputs[start:stop], none_masks)
-    else:
-        preds = team.predict(inputs, calls)
+    preds = (team or _LayerGroup(network)).predict(inputs, _eval_calls(len(inputs)))
     if not np.all(np.isfinite(preds)):
         where = "" if epoch is None else f" in epoch {epoch}"
         raise DivergenceError(f"non-finite LSTM prediction{where}", epoch=epoch)

@@ -540,7 +540,8 @@ def _fit_leg(config: PipelineConfig, prep: Prepared, dump: set) -> dict:
                                 f"{ram / 2**20:,.0f} MiB of physical memory")
             try:
                 network = init_network(lcfg)
-                # one team of layer workers trains, validates and makes the test predictions
+                # one team (layer workers, or one layer group here) trains, validates and
+                # makes the test predictions
                 with layer_workers(network, windows["train"]) as team:
                     network, _ = train(network, windows["train"], windows["val"], lcfg, team=team)
                     preds = predict_series(network, windows["test"], team=team)

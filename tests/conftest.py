@@ -19,7 +19,7 @@ def rng():
 
 @pytest.fixture
 def worker_procs(monkeypatch):
-    """Every subprocess.Popen started while the test runs, LSTM training workers included."""
+    """Every subprocess.Popen started while the test runs, LSTM layer workers included."""
     import subprocess
 
     started = []

@@ -11,7 +11,7 @@ import numpy as np
 from marketcast.errors import DataError
 from marketcast.frame import SplitSpec, TimeSeriesFrame, split_bounds
 from marketcast.garch import GarchParams, _check_inputs, _variances
-from marketcast.lstm import LstmNetwork, _draw_masks, _forward_batch
+from marketcast.lstm import LstmNetwork, _draw_masks, _LayerGroup
 
 
 def chrono_split(frame: TimeSeriesFrame, spec: SplitSpec) -> list[TimeSeriesFrame]:
@@ -29,8 +29,8 @@ def chrono_split(frame: TimeSeriesFrame, spec: SplitSpec) -> list[TimeSeriesFram
 
 
 def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Generator | None = None):
-    """Single-window forward pass. Returns (prediction, cache), the cache
-    `backward` reads.
+    """Single-window forward pass of a group over every layer. Returns
+    (prediction, cache), the cache `backward` reads.
 
     In train mode inverted dropout runs with masks drawn from `rng`; eval
     mode never touches the RNG and applies no scaling.
@@ -46,9 +46,9 @@ def forward(network: LstmNetwork, window, mode: str = "eval", rng: np.random.Gen
         masks = _draw_masks(network.config, rng)
     else:
         masks = [None] * network.config.num_layers
-    cache: dict = {}
-    preds = _forward_batch(network, window[None, :, :], masks, cache)
-    return float(preds[0]), cache
+    group = _LayerGroup(network)
+    preds = group.forward(window[:, :, None], masks)
+    return float(preds[0]), group.cache
 
 
 def garch_recursion(params: GarchParams, residuals, sigma2_0: float) -> np.ndarray:

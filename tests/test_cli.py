@@ -631,13 +631,13 @@ def test_lstm_worker_memory_error_in_the_test_predictions_exits_2(synth_csv, tmp
     training and validating on it, is the same exit 2 as in-process."""
     trained = tmp_path / "trained"
     refusing_eval = (
-        "import os, marketcast._lstm_workers as workers\n"
-        "forward = workers._forward_batch\n"
+        "import os, marketcast.lstm as lstm\n"
+        "predict = lstm._LayerGroup.predict\n"
         "def refuse(*args):\n"
         f"    if os.path.exists({str(trained)!r}):\n"
         "        raise MemoryError('Unable to allocate')\n"
-        "    return forward(*args)\n"
-        "workers._forward_batch = refuse\n"
+        "    return predict(*args)\n"
+        "lstm._LayerGroup.predict = refuse\n"
     )
     train = pipeline.train
 

@@ -1,8 +1,8 @@
 """Importing marketcast loads no scipy module and no numpy.random (numpy loads
-it lazily; only synth and the LSTM's random streams use it, at call time), and
-the commands that fit no model, or only a pure-AR one, run with scipy
-unimportable. Importing the CLI sets one BLAS thread unless the environment
-already names a count."""
+it lazily; only synth and the LSTM's random streams use it, at call time), nor
+the LSTM's layer workers or what starts them, and the commands that fit no
+model, or only a pure-AR one, run with scipy unimportable. Importing the CLI
+sets one BLAS thread unless the environment already names a count."""
 
 import os
 import subprocess
@@ -21,12 +21,16 @@ def run_python(code: str, cwd, env=None) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_no_scipy(tmp_path):
+    # the layer workers' module, and the modules only it needs, load when a
+    # run starts workers
     proc = run_python(
         """
         import sys
         import marketcast
         import marketcast.cli
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.random")))
+        deferred = {"marketcast._lstm_workers", "subprocess", "socket", "mmap"}
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] == "scipy" or m.startswith("numpy.random") or m in deferred))
         """,
         tmp_path,
     )

@@ -10,6 +10,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketcast import _lstm_workers, lstm
 from marketcast.errors import DataError, DivergenceError, ModelFitError
@@ -255,23 +257,31 @@ def test_backward_matches_finite_differences(w, dropout, num_layers):
     assert worst < 1e-4
 
 
+def test_backward_rejects_a_cache_of_another_depth_or_batch(rng):
+    net = init_network(tiny_config(input_size=2, hidden_size=3))
+    _, cache = forward(net, rng.normal(size=(5, 2)), mode="train", rng=rng)
+    with pytest.raises(DataError, match=r"shape \(2,\) does not match batch 1"):
+        backward(net, cache, np.ones(2))
+    with pytest.raises(DataError, match="depth"):
+        backward(init_network(tiny_config(input_size=2, hidden_size=3, num_layers=3)), cache, np.ones(1))
+
+
 def test_reused_buffers_give_fresh_gradients(rng):
-    """Batches that share one cache dict (as in a training run) get the
-    gradients a fresh dict gives, across a change of batch size too."""
+    """Batches that share one group's cache (as in a training run) get the
+    gradients a fresh group gives, across a change of batch size too."""
     cfg = tiny_config(input_size=2, hidden_size=5, dropout_rate=0.3)
     net = init_network(cfg)
-    cache: dict = {}
+    group = lstm._LayerGroup(net)
     for size in (6, 6, 4, 6):
-        x = rng.normal(size=(size, 7, 2))
+        x = rng.normal(size=(size, 7, 2)).transpose(1, 2, 0)
         masks = lstm._draw_masks(cfg, rng)
         dpred = rng.normal(size=size)
-        preds = lstm._forward_batch(net, x, masks, cache)
-        grads = backward(net, cache, dpred)
-        fresh_cache: dict = {}
-        fresh_preds = lstm._forward_batch(net, x, masks, fresh_cache)
-        assert np.array_equal(preds, fresh_preds)
-        for g, fresh in zip(grads, backward(net, fresh_cache, dpred)):
-            assert np.array_equal(g, fresh)
+        preds = group.forward(x, masks)
+        grads = group.gradients(dpred)
+        fresh = lstm._LayerGroup(net)
+        assert np.array_equal(preds, fresh.forward(x, masks))
+        for g, fresh_g in zip(grads, fresh.gradients(dpred)):
+            assert np.array_equal(g, fresh_g)
 
 
 def test_cache_arrays_are_reused_for_one_shape(rng):
@@ -280,20 +290,21 @@ def test_cache_arrays_are_reused_for_one_shape(rng):
     cfg = tiny_config(input_size=2, hidden_size=5)
     net = init_network(cfg)
     masks = lstm._draw_masks(cfg, rng)
-    cache: dict = {}
+    group = lstm._LayerGroup(net)
+    cache = group.cache
 
     def arrays():
         return cache["gates"] + cache["c"] + cache["c_ends"]
 
-    lstm._forward_batch(net, rng.normal(size=(6, 7, 2)), masks, cache)
+    group.forward(rng.normal(size=(7, 2, 6)), masks)
     before = arrays()
     assert [g.shape for g in cache["gates"]] == [(7, 4 * cfg.hidden_size, 6)] * cfg.num_layers
     # W 7: a ring of 3 slots, and the ends of the spans of 3, 3 and 1 steps
     assert [c.shape for c in cache["c"]] == [(3, cfg.hidden_size, 6)] * cfg.num_layers
     assert [c.shape for c in cache["c_ends"]] == [(3, cfg.hidden_size, 6)] * cfg.num_layers
-    lstm._forward_batch(net, rng.normal(size=(6, 7, 2)), masks, cache)
+    group.forward(rng.normal(size=(7, 2, 6)), masks)
     assert all(new is old for new, old in zip(arrays(), before))
-    lstm._forward_batch(net, rng.normal(size=(4, 7, 2)), masks, cache)
+    group.forward(rng.normal(size=(7, 2, 4)), masks)
     assert not any(new is old for new, old in zip(arrays(), before))
 
 
@@ -304,8 +315,9 @@ def test_rebuilt_c_matches_the_recursion_over_cached_gates(rng, monkeypatch, w):
     cfg = tiny_config(input_size=2, hidden_size=4, num_layers=2, dropout_rate=0.2)
     net = init_network(cfg)
     hs = cfg.hidden_size
-    cache: dict = {}
-    lstm._forward_batch(net, rng.normal(size=(3, w, 2)), lstm._draw_masks(cfg, rng), cache)
+    group = lstm._LayerGroup(net)
+    group.forward(rng.normal(size=(w, 2, 3)), lstm._draw_masks(cfg, rng))
+    cache = group.cache
     span = math.isqrt(w - 1) + 1
     want = []  # want[k][t]: layer k's c_t
     for gates in cache["gates"]:
@@ -469,14 +481,16 @@ def test_train_divergence_raises():
 
 
 def test_train_rejects_validation_windows_of_the_wrong_width(monkeypatch):
-    """The width is checked before the first batch, not after an epoch of training."""
+    """The width is checked before the first batch, not after an epoch of
+    training: every batch draws its masks in this process, on any team."""
     batches = []
+    draw_masks = lstm._draw_masks
 
-    def counting_backward(*args, **kwargs):
+    def counting_draw_masks(*args, **kwargs):
         batches.append(1)
-        return backward(*args, **kwargs)
+        return draw_masks(*args, **kwargs)
 
-    monkeypatch.setattr(lstm, "backward", counting_backward)
+    monkeypatch.setattr(lstm, "_draw_masks", counting_draw_masks)
     train_set, _ = sine_sets()
     cfg = tiny_config(input_size=1, max_epochs=1, patience=1)
     val_set = WindowedDataset(inputs=np.zeros((4, 8, 3)), targets=np.zeros(4), window_size=8, horizon=1)
@@ -554,13 +568,13 @@ def test_training_step_caches_only_gates(rng, monkeypatch):
     monkeypatch.setattr(lstm, "_cpu_count", lambda: 1)
     cfg = LstmConfig(input_size=1, hidden_size=64, num_layers=2, dropout_rate=0.2, seed=0)
     net = init_network(cfg)
-    x = rng.normal(size=(32, 216, 1))
+    x = rng.normal(size=(216, 1, 32))
     masks = lstm._draw_masks(cfg, rng)
     tracemalloc.start()
     try:
-        cache: dict = {}
-        lstm._forward_batch(net, x, masks, cache)
-        grads = backward(net, cache, rng.normal(size=32))
+        group = lstm._LayerGroup(net)
+        group.forward(x, masks)
+        grads = group.gradients(rng.normal(size=32))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -572,13 +586,11 @@ def test_cached_and_eval_forward_agree(rng):
     """Without masks the training forward and the eval forward run the same
     arithmetic, one writing W slots of the cache and the other one slot."""
     cfg = tiny_config(input_size=3, hidden_size=6, num_layers=3)
-    net = init_network(cfg)
+    group = lstm._LayerGroup(init_network(cfg))
     x = rng.normal(size=(9, 11, 3))
-    masks = [None] * cfg.num_layers
-    cache: dict = {}
-    cached = lstm._forward_batch(net, x, masks, cache)
-    fresh = lstm._forward_batch(net, x, masks)
-    assert cache["gates"][0].shape[0] == 11
+    cached = group.forward(x.transpose(1, 2, 0), [None] * cfg.num_layers)
+    fresh = group.predict(x, [(0, len(x))])
+    assert group.cache["gates"][0].shape[0] == 11
     assert np.array_equal(cached, fresh)
 
 
@@ -602,9 +614,9 @@ def test_saturated_gates_are_exact_and_silent(rng):
         warnings.simplefilter("error")
         _, cache = forward(net, ds.inputs[0], mode="eval")
         preds = predict_series(net, ds)
-        train_cache: dict = {}
-        batch = lstm._forward_batch(net, ds.inputs[:4], lstm._draw_masks(cfg, np.random.default_rng(0)), train_cache)
-        grads = backward(net, train_cache, np.ones(4))
+        group = lstm._LayerGroup(net)
+        batch = group.forward(ds.inputs[:4].transpose(1, 2, 0), lstm._draw_masks(cfg, np.random.default_rng(0)))
+        grads = group.gradients(np.ones(4))
     for gates in cache["gates"]:
         assert np.array_equal(gates[:, : 3 * hs, 0], np.broadcast_to(sign > 0, (8, 3 * hs)))
     assert np.all(np.isfinite(preds))
@@ -657,7 +669,7 @@ def test_checkpoint_version_2_rejected(tmp_path):
         load_checkpoint(tmp_path / "v2.npz")
 
 
-# ---------------------------------------------------------------- training workers
+# ---------------------------------------------------------------- layer workers
 
 
 def paper_shape_sets(n=100, w=216, features=1, n_val=40):
@@ -672,16 +684,16 @@ def paper_shape_sets(n=100, w=216, features=1, n_val=40):
 
 
 def train_with_workers(monkeypatch, workers, cfg, train_set, val_set, test_set):
-    """Train on `workers` layer workers (in-process for 1) and make the
-    validation and test predictions on them too, as the pipeline does;
-    returns the network, its history and those predictions."""
+    """Train on `workers` layer workers (one layer group in this process for
+    1) and make the validation and test predictions on them too, as the
+    pipeline does; returns the network, its history and those predictions."""
     monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
     net = init_network(cfg)
     with layer_workers(net, train_set) as team:
         net, hist = train(net, train_set, val_set, cfg, team=team)
         preds = [predict_series(net, windows, team=team) for windows in (val_set, test_set)]
-    assert (team is None) == (workers == 1)
-    if team is not None:
+    assert isinstance(team, _lstm_workers.Team) == (workers > 1)
+    if workers > 1:
         assert len(team.peaks_kib) == workers
     return net, hist, preds
 
@@ -715,17 +727,49 @@ def test_training_workers_are_bit_identical_to_in_process(monkeypatch, worker_pr
     workers = 3 if case.endswith("3-workers") else 2
     runs = [train_with_workers(monkeypatch, count, cfg, train_set, val_set, test_set) for count in (1, workers)]
     assert len(worker_procs) == workers and all(proc.poll() is not None for proc in worker_procs)
-    (net_a, hist_a, preds_a), (net_b, hist_b, preds_b) = runs
+    assert_same_bits(*runs)
+    hist = runs[0][1]
+    if case == "patience-stop":
+        # the restored weights are not the last epoch's: the team predicts from them
+        assert hist.best_epoch < len(hist.train_losses) - 1 < cfg.max_epochs - 1
+
+
+def assert_same_bits(run_a, run_b):
+    """Two `train_with_workers` results hold the same parameters, history and
+    predictions, bit for bit."""
+    (net_a, hist_a, preds_a), (net_b, hist_b, preds_b) = run_a, run_b
     for pa, pb in zip(net_a.parameters(), net_b.parameters(), strict=True):
         assert np.array_equal(pa, pb)
     assert hist_a.train_losses == hist_b.train_losses
     assert np.array_equal(hist_a.val_losses, hist_b.val_losses, equal_nan=True)
     assert hist_a.best_epoch == hist_b.best_epoch
-    if case == "patience-stop":
-        # the restored weights are not the last epoch's: the team predicts from them
-        assert hist_a.best_epoch < len(hist_a.train_losses) - 1 < cfg.max_epochs - 1
     for a, b in zip(preds_a, preds_b, strict=True):
         assert np.array_equal(a, b)
+
+
+@st.composite
+def small_runs(draw):
+    """A small config and `paper_shape_sets` arguments: a last batch smaller
+    than the others, and an empty or a non-empty validation set."""
+    batch = draw(st.integers(2, 6))
+    n = batch * draw(st.integers(1, 3)) + draw(st.integers(1, batch - 1))
+    cfg = LstmConfig(input_size=draw(st.integers(1, 2)), hidden_size=draw(st.integers(1, 8)),
+                     num_layers=draw(st.integers(1, 4)), dropout_rate=draw(st.sampled_from([0.0, 0.3])),
+                     learning_rate=0.05, batch_size=batch, max_epochs=3, patience=1, seed=draw(st.integers(0, 9)))
+    return cfg, dict(n=n, w=draw(st.integers(1, 12)), features=cfg.input_size, n_val=draw(st.sampled_from([0, 7])))
+
+
+# each example starts up to three worker interpreters, about 0.15 s each
+@settings(max_examples=20)
+@given(small_runs())
+def test_layer_workers_train_and_predict_what_one_group_does(run):
+    """One layer group in this process and min(layers, 3) layer workers train
+    the same parameters and history, and make the same predictions."""
+    cfg, data = run
+    sets = paper_shape_sets(**data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_bits(*(train_with_workers(monkeypatch, workers, cfg, *sets)
+                           for workers in (1, min(cfg.num_layers, 3))))
 
 
 def test_a_worker_divergence_raises_what_in_process_raises(monkeypatch, worker_procs):
@@ -777,7 +821,7 @@ def test_a_worker_killed_during_eval_fails_the_run_without_hanging(monkeypatch, 
     train_set, val_set, _ = paper_shape_sets(n=30, w=20, n_val=300)
     cfg = LstmConfig(input_size=1, hidden_size=6, num_layers=2, batch_size=8, max_epochs=2, patience=2)
     start = time.perf_counter()
-    with pytest.raises(ModelFitError, match=f"LSTM training worker {victim} exited with status -9"):
+    with pytest.raises(ModelFitError, match=f"LSTM layer worker {victim} exited with status -9"):
         train(init_network(cfg), train_set, val_set, cfg)
     assert time.perf_counter() - start < 30
     assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
@@ -802,7 +846,7 @@ def test_a_killed_worker_fails_the_run_without_hanging(monkeypatch, worker_procs
     killer.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ModelFitError, match=f"LSTM training worker {victim} exited with status -9"):
+        with pytest.raises(ModelFitError, match=f"LSTM layer worker {victim} exited with status -9"):
             train(init_network(cfg), train_set, empty_dataset(40), cfg)
     finally:
         killer.join(timeout=30)
