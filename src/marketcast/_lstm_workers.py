@@ -1,11 +1,12 @@
 """The processes behind `lstm`'s layer workers (see `lstm`'s docstring).
 
-`Team` is the parent's side: it starts the workers, hands them each batch
-and each eval call, and collects their replies. `_worker` is a worker's
-command loop. For a batch it drives `lstm._LayerGroup` over its own layers,
-linked to the workers beside it by `_Link`s: a sequence each way in shared
-memory, and a counter of the steps written into each. For an eval call it
-drives a group over every layer on the windows it was sent. `lstm` imports
+`Team` is the parent's side: it starts the workers, binds the network onto
+their shared parameters, hands them each batch and each eval call over
+their sockets, and collects their replies. `_worker` is a worker's command
+loop. For a batch it drives `lstm._LayerGroup` over its own layers, linked
+to the workers beside it by `_Link`s: a sequence each way in shared memory,
+and a counter of the steps written into each. For an eval call it drives a
+group over every layer on the windows it was sent. `lstm` imports
 this module only when it starts workers, so importing the CLI compiles
 none of it.
 """
@@ -29,7 +30,7 @@ from multiprocessing.connection import Connection, wait
 import numpy as np
 
 from .errors import ModelFitError
-from .lstm import LstmLayer, LstmNetwork, _LayerGroup
+from .lstm import LstmConfig, LstmLayer, LstmNetwork, _LayerGroup
 
 # a worker waiting for a step of the worker beside it spins this long, then
 # polls at this interval (a span of steps takes milliseconds)
@@ -42,13 +43,16 @@ class Team:
     """The parent's side of the layer workers.
 
     Worker j steps layers bounds[j] .. bounds[j + 1] - 1, and the last one
-    also the head, over every batch. They share one mapping: the parameters,
-    each batch's windows, masks, predictions and loss gradient, and between
-    workers j and j + 1 the (W, H, batch) sequences handed up (the dropped
-    outputs) and down (their gradients), with a counter of the batch's steps
-    written into each. Eval is data-parallel instead: each worker runs whole
-    eval calls over all the layers, on the windows it is sent. Commands,
-    eval windows and replies go through a socket per worker.
+    also the head, over every batch. They share one mapping, which holds the
+    parameters and what the workers hand each other: between workers j and
+    j + 1 the (W, H, batch) sequences handed up (the dropped outputs) and
+    down (their gradients), with a counter of the batch's steps written into
+    each. The caller's network is bound onto the shared parameters, so the
+    workers train its own arrays. Everything between this process and a
+    worker goes through that worker's socket: commands, a batch's windows
+    (to the bottom worker), masks, predictions and loss gradient, and eval
+    windows and predictions. Eval is data-parallel: each worker runs whole
+    eval calls over all the layers, on the windows it is sent.
     """
 
     def __init__(self):
@@ -77,22 +81,22 @@ class Team:
     def _start(self, network: LstmNetwork, w_steps: int, b_max: int, count: int) -> None:
         config = network.config
         hs, layers = config.hidden_size, config.num_layers
-        self.w_steps, self.d = w_steps, config.input_size
         params = network.parameters()
         fields = [(f"p{i}", "f8", p.shape) for i, p in enumerate(params)]
-        fields += [("x", "f8", (w_steps * self.d * b_max,)), ("masks", "f8", (layers, hs)),
-                   ("preds", "f8", (b_max,)), ("dpred", "f8", (b_max,))]
         for j in range(count - 1):
             fields += [(f"up{j}", "f8", (w_steps * hs * b_max,)), (f"down{j}", "f8", (w_steps * hs * b_max,))]
-        # one 64-byte line per counter: up{j}'s steps at row 2j, down{j}'s at 2j + 1
+        # two counters per link, each on its own 64-byte line (see `_Link`)
         fields.append(("steps", "i8", (max(2 * (count - 1), 1), 8)))
         layout, size = _layout(fields)
         fd = os.memfd_create("marketcast-lstm")
         try:
             os.ftruncate(fd, size)
-            self.views = _views(mmap.mmap(fd, size), layout)
-            for i, p in enumerate(params):
-                self.views[f"p{i}"][...] = p
+            views = _views(mmap.mmap(fd, size), layout)
+            self.steps, shared = views["steps"], _network(config, views)
+            for view, p in zip(shared.parameters(), params):
+                view[...] = p
+            # from here on the arrays the workers train are the network's own
+            network.layers, network.dense_w, network.dense_b = shared.layers, shared.dense_w, shared.dense_b
             src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
             env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -152,25 +156,20 @@ class Team:
         return [replies[j] for j in sorted(expected)]
 
     def forward(self, inputs: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray:
-        """Hand the workers one batch, the windows' (W, features, batch)
-        sequence and its masks; returns the predictions once the top worker
-        has made them. Every worker is idle, so the step counters start
-        again from zero."""
-        b = inputs.shape[2]
-        np.copyto(self.views["x"][: self.w_steps * self.d * b].reshape(self.w_steps, self.d, b), inputs)
-        if masks[0] is not None:
-            self.views["masks"][...] = masks
-        self.views["steps"][...] = 0
+        """Hand the workers one batch: its masks, and the windows' (W,
+        features, batch) sequence, which only the bottom worker reads;
+        returns the predictions the top worker replies with. Every worker is
+        idle, so the step counters start again from zero."""
+        inputs = np.ascontiguousarray(inputs)
+        self.steps[...] = 0
         for j in range(len(self.conns)):
-            self._send(j, "batch", (b, np.geterr()))
-        self._await({len(self.conns) - 1})
-        return self.views["preds"][:b].copy()
+            self._send(j, "batch", ((inputs.shape, masks), np.geterr()), None if j else inputs)
+        return self._await({len(self.conns) - 1})[0]
 
     def backward(self, dpred: np.ndarray) -> None:
         """Hand the top worker the loss gradient and wait until every worker
         has run backward and its Adam step."""
-        self.views["dpred"][: len(dpred)] = dpred
-        self._send(len(self.conns) - 1, "back")
+        self._send(len(self.conns) - 1, "back", dpred)
         self._await(set(range(len(self.conns))))
 
     def predict(self, x: np.ndarray, calls: list[tuple[int, int]]) -> np.ndarray:
@@ -196,16 +195,6 @@ class Team:
             preds[slice(*running.pop(j))] = out
             deal(j)
         return preds
-
-    def pull(self, params: list[np.ndarray]) -> None:
-        """Copy the workers' parameters into `params`, ordered like network.parameters()."""
-        for i, p in enumerate(params):
-            p[...] = self.views[f"p{i}"]
-
-    def push(self, params: list[np.ndarray]) -> None:
-        """Copy `params`, ordered like network.parameters(), into the workers' parameters."""
-        for i, p in enumerate(params):
-            self.views[f"p{i}"][...] = p
 
     def stop(self) -> None:
         """Tell every worker to exit, and keep the peak RSS each reports, in KiB."""
@@ -238,12 +227,12 @@ class _Link:
     batch) sequences handed up (the lower one's top layer's dropped outputs)
     and down (their gradients), and the counters of the steps written into
     each. The lower worker posts up and waits for down, the upper one the
-    other way round."""
+    other way round. Each counter has its own 64-byte line of the shared
+    `steps`: up{j}'s is row 2j, down{j}'s row 2j + 1."""
 
     def __init__(self, views: dict, j: int, w_steps: int, hs: int, upper: bool, parent: int):
         self.bufs, self.seq_shape, self.parent = (views[f"up{j}"], views[f"down{j}"]), (w_steps, hs), parent
         self.steps = views["steps"][:, 0]
-        # one 64-byte line per counter: up{j}'s steps at row 2j, down{j}'s at 2j + 1
         self.wait_row, self.post_row = (2 * j, 2 * j + 1) if upper else (2 * j + 1, 2 * j)
 
     def _seq(self, buf: np.ndarray, b: int) -> np.ndarray:
@@ -273,35 +262,37 @@ class _Link:
                 time.sleep(POLL_S)
 
 
+def _network(config: LstmConfig, views: dict) -> LstmNetwork:
+    """The network whose parameters are the shared arrays p{i}, ordered like network.parameters()."""
+    p = [views[f"p{i}"] for i in range(3 * config.num_layers + 2)]
+    layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(config.num_layers)]
+    return LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
+
+
 def _groups(init: dict, views: dict, parent: int) -> tuple[_LayerGroup, _LayerGroup]:
     """A worker's group over its own layers, linked to the workers beside it,
     and its group over every layer for eval, both on the shared parameters."""
     config, w_steps, j, bounds = init["config"], init["w_steps"], init["index"], init["bounds"]
-    p = [views[f"p{i}"] for i in range(3 * config.num_layers + 2)]
-    layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(config.num_layers)]
-    network = LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
+    network = _network(config, views)
     hs = config.hidden_size
     below = _Link(views, j - 1, w_steps, hs, True, parent) if j else None
     above = _Link(views, j, w_steps, hs, False, parent) if bounds[j + 1] < config.num_layers else None
     return _LayerGroup(network, bounds[j], bounds[j + 1], below, above), _LayerGroup(network)
 
 
-def _batch(group: _LayerGroup, views: dict, w_steps: int, b: int, conn, caught: list) -> None:
-    """One batch of b windows on the worker's group: forward, then backward
-    and the Adam step. The top worker hands the parent the predictions in
-    between, and waits for its go."""
-    config = group.network.config
-    d = config.input_size
-    inputs = group.below.up(b) if group.below else views["x"][: w_steps * d * b].reshape(w_steps, d, b)
-    masks = list(views["masks"]) if config.dropout_rate else [None] * config.num_layers
+def _batch(group: _LayerGroup, shape: tuple, masks: list, conn, caught: list) -> None:
+    """One batch on the worker's group, whose windows' (W, features, batch)
+    sequence has `shape`: forward, then backward and the Adam step. The
+    bottom worker reads the windows from the socket. The top worker sends
+    the parent the predictions in between, and waits for its go, which
+    carries the loss gradient."""
+    inputs = group.below.up(shape[2]) if group.below else np.frombuffer(conn.recv_bytes()).reshape(shape)
     preds = group.forward(inputs, masks)
     dpred = None
     if preds is not None:
-        views["preds"][:b] = preds
-        conn.send(("preds", (_relayed(caught), None)))
+        conn.send(("preds", (_relayed(caught), preds)))
         caught.clear()
-        conn.recv()  # the parent's go: the loss gradient is in place
-        dpred = views["dpred"][:b]
+        _, dpred = conn.recv()
     group.backward(dpred)
     conn.send(("done", (_relayed(caught), None)))
 
@@ -333,7 +324,7 @@ def _worker(sock_fd: int, shared_fd: int) -> None:
                 with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
                     warnings.simplefilter("always")
                     if kind == "batch":
-                        _batch(group, views, init["w_steps"], arg, conn, caught)
+                        _batch(group, *arg, conn, caught)
                     else:
                         x = np.frombuffer(conn.recv_bytes()).reshape(arg)
                         conn.send(("eval", (_relayed(caught), whole.predict(x, [(0, len(x))]))))

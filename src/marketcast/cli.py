@@ -207,7 +207,7 @@ def _cmd_fit_arima(args) -> int:
     if not 0.0 < args.train_frac <= 1.0:
         raise DataError(f"--train-frac must be a finite value in (0, 1], got {args.train_frac}")
     order = _parse_triple(args.order, int, "--order") if args.order is not None else None
-    bounds = _parse_triple(args.bounds, int, "--bounds") if args.bounds else arima_mod.DEFAULT_BOUNDS
+    bounds = _parse_triple(args.bounds, int, "--bounds") if args.bounds is not None else arima_mod.DEFAULT_BOUNDS
     for flag, triple in (("--order", order), ("--bounds", bounds)):
         if triple is not None and min(triple) < 0:
             raise DataError(f"{flag} must be three non-negative integers, got {triple}")

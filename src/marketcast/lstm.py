@@ -54,25 +54,27 @@ Conventions:
     recomputes them one step at a time. At W=216, H=64, batch 32 that cache
     is 29 MB, and one training step peaks at about 29 MiB under
     tracemalloc;
-  - `train` and `predict_series` drive a team (`layer_workers`):
-    min(layers, CPUs) layer workers (`_cpu_count`: the CPUs in this
-    process's affinity, x86-64 Linux only), or, when that is one, one group
-    over every layer in this process, which starts nothing and trains the
-    network's own arrays. Each worker is a fresh interpreter at one BLAS
-    thread that drives a group over its own layers (the top one also the
-    head) on their parameters in shared memory, with its own Adam state and
-    cache. Between two workers the lower one's top layer writes its
-    outputs into a (W, H, batch) sequence in shared memory, and the upper
-    one writes their gradients into another; a counter beside each says
-    how many of the batch's steps are in, raised once per span of steps.
-    So layer k runs step t while layer k + 1 runs an earlier span, forward
-    and back. Each layer's arithmetic stays in one process in the
-    one group's order, so the bits are the same. The parent draws the
-    permutation and masks, computes the loss and its gradient, checks for
-    divergence and copies the parameters back after each epoch for the
-    best-weights snapshot; the workers also make the predictions (see
-    `predict_series` below). `_lstm_workers` holds the processes, imported
-    only when they start;
+  - `train` and `predict_series` drive a team (`layer_workers`): min(layers,
+    CPUs) layer workers (`_cpu_count`: the CPUs in this process's affinity,
+    x86-64 Linux only), or, when that is one, one group over every layer in
+    this process, which starts nothing. Either way the team trains the
+    network's own arrays: starting workers moves them into shared memory
+    once. Each worker is a fresh interpreter at one BLAS thread that drives
+    a group over its own layers (the top one also the head) on those shared
+    parameters, with its own Adam state and cache. Between two workers the
+    lower one's top layer writes its outputs into a (W, H, batch) sequence
+    in shared memory, and the upper one writes their gradients into another;
+    a counter beside each says how many of the batch's steps are in, raised
+    once per span of steps. So layer k runs step t while layer k + 1 runs an
+    earlier span, forward and back. Each layer's arithmetic stays in one
+    process in the one group's order, so the bits are the same. The parent
+    draws the permutation and masks and sends them with each batch's windows
+    over the workers' sockets, gets the predictions back, computes the loss
+    and sends its gradient, checks for divergence, and takes and restores
+    the best-weights snapshot in the shared parameters while the workers are
+    idle; the workers also make the predictions (see `predict_series`
+    below). `_lstm_workers` holds the processes, imported only when they
+    start;
   - backward writes each step's gate gradients over its cached
     activations. Each group keeps one cache for the whole run: every batch
     overwrites the same arrays, allocated again only when the batch size
@@ -94,8 +96,8 @@ Conventions:
     windows sent over its socket. A call's arithmetic is the same in any
     process, and so are the predictions' bits; the parent puts them back in
     order and checks them. `train` validates on its team this way, and the
-    pipeline keeps the team for the test predictions, after `train` has
-    pushed the restored best weights into it.
+    pipeline keeps the team for the test predictions, which read the best
+    weights `train` restored into the shared parameters.
 
 Checkpoints (version 3) store each layer under layer{L}_W, layer{L}_U and
 layer{L}_b, the head under dense_w and dense_b, and no optimizer state.
@@ -419,7 +421,9 @@ def _head_backward(dense_w: np.ndarray, gates, c_ring, mask, dpred: np.ndarray, 
 class _LayerGroup:
     """Layers lo .. hi - 1 of `network`, and its head when no group is above
     them: the one driver of the layer steppers (see the module docstring),
-    with the methods `train` and `predict_series` call on a `Team`.
+    with the methods `train` and `predict_series` call on a `Team`. It
+    trains the network's own arrays, in this process or in a layer worker,
+    where they are the shared parameters.
 
     A layer worker's group is linked to the workers beside it by `below` and
     `above` (None at the bottom and the top; see `_lstm_workers`): through a
@@ -538,11 +542,6 @@ class _LayerGroup:
             preds[start:stop] = self._head(self._forward(inputs, none_masks, {}, training=False))
         return preds
 
-    def pull(self, params: list[np.ndarray]) -> None:
-        """Nothing to copy, to or from `params`: they are the arrays the group trains."""
-
-    push = pull
-
 
 def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]:
     """Gradients for every parameter, ordered like network.parameters(), of
@@ -591,8 +590,9 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     caller keeps for more predictions; without one, `train` opens its own
     and ends it before it returns or raises. The batches and the validation
     predictions run on the team (see the module docstring); this process
-    keeps the RNG, the losses, early stopping and the restore, which it
-    copies back into the team's parameters.
+    keeps the RNG, the losses, early stopping and the best-weights snapshot,
+    which it takes from and restores into the network's arrays while the
+    team is idle.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
@@ -606,7 +606,6 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
             )
 
     _, rng = _rng_streams(config.seed)
-    params = network.parameters()
     n = len(y_train)
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -614,6 +613,7 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     best_params: list[np.ndarray] | None = None
 
     with nullcontext(team) if team else layer_workers(network, train_set) as team:
+        params = network.parameters()  # the team's arrays: workers' shared memory, or this process's
         for epoch in range(config.max_epochs):
             order = rng.permutation(n)
             sq_sum = 0.0
@@ -627,7 +627,6 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
                 sq_sum += batch_sq
                 team.backward((2.0 / len(yb)) * diff)
             train_losses.append(sq_sum / n)
-            team.pull(params)
 
             if len(val_set.targets) == 0:
                 val_losses.append(float("nan"))
@@ -647,7 +646,6 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
         if best_params is not None:
             for p, saved in zip(params, best_params):
                 p[...] = saved
-            team.push(params)
     history = TrainingHistory(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
@@ -659,9 +657,11 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
 def layer_workers(network: LstmNetwork, train_set: WindowedDataset):
     """A context manager: the team that trains `network` on batches of
     `train_set`'s windows and makes its predictions. That is min(layers, CPUs)
-    layer workers, which start from `network`'s parameters and have exited on
-    the way out, or, when that is one, a `_LayerGroup` over every layer in
-    this process, which starts nothing."""
+    layer workers, which have exited on the way out, or, when that is one, a
+    `_LayerGroup` over every layer in this process, which starts nothing.
+    Starting workers moves `network`'s parameters into shared memory: its
+    layers and head are rebound onto arrays there, which the workers train
+    and which stay `network`'s after they exit."""
     config = network.config
     workers = min(config.num_layers, _cpu_count())
     if workers <= 1:

@@ -705,6 +705,15 @@ def test_fit_arima_negative_integers_exit_2_before_reading(tmp_path, monkeypatch
     assert not out.exists()
 
 
+def test_fit_arima_empty_bounds_exit_2_before_reading(tmp_path, monkeypatch, capsys):
+    """An empty --bounds is parsed like any other text, not taken as the default grid."""
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("the CSV was read"))
+    out = tmp_path / "m.json"
+    assert cli.main(["fit-arima", "--input", str(tmp_path / "x.csv"), "--bounds", "", "--out", str(out)]) == 2
+    assert "--bounds expects 3 comma-separated values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 READ_INPUTS = [
     ("features", "--input"), ("fit-arima", "--input"), ("evaluate", "--input"), ("run", "--config"),
     ("forecast", "--model"),

@@ -703,8 +703,9 @@ WORKER_CASES = {
                     dict()),
     "3-layers-on-2-workers": (dict(input_size=3, hidden_size=6, num_layers=3, dropout_rate=0.2, batch_size=8,
                                    max_epochs=3, patience=3), dict(n=30, w=20, features=3, n_val=12)),
-    # as many workers as layers, more than the CPUs of a 2-CPU runner: the
-    # handoffs must hold when a worker waits for one that is not running
+    # as many workers as layers; CI also runs the worker tests pinned to one
+    # CPU, where the handoffs must hold when a worker waits for one that is
+    # not running
     "3-layers-on-3-workers": (dict(input_size=1, hidden_size=6, num_layers=3, dropout_rate=0.2, batch_size=8,
                                    max_epochs=3, patience=3), dict(n=30, w=20, n_val=12)),
     "dropout-0": (dict(input_size=1, hidden_size=8, num_layers=2, dropout_rate=0.0, batch_size=8, max_epochs=3,

@@ -307,9 +307,10 @@ def test_out_dir_under_a_file_is_a_data_error(input_csv, tmp_path):
 
 def test_layer_workers_write_what_in_process_writes_across_a_restore(input_csv, tmp_path, monkeypatch, worker_procs):
     """A run that stops on patience after its best epoch writes the same
-    predictions and metrics on one CPU (in-process) as on two (layer
-    workers): the restored best weights reach the workers before the test
-    predictions."""
+    predictions, metrics and checkpoint on one CPU (in-process) as on two
+    (layer workers): the test predictions and the checkpoint both read the
+    restored best weights, on two CPUs from the shared parameters after
+    the workers have exited."""
     histories = []
     train = pipeline.train
 
@@ -319,7 +320,7 @@ def test_layer_workers_write_what_in_process_writes_across_a_restore(input_csv, 
         return network, history
 
     monkeypatch.setattr(pipeline, "train", recording)
-    written = []
+    written, checkpoints = [], []
     for cpus in (1, 2):
         monkeypatch.setattr(lstm, "_cpu_count", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
@@ -328,9 +329,14 @@ def test_layer_workers_write_what_in_process_writes_across_a_restore(input_csv, 
                              lstm_epochs=8, lstm_patience=1, seed=0)
         run_pipeline(cfg)
         written.append({name: (out / name).read_bytes() for name in ("predictions_lstm.csv", "metrics_lstm.txt")})
+        # compared by arrays: the npz bytes hold timestamps
+        checkpoints.append(lstm.load_checkpoint(out / "lstm_checkpoint.npz"))
     assert histories[0] == histories[1]
     assert histories[0].best_epoch < len(histories[0].train_losses) - 1
     assert written[0] == written[1]
+    assert checkpoints[0].config == checkpoints[1].config
+    for a, b in zip(checkpoints[0].parameters(), checkpoints[1].parameters(), strict=True):
+        assert np.array_equal(a, b)
     assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
 
 
