@@ -5,10 +5,10 @@ their shared parameters, hands them each batch and each eval call over
 their sockets, and collects their replies. `_worker` is a worker's command
 loop. For a batch it drives `lstm._LayerGroup` over its own layers, linked
 to the workers beside it by `_Link`s: a sequence each way in shared memory,
-and a counter of the steps written into each. For an eval call it drives a
-group over every layer on the windows it was sent. `lstm` imports
-this module only when it starts workers, so importing the CLI compiles
-none of it.
+and a socket on which each side sends one byte per span of steps it has
+written. For an eval call it drives a group over every layer on the windows
+it was sent. `lstm` imports this module only when it starts workers, so
+importing the CLI compiles none of it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import signal
 import socket
 import subprocess
 import sys
-import time
 import traceback
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from multiprocessing.connection import Connection, wait
 
 import numpy as np
@@ -32,27 +31,26 @@ import numpy as np
 from .errors import ModelFitError
 from .lstm import LstmConfig, LstmLayer, LstmNetwork, _LayerGroup
 
-# a worker waiting for a step of the worker beside it spins this long, then
-# polls at this interval (a span of steps takes milliseconds)
-SPIN_S, POLL_S = 0.0005, 0.0001
-# the program of a worker, `python -P -c _WORKER_CODE <socket fd> <shared memory fd>`
-_WORKER_CODE = "import sys; from marketcast._lstm_workers import _worker; _worker(int(sys.argv[1]), int(sys.argv[2]))"
+# the program of a worker, `python -P -c _WORKER_CODE <socket fd>`
+_WORKER_CODE = "import sys; from marketcast._lstm_workers import _worker; _worker(int(sys.argv[1]))"
 
 
 class Team:
     """The parent's side of the layer workers.
 
     Worker j steps layers bounds[j] .. bounds[j + 1] - 1, and the last one
-    also the head, over every batch. They share one mapping, which holds the
-    parameters and what the workers hand each other: between workers j and
+    also the head, over every batch. They share two mappings. One holds the
+    parameters: the caller's network is bound onto them, so the workers
+    train its own arrays. The other holds what the workers hand each other,
+    and this process sizes it but never maps it: between workers j and
     j + 1 the (W, H, batch) sequences handed up (the dropped outputs) and
-    down (their gradients), with a counter of the batch's steps written into
-    each. The caller's network is bound onto the shared parameters, so the
-    workers train its own arrays. Everything between this process and a
-    worker goes through that worker's socket: commands, a batch's windows
-    (to the bottom worker), masks, predictions and loss gradient, and eval
-    windows and predictions. Eval is data-parallel: each worker runs whole
-    eval calls over all the layers, on the windows it is sent.
+    down (their gradients). Each such pair also shares a socketpair, on
+    which a worker sends one byte once it has written a span of steps (see
+    `_Link`). Everything between this process and a worker goes through
+    that worker's socket: commands, a batch's windows (to the bottom
+    worker), masks, predictions and loss gradient, and eval windows and
+    predictions. Eval is data-parallel: each worker runs whole eval calls
+    over all the layers, on the windows it is sent.
     """
 
     def __init__(self):
@@ -82,17 +80,22 @@ class Team:
         config = network.config
         hs, layers = config.hidden_size, config.num_layers
         params = network.parameters()
-        fields = [(f"p{i}", "f8", p.shape) for i, p in enumerate(params)]
-        for j in range(count - 1):
-            fields += [(f"up{j}", "f8", (w_steps * hs * b_max,)), (f"down{j}", "f8", (w_steps * hs * b_max,))]
-        # two counters per link, each on its own 64-byte line (see `_Link`)
-        fields.append(("steps", "i8", (max(2 * (count - 1), 1), 8)))
-        layout, size = _layout(fields)
-        fd = os.memfd_create("marketcast-lstm")
-        try:
-            os.ftruncate(fd, size)
-            views = _views(mmap.mmap(fd, size), layout)
-            self.steps, shared = views["steps"], _network(config, views)
+        seq = (w_steps * hs * b_max,)
+        layouts = {"params": _layout([(f"p{i}", "f8", p.shape) for i, p in enumerate(params)]),
+                   "handoffs": _layout([(f"{way}{j}", "f8", seq) for j in range(count - 1) for way in ("up", "down")])}
+        # this process's copies of the workers' descriptors, closed once they
+        # hold them: a link whose other end only a worker holds reads as
+        # closed when that worker exits
+        with ExitStack() as ours_too:
+            maps = []
+            for name, (layout, size) in layouts.items():
+                fd = os.memfd_create(f"marketcast-lstm-{name}")
+                ours_too.callback(os.close, fd)
+                os.ftruncate(fd, size)
+                maps.append((fd, layout))
+            links = [tuple(map(ours_too.enter_context, socket.socketpair())) for _ in range(count - 1)]
+            (params_fd, params_layout), _ = maps
+            shared = _network(config, _views(mmap.mmap(params_fd, 0), params_layout))
             for view, p in zip(shared.parameters(), params):
                 view[...] = p
             # from here on the arrays the workers train are the network's own
@@ -102,17 +105,18 @@ class Team:
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             bounds = [j * layers // count for j in range(count + 1)]
             for j in range(count):
+                # the link to the worker below, and to the one above
+                ends = (links[j - 1][1].fileno() if j else None, links[j][0].fileno() if j < count - 1 else None)
                 ours, theirs = socket.socketpair()
                 self.conns.append(Connection(ours.detach()))
                 with theirs:
+                    fds = [theirs.fileno()] + [fd for fd, _ in maps] + [fd for fd in ends if fd is not None]
                     self.procs.append(subprocess.Popen(
-                        [sys.executable, "-P", "-c", _WORKER_CODE, str(theirs.fileno()), str(fd)],
-                        pass_fds=(theirs.fileno(), fd), env=env, stdin=subprocess.DEVNULL,
+                        [sys.executable, "-P", "-c", _WORKER_CODE, str(theirs.fileno())],
+                        pass_fds=fds, env=env, stdin=subprocess.DEVNULL,
                     ))
-                self._send(j, "init", {"layout": layout, "config": config, "w_steps": w_steps,
+                self._send(j, "init", {"maps": maps, "links": ends, "config": config, "w_steps": w_steps,
                                        "index": j, "bounds": bounds})
-        finally:
-            os.close(fd)
 
     def _exited(self, j: int) -> ModelFitError:
         return ModelFitError(f"LSTM layer worker {j} exited with status {self.procs[j].wait()}")
@@ -158,10 +162,8 @@ class Team:
     def forward(self, inputs: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray:
         """Hand the workers one batch: its masks, and the windows' (W,
         features, batch) sequence, which only the bottom worker reads;
-        returns the predictions the top worker replies with. Every worker is
-        idle, so the step counters start again from zero."""
+        returns the predictions the top worker replies with."""
         inputs = np.ascontiguousarray(inputs)
-        self.steps[...] = 0
         for j in range(len(self.conns)):
             self._send(j, "batch", ((inputs.shape, masks), np.geterr()), None if j else inputs)
         return self._await({len(self.conns) - 1})[0]
@@ -225,15 +227,15 @@ def _views(buf, layout: dict) -> dict[str, np.ndarray]:
 class _Link:
     """Workers j and j + 1's hand-off as one of them sees it: the (W, H,
     batch) sequences handed up (the lower one's top layer's dropped outputs)
-    and down (their gradients), and the counters of the steps written into
-    each. The lower worker posts up and waits for down, the upper one the
-    other way round. Each counter has its own 64-byte line of the shared
-    `steps`: up{j}'s is row 2j, down{j}'s row 2j + 1."""
+    and down (their gradients), in shared memory, and the socket the two
+    share. The lower worker writes up and reads down, the upper one the other
+    way round. A side sends one byte once it has written a span of steps, and
+    the other side receives it before reading that span: a batch posts and
+    waits once per span each way, so the k-th byte says span k is written,
+    and the send and receive order the memory in between on any CPU."""
 
-    def __init__(self, views: dict, j: int, w_steps: int, hs: int, upper: bool, parent: int):
-        self.bufs, self.seq_shape, self.parent = (views[f"up{j}"], views[f"down{j}"]), (w_steps, hs), parent
-        self.steps = views["steps"][:, 0]
-        self.wait_row, self.post_row = (2 * j, 2 * j + 1) if upper else (2 * j + 1, 2 * j)
+    def __init__(self, views: dict, j: int, w_steps: int, hs: int, sock: socket.socket):
+        self.bufs, self.seq_shape, self.sock = (views[f"up{j}"], views[f"down{j}"]), (w_steps, hs), sock
 
     def _seq(self, buf: np.ndarray, b: int) -> np.ndarray:
         return buf[: math.prod(self.seq_shape) * b].reshape(*self.seq_shape, b)
@@ -244,22 +246,15 @@ class _Link:
     def down(self, b: int) -> np.ndarray:
         return self._seq(self.bufs[1], b)
 
-    def post(self, count: int) -> None:
-        self.steps[self.post_row] = count
+    def post(self) -> None:
+        """Say that the next span of steps is written."""
+        self.sock.sendall(b"\0")
 
-    def wait(self, count: int) -> None:
-        """Wait until the other side has posted `count` steps, spinning and
-        yielding the CPU for up to SPIN_S, then polling every POLL_S: a long
-        wait, or one on a busy machine, leaves the CPU to others. Exit if the
-        parent is gone."""
-        spin_until = time.perf_counter() + SPIN_S
-        while self.steps[self.wait_row] < count:
-            if os.getppid() != self.parent:
-                os._exit(1)
-            if time.perf_counter() < spin_until:
-                os.sched_yield()
-            else:
-                time.sleep(POLL_S)
+    def wait(self) -> None:
+        """Block until the other side has written its next span of steps.
+        Raises EOFError if it has exited."""
+        if not self.sock.recv(1):
+            raise EOFError("the LSTM layer worker beside this one has exited")
 
 
 def _network(config: LstmConfig, views: dict) -> LstmNetwork:
@@ -269,14 +264,18 @@ def _network(config: LstmConfig, views: dict) -> LstmNetwork:
     return LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
 
 
-def _groups(init: dict, views: dict, parent: int) -> tuple[_LayerGroup, _LayerGroup]:
+def _groups(init: dict) -> tuple[_LayerGroup, _LayerGroup]:
     """A worker's group over its own layers, linked to the workers beside it,
     and its group over every layer for eval, both on the shared parameters."""
     config, w_steps, j, bounds = init["config"], init["w_steps"], init["index"], init["bounds"]
+    views: dict[str, np.ndarray] = {}
+    for fd, layout in init["maps"]:
+        views |= _views(mmap.mmap(fd, 0), layout)
+        os.close(fd)
     network = _network(config, views)
-    hs = config.hidden_size
-    below = _Link(views, j - 1, w_steps, hs, True, parent) if j else None
-    above = _Link(views, j, w_steps, hs, False, parent) if bounds[j + 1] < config.num_layers else None
+    hs, (below, above) = config.hidden_size, init["links"]
+    below = None if below is None else _Link(views, j - 1, w_steps, hs, socket.socket(fileno=below))
+    above = None if above is None else _Link(views, j, w_steps, hs, socket.socket(fileno=above))
     return _LayerGroup(network, bounds[j], bounds[j + 1], below, above), _LayerGroup(network)
 
 
@@ -302,19 +301,15 @@ def _relayed(caught: list) -> list:
     return [(w.category, str(w.message)) for w in caught]
 
 
-def _worker(sock_fd: int, shared_fd: int) -> None:
+def _worker(sock_fd: int) -> None:
     """A layer worker's main (see `_WORKER_CODE`): runs each batch and eval
     call the parent sends over the socket until told to stop or the socket
     closes. An error goes back to the parent, which raises it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles an interrupt and ends its workers
-    parent = os.getppid()
-    shared = mmap.mmap(shared_fd, 0)
-    os.close(shared_fd)
     with Connection(sock_fd) as conn:
         try:
             _, init = conn.recv()
-            views = _views(shared, init["layout"])
-            group, whole = _groups(init, views, parent)
+            group, whole = _groups(init)
             while True:
                 kind, value = conn.recv()
                 if kind == "stop":
@@ -328,8 +323,15 @@ def _worker(sock_fd: int, shared_fd: int) -> None:
                     else:
                         x = np.frombuffer(conn.recv_bytes()).reshape(arg)
                         conn.send(("eval", (_relayed(caught), whole.predict(x, [(0, len(x))]))))
-        except EOFError:  # the parent closed the socket
-            return
+        except (EOFError, ConnectionError):
+            # the parent closed the socket, or a worker beside this one has
+            # exited. Send nothing, and exit only once the parent closes the
+            # socket: the parent then reads the dead worker's exit, not this
+            # one's. A dead parent so ends every worker, each either directly
+            # or when the one beside it exits
+            with suppress(EOFError, ConnectionError):
+                while True:
+                    conn.recv_bytes()
         except Exception as exc:
             exc.add_note(f"raised in an LSTM layer worker:\n{traceback.format_exc()}")
             with suppress(OSError):

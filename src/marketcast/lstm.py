@@ -56,25 +56,25 @@ Conventions:
     tracemalloc;
   - `train` and `predict_series` drive a team (`layer_workers`): min(layers,
     CPUs) layer workers (`_cpu_count`: the CPUs in this process's affinity,
-    x86-64 Linux only), or, when that is one, one group over every layer in
-    this process, which starts nothing. Either way the team trains the
+    Linux only), or, when that is one, one group over every layer in this
+    process, which starts nothing. Either way the team trains the
     network's own arrays: starting workers moves them into shared memory
     once. Each worker is a fresh interpreter at one BLAS thread that drives
     a group over its own layers (the top one also the head) on those shared
     parameters, with its own Adam state and cache. Between two workers the
     lower one's top layer writes its outputs into a (W, H, batch) sequence
-    in shared memory, and the upper one writes their gradients into another;
-    a counter beside each says how many of the batch's steps are in, raised
-    once per span of steps. So layer k runs step t while layer k + 1 runs an
-    earlier span, forward and back. Each layer's arithmetic stays in one
-    process in the one group's order, so the bits are the same. The parent
-    draws the permutation and masks and sends them with each batch's windows
-    over the workers' sockets, gets the predictions back, computes the loss
-    and sends its gradient, checks for divergence, and takes and restores
-    the best-weights snapshot in the shared parameters while the workers are
-    idle; the workers also make the predictions (see `predict_series`
-    below). `_lstm_workers` holds the processes, imported only when they
-    start;
+    in shared memory, and the upper one writes their gradients into another.
+    Once a span of steps is in, the writer sends one byte on a socket the
+    two share, and the reader blocks until it has received it. So layer k
+    runs step t while layer k + 1 runs an earlier span, forward and back.
+    Each layer's arithmetic stays in one process in the one group's order,
+    so the bits are the same. The parent draws the permutation and masks
+    and sends them with each batch's windows over the workers' sockets,
+    gets the predictions back, computes the loss and sends its gradient,
+    checks for divergence, and takes and restores the best-weights
+    snapshot in the shared parameters while the workers are idle; the
+    workers also make the predictions (see `predict_series` below).
+    `_lstm_workers` holds the processes, imported only when they start;
   - backward writes each step's gate gradients over its cached
     activations. Each group keeps one cache for the whole run: every batch
     overwrites the same arrays, allocated again only when the batch size
@@ -428,8 +428,8 @@ class _LayerGroup:
     A layer worker's group is linked to the workers beside it by `below` and
     `above` (None at the bottom and the top; see `_lstm_workers`): through a
     link it reads its input from the group below (`up`) and hands down that
-    input's gradients (`down`), posting its own steps and waiting for the
-    other side's once per span.
+    input's gradients (`down`), posting each span of steps it writes and
+    waiting for each span the other side writes.
     """
 
     def __init__(self, network: LstmNetwork, lo: int = 0, hi: int | None = None, below=None, above=None):
@@ -466,11 +466,11 @@ class _LayerGroup:
         with np.errstate(over="ignore"):
             for t in range(w_steps):
                 if below and t % span == 0:
-                    below.wait(min(t + span, w_steps))
+                    below.wait()
                 for stepper in steppers:
                     next(stepper)
                 if above and (t % span == span - 1 or t == w_steps - 1):
-                    above.post(t + 1)
+                    above.post()
         return outs
 
     def _head(self, outs: list[np.ndarray]) -> np.ndarray:
@@ -518,11 +518,11 @@ class _LayerGroup:
             next(stepper)
         for t in range(w_steps - 1, -1, -1):
             if above and (t == w_steps - 1 or t % span == span - 1):
-                above.wait(w_steps - t + t % span)
+                above.wait()
             for stepper in reversed(steppers):
                 next(stepper)
             if below and t % span == 0:
-                below.post(w_steps - t)
+                below.post()
         grads = []
         for i, g in enumerate(gates):
             grads.extend((dw[i], du[i], g.sum(axis=(0, 2))))
@@ -673,13 +673,8 @@ def layer_workers(network: LstmNetwork, train_set: WindowedDataset):
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on, or 1 (one group in this process) off x86-64 Linux.
-
-    The workers hand each other steps through counters in shared memory,
-    read with no memory barrier: that needs x86-64, where a process sees
-    another's stores in the order they were made.
-    """
-    if not hasattr(os, "sched_getaffinity") or os.uname().machine != "x86_64":
+    """The CPUs this process may run on, or 1 (one group in this process) off Linux."""
+    if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 

@@ -2,10 +2,13 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from contextlib import suppress
 from dataclasses import asdict
 
 import numpy as np
@@ -854,3 +857,73 @@ def test_a_killed_worker_fails_the_run_without_hanging(monkeypatch, worker_procs
     assert not killer.is_alive()
     assert time.perf_counter() - start < 30
     assert all(proc.poll() is not None for proc in worker_procs)
+
+
+# a run on two layer workers, still training when the test kills it
+_LONG_RUN_ON_WORKERS = """
+import numpy as np
+from marketcast import lstm
+from marketcast.frame import WindowedDataset
+lstm._cpu_count = lambda: 2
+series = np.cumsum(np.random.default_rng(11).normal(size=104)) / 10
+inputs = np.stack([series[i : i + 40, None] for i in range(64)])
+windows = WindowedDataset(inputs=inputs, targets=series[40:], window_size=40, horizon=1)
+cfg = lstm.LstmConfig(input_size=1, hidden_size=16, batch_size=8, max_epochs=500, patience=0)
+lstm.train(lstm.init_network(cfg), windows, windows.subset(np.zeros(64, bool)), cfg)
+"""
+
+
+def _exited(pid: int) -> bool:
+    """Whether process `pid` has exited: it is gone, or a zombie that no one has reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    """SIGKILL to a process training on two workers, mid-run: each worker
+    exits within 10 s, whether it waits on the parent or on the worker
+    beside it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lstm.__file__)))
+    run = subprocess.Popen([sys.executable, "-c", _LONG_RUN_ON_WORKERS], env=dict(os.environ, PYTHONPATH=src))
+    workers: list[int] = []
+    try:
+        started = time.monotonic()
+        while len(workers) < 2 and time.monotonic() - started < 30:
+            time.sleep(0.05)
+            with open(f"/proc/{run.pid}/task/{run.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+        assert len(workers) == 2
+        time.sleep(1.0)  # both workers are past start-up, training
+        run.kill()
+        run.wait()
+        killed = time.monotonic()
+        while not all(map(_exited, workers)) and time.monotonic() - killed < 10:
+            time.sleep(0.05)
+        assert all(map(_exited, workers))
+    finally:
+        run.kill()
+        run.wait()
+        for pid in workers:
+            if not _exited(pid):
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def test_a_network_trained_on_workers_maps_only_its_parameters(monkeypatch):
+    """The network's arrays stay views into the workers' shared memory after
+    they exit; that mapping holds the parameters alone, not the sequences the
+    workers hand each other."""
+    cfg = LstmConfig(input_size=1, hidden_size=6, num_layers=2, batch_size=8, max_epochs=1, patience=1)
+    net, _, _ = train_with_workers(monkeypatch, 2, cfg, *paper_shape_sets(n=30, w=20, n_val=12))
+    mapping = net.dense_w
+    while not isinstance(mapping, memoryview):
+        mapping = mapping.base
+    assert len(mapping) <= sum(-(-p.nbytes // 64) * 64 for p in net.parameters())
+
+
+def test_cpu_count_off_x86_64_is_the_affinity(monkeypatch):
+    monkeypatch.setattr(os, "uname", lambda: os.uname_result(("Linux", "host", "6.1", "#1", "aarch64")))
+    assert lstm._cpu_count() == len(os.sched_getaffinity(0))
