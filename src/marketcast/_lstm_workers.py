@@ -3,12 +3,12 @@
 `Team` is the parent's side: it starts the workers, binds the network onto
 their shared parameters, hands them each batch and each eval call over
 their sockets, and collects their replies. `_worker` is a worker's command
-loop. For a batch it drives `lstm._LayerGroup` over its own layers, linked
-to the workers beside it by `_Link`s: a sequence each way in shared memory,
-and a socket on which each side sends one byte per span of steps it has
-written. For an eval call it drives a group over every layer on the windows
-it was sent. `lstm` imports this module only when it starts workers, so
-importing the CLI compiles none of it.
+loop. For a batch it runs one `step` of `lstm._LayerGroup` over its own
+layers, linked to the workers beside it by `_Link`s: a sequence each way in
+shared memory, and a socket on which each side sends one byte per span of
+steps it has written. For an eval call it drives a group over every layer
+on the windows it was sent. `lstm` imports this module only when it starts
+workers, so importing the CLI compiles none of it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ class Team:
     down (their gradients). Each such pair also shares a socketpair, on
     which a worker sends one byte once it has written a span of steps (see
     `_Link`). Everything between this process and a worker goes through
-    that worker's socket: commands, a batch's windows (to the bottom
-    worker), masks, predictions and loss gradient, and eval windows and
-    predictions. Eval is data-parallel: each worker runs whole eval calls
-    over all the layers, on the windows it is sent.
+    that worker's socket: commands, a batch's masks, windows (to the bottom
+    worker), targets (to the top one, which scores the batch) and squared
+    error, and eval windows and predictions. Eval is data-parallel: each
+    worker runs whole eval calls over all the layers, on the windows it is
+    sent.
     """
 
     def __init__(self):
@@ -149,30 +150,32 @@ class Team:
             warnings.warn(message, category, stacklevel=4)
         return j, result
 
-    def _await(self, expected: set[int]) -> list:
-        """Wait for a reply from each worker in `expected` and return their
-        results in worker order. Every worker that has not yet replied is
-        watched meanwhile."""
-        replies: dict[int, object] = {}
-        while not expected <= replies.keys():
-            j, result = self._reply([j for j in range(len(self.conns)) if j not in replies])
-            replies[j] = result
-        return [replies[j] for j in sorted(expected)]
+    def _replies(self):
+        """Yield (index, result) for the next reply of each worker, in the
+        order they come; every worker that has not yet replied is watched."""
+        pending = set(range(len(self.conns)))
+        while pending:
+            j, result = self._reply(pending)
+            pending.discard(j)
+            yield j, result
 
-    def forward(self, inputs: np.ndarray, masks: list[np.ndarray | None]) -> np.ndarray:
-        """Hand the workers one batch: its masks, and the windows' (W,
-        features, batch) sequence, which only the bottom worker reads;
-        returns the predictions the top worker replies with."""
+    def step(self, inputs: np.ndarray, masks: list[np.ndarray | None], targets: np.ndarray) -> float:
+        """One training batch: one request to each worker (the windows to the
+        bottom one, the targets to the top one) and one reply from each.
+        Returns the top worker's sum of squared errors, at once if it is not
+        finite: the top then takes no gradient, and the workers below wait
+        until the team is ended."""
         inputs = np.ascontiguousarray(inputs)
+        top = len(self.conns) - 1
         for j in range(len(self.conns)):
-            self._send(j, "batch", ((inputs.shape, masks), np.geterr()), None if j else inputs)
-        return self._await({len(self.conns) - 1})[0]
-
-    def backward(self, dpred: np.ndarray) -> None:
-        """Hand the top worker the loss gradient and wait until every worker
-        has run backward and its Adam step."""
-        self._send(len(self.conns) - 1, "back", dpred)
-        self._await(set(range(len(self.conns))))
+            self._send(j, "batch", ((inputs.shape, masks, targets if j == top else None), np.geterr()),
+                       None if j else inputs)
+        for j, result in self._replies():
+            if j == top:
+                batch_sq = result
+                if not math.isfinite(batch_sq):
+                    break
+        return batch_sq
 
     def predict(self, x: np.ndarray, calls: list[tuple[int, int]]) -> np.ndarray:
         """Eval predictions for the windows x (n, W, features) from the
@@ -202,7 +205,7 @@ class Team:
         """Tell every worker to exit, and keep the peak RSS each reports, in KiB."""
         for j in range(len(self.conns)):
             self._send(j, "stop")
-        self.peaks_kib = tuple(self._await(set(range(len(self.conns)))))
+        self.peaks_kib = tuple(peak for _, peak in sorted(self._replies()))
         for proc in self.procs:
             proc.wait()
 
@@ -279,28 +282,6 @@ def _groups(init: dict) -> tuple[_LayerGroup, _LayerGroup]:
     return _LayerGroup(network, bounds[j], bounds[j + 1], below, above), _LayerGroup(network)
 
 
-def _batch(group: _LayerGroup, shape: tuple, masks: list, conn, caught: list) -> None:
-    """One batch on the worker's group, whose windows' (W, features, batch)
-    sequence has `shape`: forward, then backward and the Adam step. The
-    bottom worker reads the windows from the socket. The top worker sends
-    the parent the predictions in between, and waits for its go, which
-    carries the loss gradient."""
-    inputs = group.below.up(shape[2]) if group.below else np.frombuffer(conn.recv_bytes()).reshape(shape)
-    preds = group.forward(inputs, masks)
-    dpred = None
-    if preds is not None:
-        conn.send(("preds", (_relayed(caught), preds)))
-        caught.clear()
-        _, dpred = conn.recv()
-    group.backward(dpred)
-    conn.send(("done", (_relayed(caught), None)))
-
-
-def _relayed(caught: list) -> list:
-    """Caught warnings as (category, message) pairs, for the parent to warn again."""
-    return [(w.category, str(w.message)) for w in caught]
-
-
 def _worker(sock_fd: int) -> None:
     """A layer worker's main (see `_WORKER_CODE`): runs each batch and eval
     call the parent sends over the socket until told to stop or the socket
@@ -319,10 +300,15 @@ def _worker(sock_fd: int) -> None:
                 with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
                     warnings.simplefilter("always")
                     if kind == "batch":
-                        _batch(group, *arg, conn, caught)
+                        shape, masks, targets = arg
+                        below = group.below
+                        inputs = below.up(shape[2]) if below else np.frombuffer(conn.recv_bytes()).reshape(shape)
+                        result = group.step(inputs, masks, targets)
                     else:
                         x = np.frombuffer(conn.recv_bytes()).reshape(arg)
-                        conn.send(("eval", (_relayed(caught), whole.predict(x, [(0, len(x))]))))
+                        result = whole.predict(x, [(0, len(x))])
+                # the caught warnings as (category, message) pairs, for the parent to warn again
+                conn.send((kind, ([(w.category, str(w.message)) for w in caught], result)))
         except (EOFError, ConnectionError):
             # the parent closed the socket, or a worker beside this one has
             # exited. Send nothing, and exit only once the parent closes the

@@ -68,12 +68,13 @@ Conventions:
     two share, and the reader blocks until it has received it. So layer k
     runs step t while layer k + 1 runs an earlier span, forward and back.
     Each layer's arithmetic stays in one process in the one group's order,
-    so the bits are the same. The parent draws the permutation and masks
-    and sends them with each batch's windows over the workers' sockets,
-    gets the predictions back, computes the loss and sends its gradient,
-    checks for divergence, and takes and restores the best-weights
-    snapshot in the shared parameters while the workers are idle; the
-    workers also make the predictions (see `predict_series` below).
+    so the bits are the same. A batch is one request to each worker over its
+    socket (the masks the parent drew, the windows to the bottom worker, the
+    targets to the top one) and one reply from each: the top group scores the
+    batch, as one group over every layer does, and replies with its sum of
+    squared errors. The parent checks for divergence, and takes and restores
+    the best-weights snapshot in the shared parameters while the workers are
+    idle; the workers also make the predictions (see `predict_series` below).
     `_lstm_workers` holds the processes, imported only when they start;
   - backward writes each step's gate gradients over its cached
     activations. Each group keeps one cache for the whole run: every batch
@@ -528,9 +529,21 @@ class _LayerGroup:
             grads.extend((dw[i], du[i], g.sum(axis=(0, 2))))
         return grads + head
 
-    def backward(self, dpred: np.ndarray | None = None) -> None:
-        """`gradients`, then one Adam step of `params`."""
+    def step(self, inputs: np.ndarray, masks: list[np.ndarray | None], targets: np.ndarray | None = None):
+        """One training batch: `forward`, `gradients` and an Adam step of
+        `params`. The top group scores the batch against `targets` first and
+        returns its sum of squared errors, with no gradient if that is not
+        finite; below the top it returns None."""
+        preds = self.forward(inputs, masks)
+        batch_sq = dpred = None
+        if preds is not None:
+            diff = preds - targets
+            batch_sq = float(diff @ diff)
+            if not math.isfinite(batch_sq):
+                return batch_sq
+            dpred = (2.0 / len(targets)) * diff
         adam_step(self.params, self.gradients(dpred), self.state, self.network.config.learning_rate)
+        return batch_sq
 
     def predict(self, x: np.ndarray, calls: list[tuple[int, int]]) -> np.ndarray:
         """Eval predictions for the windows x (n, W, features) from a group
@@ -589,10 +602,10 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     `team` is the `layer_workers` of `network` and `train_set`, which the
     caller keeps for more predictions; without one, `train` opens its own
     and ends it before it returns or raises. The batches and the validation
-    predictions run on the team (see the module docstring); this process
-    keeps the RNG, the losses, early stopping and the best-weights snapshot,
-    which it takes from and restores into the network's arrays while the
-    team is idle.
+    predictions run on the team (see the module docstring), whose top group
+    scores each batch; this process keeps the RNG, the losses, early stopping
+    and the best-weights snapshot, taken from and restored into the network's
+    arrays while the team is idle.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
@@ -619,13 +632,10 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
             sq_sum = 0.0
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                yb = y_train[idx]
-                diff = team.forward(x_train[idx].transpose(1, 2, 0), _draw_masks(config, rng)) - yb
-                batch_sq = float(diff @ diff)
+                batch_sq = team.step(x_train[idx].transpose(1, 2, 0), _draw_masks(config, rng), y_train[idx])
                 if not np.isfinite(batch_sq):
                     raise DivergenceError(f"non-finite training loss in epoch {epoch}", epoch=epoch)
                 sq_sum += batch_sq
-                team.backward((2.0 / len(yb)) * diff)
             train_losses.append(sq_sum / n)
 
             if len(val_set.targets) == 0:

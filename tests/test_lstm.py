@@ -777,16 +777,23 @@ def test_layer_workers_train_and_predict_what_one_group_does(run):
 
 
 def test_a_worker_divergence_raises_what_in_process_raises(monkeypatch, worker_procs):
+    """Two workers raise the DivergenceError that one group raises and leave
+    the same parameters: the batch whose loss is not finite moves none, on
+    the top worker or below it."""
     train_set, val_set = sine_sets()
     cfg = tiny_config(input_size=1, learning_rate=1e200, max_epochs=8, patience=8, seed=0)
-    raised = []
+    raised, params = [], []
     for workers in (1, 2):
         monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
+        net = init_network(cfg)
         with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            train(init_network(cfg), train_set, val_set, cfg)
+            train(net, train_set, val_set, cfg)
         raised.append((str(info.value), info.value.epoch))
+        params.append(net.parameters())
     assert raised[0] == raised[1]
+    for one_group, two_workers in zip(*params, strict=True):
+        np.testing.assert_array_equal(one_group, two_workers)
     assert len(worker_procs) == 2 and all(proc.poll() is not None for proc in worker_procs)
 
 
