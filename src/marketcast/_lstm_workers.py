@@ -1,7 +1,7 @@
 """The processes behind `lstm`'s layer workers (see `lstm`'s docstring).
 
 `Team` is the parent's side: it starts the workers, binds the network onto
-their shared parameters, hands them each batch and each eval call over
+their shared parameter vector, hands them each batch and each eval call over
 their sockets, and collects their replies. `_worker` is a worker's command
 loop. For a batch it runs one `step` of `lstm._LayerGroup` over its own
 layers, linked to the workers beside it by `_Link`s: a sequence each way in
@@ -29,7 +29,7 @@ from multiprocessing.connection import Connection, wait
 import numpy as np
 
 from .errors import ModelFitError
-from .lstm import LstmConfig, LstmLayer, LstmNetwork, _LayerGroup
+from .lstm import LstmNetwork, _LayerGroup
 
 # the program of a worker, `python -P -c _WORKER_CODE <socket fd>`
 _WORKER_CODE = "import sys; from marketcast._lstm_workers import _worker; _worker(int(sys.argv[1]))"
@@ -40,18 +40,19 @@ class Team:
 
     Worker j steps layers bounds[j] .. bounds[j + 1] - 1, and the last one
     also the head, over every batch. They share two mappings. One holds the
-    parameters: the caller's network is bound onto them, so the workers
-    train its own arrays. The other holds what the workers hand each other,
-    and this process sizes it but never maps it: between workers j and
-    j + 1 the (W, H, batch) sequences handed up (the dropped outputs) and
-    down (their gradients). Each such pair also shares a socketpair, on
-    which a worker sends one byte once it has written a span of steps (see
-    `_Link`). Everything between this process and a worker goes through
-    that worker's socket: commands, a batch's masks, windows (to the bottom
-    worker), targets (to the top one, which scores the batch) and squared
-    error, and eval windows and predictions. Eval is data-parallel: each
-    worker runs whole eval calls over all the layers, on the windows it is
-    sent.
+    network's `flat` parameter vector: it is copied there once and the
+    caller's network is bound onto it, so the workers train its own vector,
+    each its group's contiguous slice of it. The other holds what the workers
+    hand each other, and this process sizes it but never maps it: between
+    workers j and j + 1 the (W, H, batch) sequences handed up (the dropped
+    outputs) and down (their gradients). Each such pair also shares a
+    socketpair, on which a worker sends one byte once it has written a span of
+    steps (see `_Link`). Everything between this process and a worker goes
+    through that worker's socket: commands, a batch's masks, windows (to the
+    bottom worker), targets (to the top one, which scores the batch) and
+    squared error, and eval windows and predictions. Eval is data-parallel:
+    each worker runs whole eval calls over all the layers, on the windows it
+    is sent.
     """
 
     def __init__(self):
@@ -79,45 +80,40 @@ class Team:
 
     def _start(self, network: LstmNetwork, w_steps: int, b_max: int, count: int) -> None:
         config = network.config
-        hs, layers = config.hidden_size, config.num_layers
-        params = network.parameters()
-        seq = (w_steps * hs * b_max,)
-        layouts = {"params": _layout([(f"p{i}", "f8", p.shape) for i, p in enumerate(params)]),
-                   "handoffs": _layout([(f"{way}{j}", "f8", seq) for j in range(count - 1) for way in ("up", "down")])}
+        # between workers j and j + 1 a sequence up and one down, each as long
+        # as a batch's and starting at a 64-byte boundary
+        handoffs = (count - 1, 2, -(-w_steps * config.hidden_size * b_max // 8) * 8)
         # this process's copies of the workers' descriptors, closed once they
         # hold them: a link whose other end only a worker holds reads as
         # closed when that worker exits
         with ExitStack() as ours_too:
-            maps = []
-            for name, (layout, size) in layouts.items():
-                fd = os.memfd_create(f"marketcast-lstm-{name}")
-                ours_too.callback(os.close, fd)
-                os.ftruncate(fd, size)
-                maps.append((fd, layout))
+            fds = []
+            for name, size in (("params", network.flat.nbytes), ("handoffs", 8 * math.prod(handoffs))):
+                fds.append(os.memfd_create(f"marketcast-lstm-{name}"))
+                ours_too.callback(os.close, fds[-1])
+                os.ftruncate(fds[-1], size)
             links = [tuple(map(ours_too.enter_context, socket.socketpair())) for _ in range(count - 1)]
-            (params_fd, params_layout), _ = maps
-            shared = _network(config, _views(mmap.mmap(params_fd, 0), params_layout))
-            for view, p in zip(shared.parameters(), params):
-                view[...] = p
-            # from here on the arrays the workers train are the network's own
-            network.layers, network.dense_w, network.dense_b = shared.layers, shared.dense_w, shared.dense_b
+            shared = np.frombuffer(mmap.mmap(fds[0], 0))
+            shared[...] = network.flat
+            # from here on the vector the workers train is the network's own
+            network.flat = shared
             src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
             env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            bounds = [j * layers // count for j in range(count + 1)]
+            bounds = [j * config.num_layers // count for j in range(count + 1)]
             for j in range(count):
                 # the link to the worker below, and to the one above
                 ends = (links[j - 1][1].fileno() if j else None, links[j][0].fileno() if j < count - 1 else None)
                 ours, theirs = socket.socketpair()
                 self.conns.append(Connection(ours.detach()))
                 with theirs:
-                    fds = [theirs.fileno()] + [fd for fd, _ in maps] + [fd for fd in ends if fd is not None]
                     self.procs.append(subprocess.Popen(
                         [sys.executable, "-P", "-c", _WORKER_CODE, str(theirs.fileno())],
-                        pass_fds=fds, env=env, stdin=subprocess.DEVNULL,
+                        pass_fds=[theirs.fileno(), *fds, *(fd for fd in ends if fd is not None)], env=env,
+                        stdin=subprocess.DEVNULL,
                     ))
-                self._send(j, "init", {"maps": maps, "links": ends, "config": config, "w_steps": w_steps,
-                                       "index": j, "bounds": bounds})
+                self._send(j, "init", {"fds": fds, "handoffs": handoffs, "links": ends, "config": config,
+                                       "w_steps": w_steps, "index": j, "bounds": bounds})
 
     def _exited(self, j: int) -> ModelFitError:
         return ModelFitError(f"LSTM layer worker {j} exited with status {self.procs[j].wait()}")
@@ -210,35 +206,19 @@ class Team:
             proc.wait()
 
 
-def _layout(fields: list[tuple[str, str, tuple]]) -> tuple[dict, int]:
-    """Byte offsets for (name, dtype, shape) arrays laid out one after another
-    at 64-byte boundaries, and the total size."""
-    layout, offset = {}, 0
-    for name, dtype, shape in fields:
-        layout[name] = (offset, dtype, shape)
-        offset += -(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64
-    return layout, offset
-
-
-def _views(buf, layout: dict) -> dict[str, np.ndarray]:
-    return {
-        name: np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
-        for name, (offset, dtype, shape) in layout.items()
-    }
-
-
 class _Link:
     """Workers j and j + 1's hand-off as one of them sees it: the (W, H,
     batch) sequences handed up (the lower one's top layer's dropped outputs)
-    and down (their gradients), in shared memory, and the socket the two
-    share. The lower worker writes up and reads down, the upper one the other
-    way round. A side sends one byte once it has written a span of steps, and
-    the other side receives it before reading that span: a batch posts and
-    waits once per span each way, so the k-th byte says span k is written,
-    and the send and receive order the memory in between on any CPU."""
+    and down (their gradients), `bufs[0]` and `bufs[1]` in shared memory, and
+    the socket the two share. The lower worker writes up and reads down, the
+    upper one the other way round. A side sends one byte once it has written a
+    span of steps, and the other side receives it before reading that span: a
+    batch posts and waits once per span each way, so the k-th byte says span k
+    is written, and the send and receive order the memory in between on any
+    CPU."""
 
-    def __init__(self, views: dict, j: int, w_steps: int, hs: int, sock: socket.socket):
-        self.bufs, self.seq_shape, self.sock = (views[f"up{j}"], views[f"down{j}"]), (w_steps, hs), sock
+    def __init__(self, bufs: np.ndarray, w_steps: int, hs: int, sock: socket.socket):
+        self.bufs, self.seq_shape, self.sock = bufs, (w_steps, hs), sock
 
     def _seq(self, buf: np.ndarray, b: int) -> np.ndarray:
         return buf[: math.prod(self.seq_shape) * b].reshape(*self.seq_shape, b)
@@ -260,25 +240,17 @@ class _Link:
             raise EOFError("the LSTM layer worker beside this one has exited")
 
 
-def _network(config: LstmConfig, views: dict) -> LstmNetwork:
-    """The network whose parameters are the shared arrays p{i}, ordered like network.parameters()."""
-    p = [views[f"p{i}"] for i in range(3 * config.num_layers + 2)]
-    layers = [LstmLayer(w=p[3 * k], u=p[3 * k + 1], b=p[3 * k + 2]) for k in range(config.num_layers)]
-    return LstmNetwork(layers=layers, dense_w=p[-2], dense_b=p[-1], config=config)
-
-
 def _groups(init: dict) -> tuple[_LayerGroup, _LayerGroup]:
     """A worker's group over its own layers, linked to the workers beside it,
     and its group over every layer for eval, both on the shared parameters."""
     config, w_steps, j, bounds = init["config"], init["w_steps"], init["index"], init["bounds"]
-    views: dict[str, np.ndarray] = {}
-    for fd, layout in init["maps"]:
-        views |= _views(mmap.mmap(fd, 0), layout)
+    params, handoffs = [mmap.mmap(fd, 0) for fd in init["fds"]]
+    for fd in init["fds"]:
         os.close(fd)
-    network = _network(config, views)
+    network, seqs = LstmNetwork(config, np.frombuffer(params)), np.frombuffer(handoffs).reshape(init["handoffs"])
     hs, (below, above) = config.hidden_size, init["links"]
-    below = None if below is None else _Link(views, j - 1, w_steps, hs, socket.socket(fileno=below))
-    above = None if above is None else _Link(views, j, w_steps, hs, socket.socket(fileno=above))
+    below = None if below is None else _Link(seqs[j - 1], w_steps, hs, socket.socket(fileno=below))
+    above = None if above is None else _Link(seqs[j], w_steps, hs, socket.socket(fileno=above))
     return _LayerGroup(network, bounds[j], bounds[j + 1], below, above), _LayerGroup(network)
 
 

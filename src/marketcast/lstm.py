@@ -11,6 +11,10 @@ Conventions:
     W (4H x D) maps the layer input, U (4H x H) the previous hidden state,
     and b (4H,) is the bias; the four gates are stacked along the first axis
     in the order (input, forget, output, candidate);
+  - a network's parameters are one float64 vector, `flat`, laid out by
+    `param_layout` (each layer's W, U and b, then the head); every
+    per-parameter array is a view into it, and a layer group trains one
+    slice of it, the top one's with the head, in one Adam pass;
   - the recurrence runs over time-major, feature-major (W, ., batch)
     arrays: a step's gates are one contiguous (4H, batch) slab and each
     gate a contiguous (H, batch) slice of it, so every elementwise ufunc
@@ -58,7 +62,7 @@ Conventions:
     CPUs) layer workers (`_cpu_count`: the CPUs in this process's affinity,
     Linux only), or, when that is one, one group over every layer in this
     process, which starts nothing. Either way the team trains the
-    network's own arrays: starting workers moves them into shared memory
+    network's own vector: starting workers moves it into shared memory
     once. Each worker is a fresh interpreter at one BLAS thread that drives
     a group over its own layers (the top one also the head) on those shared
     parameters, with its own Adam state and cache. Between two workers the
@@ -73,7 +77,7 @@ Conventions:
     targets to the top one) and one reply from each: the top group scores the
     batch, as one group over every layer does, and replies with its sum of
     squared errors. The parent checks for divergence, and takes and restores
-    the best-weights snapshot in the shared parameters while the workers are
+    the best-weights snapshot in the shared vector while the workers are
     idle; the workers also make the predictions (see `predict_series` below).
     `_lstm_workers` holds the processes, imported only when they start;
   - backward writes each step's gate gradients over its cached
@@ -123,6 +127,7 @@ __all__ = [
     "LstmLayer",
     "LstmNetwork",
     "AdamState",
+    "param_layout",
     "TrainingHistory",
     "init_network",
     "backward",
@@ -180,9 +185,26 @@ class LstmConfig:
             raise ValueError("seed must be >= 0")
 
 
+def param_layout(config: LstmConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Each parameter's checkpoint key and shape, in their order in a
+    network's `flat` vector: each layer's W, U and b, then the head."""
+    h = config.hidden_size
+    layout = []
+    for k in range(config.num_layers):
+        d = config.input_size if k == 0 else h
+        layout += [(f"layer{k}_W", (4 * h, d)), (f"layer{k}_U", (4 * h, h)), (f"layer{k}_b", (4 * h,))]
+    return layout + [("dense_w", (h,)), ("dense_b", (1,))]
+
+
+def _unpack(vector: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of `vector` cut into consecutive arrays of `shapes`."""
+    stops = np.cumsum([math.prod(shape) for shape in shapes])
+    return [piece.reshape(shape) for piece, shape in zip(np.split(vector, stops[:-1]), shapes)]
+
+
 @dataclass
 class LstmLayer:
-    """Fused parameters of one layer, gates stacked (i, f, o, g) along rows."""
+    """Fused parameters of one layer, gates (i, f, o, g) along rows: views into the network's `flat`."""
 
     w: np.ndarray  # (4H, D)
     u: np.ndarray  # (4H, H)
@@ -191,30 +213,34 @@ class LstmLayer:
 
 @dataclass
 class LstmNetwork:
-    layers: list[LstmLayer]
-    dense_w: np.ndarray
-    dense_b: np.ndarray  # shape (1,)
+    """A network's parameters: one float64 vector laid out by `param_layout`.
+    The per-parameter arrays are views of it built on each access."""
+
     config: LstmConfig
+    flat: np.ndarray
 
     def parameters(self) -> list[np.ndarray]:
-        """All trainable arrays in a fixed order (update in place to train)."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.extend((layer.w, layer.u, layer.b))
-        out.append(self.dense_w)
-        out.append(self.dense_b)
-        return out
+        """All trainable arrays in a fixed order, as views into `flat` (update in place to train)."""
+        return _unpack(self.flat, [shape for _, shape in param_layout(self.config)])
+
+    @property
+    def layers(self) -> list[LstmLayer]:
+        p = self.parameters()
+        return [LstmLayer(*p[3 * k : 3 * k + 3]) for k in range(self.config.num_layers)]
+
+    dense_w = property(lambda self: self.parameters()[-2])  # shape (H,)
+    dense_b = property(lambda self: self.parameters()[-1])  # shape (1,)
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 @dataclass(frozen=True)
@@ -242,20 +268,14 @@ def init_network(config: LstmConfig) -> LstmNetwork:
     """
     rng, _ = _rng_streams(config.seed)
     h = config.hidden_size
-    layers = []
-    for layer_idx in range(config.num_layers):
-        d = config.input_size if layer_idx == 0 else h
-        w = np.empty((4 * h, d))
-        u = np.empty((4 * h, h))
+    network = LstmNetwork(config, np.zeros(sum(math.prod(shape) for _, shape in param_layout(config))))
+    for layer in network.layers:
         for gate in range(4):
-            w[gate * h : (gate + 1) * h] = _glorot(rng, h, d)
-            u[gate * h : (gate + 1) * h] = _glorot(rng, h, h)
-        b = np.zeros(4 * h)
-        b[h : 2 * h] = 1.0
-        layers.append(LstmLayer(w=w, u=u, b=b))
-    dense_w = _glorot(rng, h, 1)[:, 0]
-    dense_b = np.zeros(1)
-    return LstmNetwork(layers=layers, dense_w=dense_w, dense_b=dense_b, config=config)
+            layer.w[gate * h : (gate + 1) * h] = _glorot(rng, h, layer.w.shape[1])
+            layer.u[gate * h : (gate + 1) * h] = _glorot(rng, h, h)
+        layer.b[h : 2 * h] = 1.0
+    network.dense_w[...] = _glorot(rng, h, 1)[:, 0]
+    return network
 
 
 def _draw_masks(config: LstmConfig, rng: np.random.Generator | None) -> list[np.ndarray | None]:
@@ -423,8 +443,10 @@ class _LayerGroup:
     """Layers lo .. hi - 1 of `network`, and its head when no group is above
     them: the one driver of the layer steppers (see the module docstring),
     with the methods `train` and `predict_series` call on a `Team`. It
-    trains the network's own arrays, in this process or in a layer worker,
-    where they are the shared parameters.
+    trains `params`, its slice of the network's `flat` vector: its layers'
+    W, U and b, and at the top the head's too, so the groups of a team tile
+    the vector in order. That is the network's own vector in this process,
+    and the shared one in a layer worker.
 
     A layer worker's group is linked to the workers beside it by `below` and
     `above` (None at the bottom and the top; see `_lstm_workers`): through a
@@ -436,8 +458,11 @@ class _LayerGroup:
     def __init__(self, network: LstmNetwork, lo: int = 0, hi: int | None = None, below=None, above=None):
         self.network, self.lo, self.below, self.above = network, lo, below, above
         self.layers, self.hs = network.layers[lo:hi], network.config.hidden_size
-        params = network.parameters()
-        self.params = params[3 * lo : 3 * (lo + len(self.layers))] + ([] if above else params[-2:])
+        # its layers' parameters, and the head's at the top: one slice of `flat`
+        shapes = [shape for _, shape in param_layout(network.config)]
+        start = sum(map(math.prod, shapes[: 3 * lo]))
+        self.shapes = shapes[3 * lo : 3 * (lo + len(self.layers)) if above else None]
+        self.params = network.flat[start : start + sum(map(math.prod, self.shapes))]
         # each layer's gates and c (29 MB at W=216, H=64, batch 32) and the
         # batch `backward` reads, kept across batches: allocated afresh, the
         # allocator gives those pages back to the OS between batches, and
@@ -486,22 +511,23 @@ class _LayerGroup:
         self.cache.update(x=inputs, masks=masks, outs=outs)
         return None if self.above else self._head(outs)
 
-    def gradients(self, dpred: np.ndarray | None = None) -> list[np.ndarray]:
-        """Gradients of `params`, in their order, over the batch the last
-        `forward` cached, which they consume; `dpred` is the loss gradient by
-        each prediction (batch,) at the top, None below it. The head's
-        gradient seeds the top layer's carry."""
+    def gradients(self, dpred: np.ndarray | None = None) -> np.ndarray:
+        """The gradient of `params`, one vector laid out like it, over the
+        batch the last `forward` cached, which it consumes; `dpred` is the
+        loss gradient by each prediction (batch,) at the top, None below it.
+        The head's gradient seeds the top layer's carry."""
         hs, below, above, lo = self.hs, self.below, self.above, self.lo
         cache = self.cache
         gates, rings, ends, inputs, masks, outs = (cache[k] for k in ("gates", "c", "c_ends", "x", "masks", "outs"))
         w_steps, _, b = inputs.shape
         span = len(rings[0])
+        grad = np.zeros(len(self.params))
+        views = _unpack(grad, self.shapes)
+        dw, du, db = (views[k : 3 * len(self.layers) : 3] for k in range(3))
         carries = [np.zeros((hs, b)) for _ in self.layers]
-        head = []
         if not above:
-            carries[-1], *head = _head_backward(self.network.dense_w, gates[-1], rings[-1], masks[-1], dpred, hs)
-        dw = [np.zeros_like(layer.w) for layer in self.layers]
-        du = [np.zeros_like(layer.u) for layer in self.layers]
+            head = _head_backward(self.network.dense_w, gates[-1], rings[-1], masks[-1], dpred, hs)
+            carries[-1], views[-2][...], views[-1][...] = head
         # layer i takes the gradient of its output from d_outs[i], which the
         # layer above writes (the group above, for the top one's); the group
         # above reads the top layer's outputs where the forward left them
@@ -524,10 +550,9 @@ class _LayerGroup:
                 next(stepper)
             if below and t % span == 0:
                 below.post()
-        grads = []
-        for i, g in enumerate(gates):
-            grads.extend((dw[i], du[i], g.sum(axis=(0, 2))))
-        return grads + head
+        for d, g in zip(db, gates):
+            d[...] = g.sum(axis=(0, 2))
+        return grad
 
     def step(self, inputs: np.ndarray, masks: list[np.ndarray | None], targets: np.ndarray | None = None):
         """One training batch: `forward`, `gradients` and an Adam step of
@@ -567,24 +592,22 @@ def backward(network: LstmNetwork, cache: dict, dloss_dpred) -> list[np.ndarray]
         raise DataError(f"loss gradient shape {dpred.shape} does not match batch {cache['x'].shape[2]}")
     group = _LayerGroup(network)
     group.cache = cache
-    return group.gradients(dpred)
+    return _unpack(group.gradients(dpred), group.shapes)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float) -> AdamState:
-    """One Adam update, modifying `params` in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter, gradient, and state lengths disagree")
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> AdamState:
+    """One Adam update of the vector `params` in place, by the gradient vector `grad`."""
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ValueError("parameter, gradient, and state shapes disagree")
     state.t += 1
-    correction1 = 1.0 - ADAM_BETA1**state.t
-    correction2 = 1.0 - ADAM_BETA2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = v / (1.0 - ADAM_BETA2**state.t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
@@ -604,8 +627,8 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     and ends it before it returns or raises. The batches and the validation
     predictions run on the team (see the module docstring), whose top group
     scores each batch; this process keeps the RNG, the losses, early stopping
-    and the best-weights snapshot, taken from and restored into the network's
-    arrays while the team is idle.
+    and the best-weights snapshot, one copy of the network's `flat` vector,
+    taken and restored while the team is idle.
     """
     if len(train_set.targets) == 0:
         raise DataError("empty training set")
@@ -623,10 +646,10 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_epoch = -1
-    best_params: list[np.ndarray] | None = None
+    best: np.ndarray | None = None
 
+    # inside the block `network.flat` is the team's: workers' shared memory, or this process's
     with nullcontext(team) if team else layer_workers(network, train_set) as team:
-        params = network.parameters()  # the team's arrays: workers' shared memory, or this process's
         for epoch in range(config.max_epochs):
             order = rng.permutation(n)
             sq_sum = 0.0
@@ -647,15 +670,14 @@ def train(network: LstmNetwork, train_set: WindowedDataset, val_set: WindowedDat
             if not np.isfinite(val_mse):
                 raise DivergenceError(f"non-finite validation loss in epoch {epoch}", epoch=epoch)
             val_losses.append(val_mse)
-            if best_params is None or val_mse < val_losses[best_epoch]:
+            if best is None or val_mse < val_losses[best_epoch]:
                 best_epoch = epoch
-                best_params = [p.copy() for p in params]
+                best = network.flat.copy()
             elif epoch - best_epoch >= max(config.patience, 1):
                 break
 
-        if best_params is not None:
-            for p, saved in zip(params, best_params):
-                p[...] = saved
+        if best is not None:
+            network.flat[...] = best
     history = TrainingHistory(
         train_losses=tuple(train_losses),
         val_losses=tuple(val_losses),
@@ -670,8 +692,8 @@ def layer_workers(network: LstmNetwork, train_set: WindowedDataset):
     layer workers, which have exited on the way out, or, when that is one, a
     `_LayerGroup` over every layer in this process, which starts nothing.
     Starting workers moves `network`'s parameters into shared memory: its
-    layers and head are rebound onto arrays there, which the workers train
-    and which stay `network`'s after they exit."""
+    `flat` is rebound onto a vector there, which the workers train and which
+    stays `network`'s after they exit."""
     config = network.config
     workers = min(config.num_layers, _cpu_count())
     if workers <= 1:
@@ -728,32 +750,23 @@ def save_checkpoint(network: LstmNetwork, path) -> None:
     and the head under dense_w / dense_b. float64 throughout, so a
     save/load round trip is bit-exact.
     """
-    arrays: dict[str, np.ndarray] = {}
-    for layer_idx, layer in enumerate(network.layers):
-        arrays[f"layer{layer_idx}_W"] = layer.w
-        arrays[f"layer{layer_idx}_U"] = layer.u
-        arrays[f"layer{layer_idx}_b"] = layer.b
-    arrays["dense_w"] = network.dense_w
-    arrays["dense_b"] = network.dense_b
+    arrays = {key: p for (key, _), p in zip(param_layout(network.config), network.parameters())}
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(network.config)}
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> LstmNetwork:
-    """Read a checkpoint written by save_checkpoint and return its network."""
+    """Read a checkpoint written by save_checkpoint and return its network.
+    An array of another shape than its config gives is a DataError."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta["version"] != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {meta['version']}")
         config = LstmConfig(**meta["config"])
-        layers = [
-            LstmLayer(w=data[f"layer{k}_W"], u=data[f"layer{k}_U"], b=data[f"layer{k}_b"])
-            for k in range(config.num_layers)
-        ]
-        return LstmNetwork(
-            layers=layers,
-            dense_w=data["dense_w"],
-            dense_b=data["dense_b"],
-            config=config,
-        )
+        arrays = []
+        for key, shape in param_layout(config):
+            arrays.append(data[key])
+            if arrays[-1].shape != shape:
+                raise DataError(f"checkpoint array {key} has shape {arrays[-1].shape}, its config gives {shape}")
+        return LstmNetwork(config, np.concatenate([a.ravel() for a in arrays]))

@@ -68,7 +68,7 @@ from .frame import (
     write_csv,
 )
 from .indicators import derive_indicators
-from .lstm import LstmConfig, init_network, layer_workers, predict_series, save_checkpoint, train
+from .lstm import LstmConfig, init_network, layer_workers, param_layout, predict_series, save_checkpoint, train
 
 __all__ = [
     "PipelineConfig",
@@ -471,10 +471,8 @@ def _lstm_min_bytes(lcfg: LstmConfig, window: int, train_windows: int) -> int:
     float64 parameters in 4 copies (the parameters, Adam's two moments and the
     gradients), plus every layer's cached gates for one batch of `window` steps.
     """
-    h = lcfg.hidden_size
-    inputs = [lcfg.input_size] + [h] * (lcfg.num_layers - 1)
-    params = sum(4 * h * (d + h + 1) for d in inputs) + h + 1
-    gates = lcfg.num_layers * window * 4 * h * min(lcfg.batch_size, train_windows)
+    params = sum(math.prod(shape) for _, shape in param_layout(lcfg))
+    gates = lcfg.num_layers * window * 4 * lcfg.hidden_size * min(lcfg.batch_size, train_windows)
     return 8 * (4 * params + gates)
 
 

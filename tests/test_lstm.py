@@ -362,25 +362,25 @@ def test_rebuilt_c_matches_the_recursion_over_cached_gates(rng, monkeypatch, w):
 
 
 def test_adam_first_steps_match_closed_form():
-    p = [np.array([1.0, -2.0])]
-    g1 = [np.array([0.5, 0.5])]
+    p = np.array([1.0, -2.0])
+    g1 = np.array([0.5, 0.5])
     state = AdamState.for_params(p)
     state = adam_step(p, g1, state, lr=0.1)
     # t=1: m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps) ~ lr * sign
     m_hat = 0.5
     v_hat = 0.25
     want = np.array([1.0, -2.0]) - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
-    np.testing.assert_allclose(p[0], want, rtol=1e-12)
+    np.testing.assert_allclose(p, want, rtol=1e-12)
     assert state.t == 1
 
-    g2 = [np.array([-0.5, 1.0])]
-    before = p[0].copy()
-    m = 0.9 * (0.1 * 0.5) + 0.1 * g2[0]
-    v = 0.999 * (0.001 * 0.25) + 0.001 * g2[0] ** 2
+    g2 = np.array([-0.5, 1.0])
+    before = p.copy()
+    m = 0.9 * (0.1 * 0.5) + 0.1 * g2
+    v = 0.999 * (0.001 * 0.25) + 0.001 * g2**2
     m_hat = m / (1 - 0.9**2)
     v_hat = v / (1 - 0.999**2)
     adam_step(p, g2, state, lr=0.1)
-    np.testing.assert_allclose(p[0], before - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8), rtol=1e-12)
+    np.testing.assert_allclose(p, before - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- training
@@ -659,6 +659,20 @@ def test_checkpoint_version_gate(tmp_path):
         load_checkpoint(tmp_path / "bad.npz")
 
 
+@pytest.mark.parametrize("key, shape", [("layer0_W", (12, 2)), ("layer1_U", (3, 12)), ("dense_b", ())])
+def test_checkpoint_array_of_another_shape_is_a_data_error(tmp_path, key, shape):
+    """An array whose shape its config does not give is refused by name,
+    also when its size is the config's, which would scramble the weights."""
+    net = init_network(tiny_config(input_size=1))
+    save_checkpoint(net, tmp_path / "ck.npz")
+    with np.load(tmp_path / "ck.npz", allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays[key] = np.resize(arrays[key], shape)
+    np.savez(tmp_path / "bad.npz", **arrays)
+    with pytest.raises(DataError, match=f"^checkpoint array {key} has shape "):
+        load_checkpoint(tmp_path / "bad.npz")
+
+
 def test_checkpoint_version_2_rejected(tmp_path):
     """A version-2 file, which may carry Adam moments, is refused."""
     cfg = tiny_config(input_size=1)
@@ -692,13 +706,32 @@ def train_with_workers(monkeypatch, workers, cfg, train_set, val_set, test_set):
     pipeline does; returns the network, its history and those predictions."""
     monkeypatch.setattr(lstm, "_cpu_count", lambda: workers)
     net = init_network(cfg)
+    assert_one_vector(net, workers)
     with layer_workers(net, train_set) as team:
         net, hist = train(net, train_set, val_set, cfg, team=team)
         preds = [predict_series(net, windows, team=team) for windows in (val_set, test_set)]
     assert isinstance(team, _lstm_workers.Team) == (workers > 1)
     if workers > 1:
         assert len(team.peaks_kib) == workers
+    assert_one_vector(net, workers)
     return net, hist, preds
+
+
+def assert_one_vector(net, workers):
+    """Every parameter is a view into the network's `flat`, and the layer
+    groups of `workers` workers train slices of it that tile it once, in
+    order, the top one (with the head) last."""
+    assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+    layers = net.config.num_layers
+    count = min(layers, workers)
+    bounds = [j * layers // count for j in range(count + 1)]
+    groups = [lstm._LayerGroup(net, lo, hi, above=object() if hi < layers else None)
+              for lo, hi in zip(bounds, bounds[1:])]
+    address = net.flat.__array_interface__["data"][0]
+    for group in groups:
+        assert group.params.__array_interface__["data"][0] == address
+        address += group.params.nbytes
+    assert address == net.flat.__array_interface__["data"][0] + net.flat.nbytes
 
 
 WORKER_CASES = {
@@ -928,9 +961,10 @@ def test_a_network_trained_on_workers_maps_only_its_parameters(monkeypatch):
     mapping = net.dense_w
     while not isinstance(mapping, memoryview):
         mapping = mapping.base
-    assert len(mapping) <= sum(-(-p.nbytes // 64) * 64 for p in net.parameters())
+    assert len(mapping) <= -(-net.flat.nbytes // 64) * 64
 
 
-def test_cpu_count_off_x86_64_is_the_affinity(monkeypatch):
-    monkeypatch.setattr(os, "uname", lambda: os.uname_result(("Linux", "host", "6.1", "#1", "aarch64")))
+def test_cpu_count_is_the_affinity_or_1_without_it(monkeypatch):
     assert lstm._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert lstm._cpu_count() == 1

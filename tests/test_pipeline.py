@@ -305,6 +305,18 @@ def test_out_dir_under_a_file_is_a_data_error(input_csv, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
+@pytest.mark.parametrize("lcfg", [LstmConfig(input_size=1), LstmConfig(input_size=7, hidden_size=5, num_layers=3),
+                                  LstmConfig(input_size=2, hidden_size=1, num_layers=1, batch_size=4)])
+def test_lstm_min_bytes_counts_the_network_s_one_vector(lcfg):
+    """The memory check counts the parameters from `lstm.param_layout`, as
+    many as the network's vector holds, and its bound is what the fused
+    shapes give (4 copies of the parameters, and one batch's gates)."""
+    h, n = lcfg.hidden_size, lstm.init_network(lcfg).flat.size
+    assert n == sum(4 * h * (d + h + 1) for d in [lcfg.input_size] + [h] * (lcfg.num_layers - 1)) + h + 1
+    gates = lcfg.num_layers * 216 * 4 * h * min(lcfg.batch_size, 100)
+    assert pipeline._lstm_min_bytes(lcfg, 216, 100) == 8 * (4 * n + gates)
+
+
 def test_layer_workers_write_what_in_process_writes_across_a_restore(input_csv, tmp_path, monkeypatch, worker_procs):
     """A run that stops on patience after its best epoch writes the same
     predictions, metrics and checkpoint on one CPU (in-process) as on two
@@ -520,6 +532,12 @@ def test_fit_result_is_plain_data_that_pickles(input_csv, tmp_path, mode, leg):
     assert set(fit["windows"]) == {"train", "val", "test"}
     assert _callables(fit) == []
     copy = pickle.loads(pickle.dumps(fit))
+    # a network pickles as its config and one vector, and its arrays are views into its own
+    networks = [model for _, model in copy["legs"].values() if isinstance(model, lstm.LstmNetwork)]
+    assert len(networks) == ("lstm" in copy["legs"])
+    for network in networks:
+        assert set(vars(network)) == {"config", "flat"}
+        assert all(np.shares_memory(p, network.flat) for p in network.parameters())
 
     artifacts, files = pipeline._leg_files(leg_config, prep, dump, fit)
     copy_artifacts, copy_files = pipeline._leg_files(leg_config, prep, dump, copy)
